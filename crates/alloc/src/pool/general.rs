@@ -229,7 +229,6 @@ impl ChunkStarts {
 #[derive(Debug, Clone)]
 pub struct GeneralPool {
     level: LevelId,
-    fit: FitPolicy,
     coalesce: CoalescePolicy,
     split: SplitPolicy,
     align: u32,
@@ -283,7 +282,6 @@ impl GeneralPool {
         let min_block = align_up(HEADER_BYTES + footer + 8, align.max(4));
         GeneralPool {
             level,
-            fit,
             coalesce,
             split,
             align,
@@ -291,7 +289,7 @@ impl GeneralPool {
             footer,
             min_block,
             blocks: BlockStore::default(),
-            free_list: FreeList::new(order),
+            free_list: FreeList::new(order, fit),
             chunk_starts: ChunkStarts::default(),
             frees_since_sweep: 0,
             live: 0,
@@ -301,7 +299,7 @@ impl GeneralPool {
 
     /// The fit policy in use.
     pub fn fit(&self) -> FitPolicy {
-        self.fit
+        self.free_list.fit()
     }
 
     /// The free-list order in use.
@@ -610,7 +608,7 @@ impl Pool for GeneralPool {
         ctx: &mut AllocCtx,
     ) -> Result<BlockInfo, AllocError> {
         let asize = self.alloc_size(size);
-        let found = self.free_list.find(self.fit, asize, self.level, ctx);
+        let found = self.free_list.find(asize, self.level, ctx);
         let info = match found {
             Some(idx) => self.serve_from_free(idx, asize, size, ctx),
             None => self.grow_and_serve(asize, size, regions, ctx)?,

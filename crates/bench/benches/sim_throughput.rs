@@ -11,6 +11,11 @@
 //!   worked example) and must produce **byte-identical metrics**;
 //! * the slab kernel must sustain **≥ 2× the reference events/sec**
 //!   (asserted — a regression fails the CI bench smoke run);
+//! * on the paper's Easyport trace, a worst-fit general pool with no
+//!   coalescing builds free lists thousands of entries long; its ns/event
+//!   over first-fit's on the same list order is recorded as `wf_over_ff`
+//!   and capped by the floor, so a return to linear worst-fit scans fails
+//!   on any host (the ratio does not depend on the host's speed);
 //! * the headline numbers are recorded to `BENCH_sim_throughput.json` at
 //!   the workspace root, validated by CI against the checked-in floor in
 //!   `crates/bench/floors/sim_throughput.json`.
@@ -18,13 +23,48 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::{Duration, Instant};
 
-use dmx_alloc::{AllocatorConfig, SimArena, Simulator};
+use dmx_alloc::{
+    AllocatorConfig, CoalescePolicy, FitPolicy, FreeOrder, SimArena, Simulator, SplitPolicy,
+};
 use dmx_bench::{json_num, json_str, write_bench_json};
 use dmx_core::scenario::ScenarioSuite;
+use dmx_memhier::MemoryHierarchy;
+use dmx_trace::gen::{EasyportConfig, TraceGenerator};
+use dmx_trace::CompiledTrace;
 
 /// Per-(path, scenario, config) measurement window. Large enough to damp
 /// scheduler noise, small enough for the CI smoke run.
 const WINDOW: Duration = Duration::from_millis(120);
+
+/// Best-of-window ns/event of `gen(<fit>,addr,co-no,sp-16)` on `trace`
+/// (at least 3 timed replays after one warm-up).
+fn general_ns_per_event(
+    hier: &MemoryHierarchy,
+    fit: FitPolicy,
+    trace: &CompiledTrace,
+    arena: &mut SimArena,
+) -> f64 {
+    let sim = Simulator::new(hier);
+    let config = AllocatorConfig::general_only(
+        hier.slowest(),
+        fit,
+        FreeOrder::AddressOrdered,
+        CoalescePolicy::Never,
+        SplitPolicy::MinRemainder(16),
+    );
+    let mut replay = || {
+        let t = Instant::now();
+        std::hint::black_box(sim.run_in_arena(&config, trace, arena).expect("valid"));
+        t.elapsed()
+    };
+    replay();
+    let (mut best, mut runs, t0) = (Duration::MAX, 0, Instant::now());
+    while runs < 3 || t0.elapsed() < WINDOW {
+        best = best.min(replay());
+        runs += 1;
+    }
+    best.as_nanos() as f64 / trace.len() as f64
+}
 
 fn bench_sim_throughput(c: &mut Criterion) {
     let suite = ScenarioSuite::builtin("embedded-mix").expect("built-in suite");
@@ -111,6 +151,17 @@ fn bench_sim_throughput(c: &mut Criterion) {
     );
     println!("speedup             : {speedup:.2}x  (target ≥ 2.0x)");
 
+    // Worst-fit versus first-fit on the paper trace's long free lists.
+    let hier = dmx_memhier::presets::sp64k_dram4m();
+    let paper = CompiledTrace::compile(&EasyportConfig::paper().generate(1));
+    let wf_ns = general_ns_per_event(&hier, FitPolicy::WorstFit, &paper, &mut arena);
+    let ff_ns = general_ns_per_event(&hier, FitPolicy::FirstFit, &paper, &mut arena);
+    let wf_over_ff = wf_ns / ff_ns;
+    println!(
+        "paper easyport, gen(·,addr,co-no,sp-16): wf {wf_ns:.1} ns/ev, \
+         ff {ff_ns:.1} ns/ev, wf/ff {wf_over_ff:.2}x  (ceiling 20x)"
+    );
+
     let path = write_bench_json(
         "sim_throughput",
         &[
@@ -124,6 +175,9 @@ fn bench_sim_throughput(c: &mut Criterion) {
             ("speedup", json_num(speedup)),
             ("total_sim_seconds", json_num(total_secs)),
             ("arena_reuses", arena.reuses().to_string()),
+            ("wf_ns_per_event", json_num(wf_ns)),
+            ("ff_ns_per_event", json_num(ff_ns)),
+            ("wf_over_ff", json_num(wf_over_ff)),
         ],
     );
     println!("recorded {}", path.display());

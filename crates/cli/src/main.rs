@@ -356,8 +356,9 @@ struct ObsSession {
 }
 
 impl ObsSession {
-    /// Parses the obs flags and starts recording/reporting as requested.
-    fn start(rest: &[&String]) -> Self {
+    /// Parses the obs flags and starts recording/reporting as requested
+    /// for a search over `instances` workloads.
+    fn start(rest: &[&String], instances: u64) -> Self {
         let trace_path = opt(rest, "--obs-trace").map(str::to_owned);
         let metrics_path = opt(rest, "--obs-metrics").map(str::to_owned);
         let progress = has_flag(rest, "--progress");
@@ -373,7 +374,7 @@ impl ObsSession {
         ObsSession {
             trace_path,
             metrics_path,
-            progress: progress.then(ProgressReporter::start),
+            progress: progress.then(|| ProgressReporter::start(instances)),
         }
     }
 
@@ -400,23 +401,27 @@ impl ObsSession {
 /// The `--progress` live reporter: a background thread sampling the obs
 /// metric catalog twice a second and printing one status line per tick
 /// to stderr — per-generation front size, hypervolume proxy, cache hit
-/// rate, and replay throughput. Reads gauges the search layer updates;
-/// never feeds anything back, so it cannot perturb the search.
+/// rate, and replay throughput — plus a last line once the search ends.
+/// Reads gauges the search layer updates; never feeds anything back, so
+/// it cannot perturb the search.
 struct ProgressReporter {
     stop: Arc<std::sync::atomic::AtomicBool>,
     handle: std::thread::JoinHandle<()>,
 }
 
 impl ProgressReporter {
-    fn start() -> Self {
+    /// Starts reporting on a search that simulates each genome on
+    /// `instances` workloads (1, or the scenario count of a suite).
+    fn start(instances: u64) -> Self {
         use std::sync::atomic::{AtomicBool, Ordering};
         let stop = Arc::new(AtomicBool::new(false));
         let stop_seen = Arc::clone(&stop);
         let handle = std::thread::spawn(move || {
             let mut last_events = dmx_obs::metrics().kernel_events.value();
             let mut last_tick = std::time::Instant::now();
-            while !stop_seen.load(Ordering::Relaxed) {
+            loop {
                 std::thread::sleep(std::time::Duration::from_millis(500));
+                let last = stop_seen.load(Ordering::Relaxed);
                 let m = dmx_obs::metrics();
                 let events = m.kernel_events.value();
                 let now = std::time::Instant::now();
@@ -433,8 +438,12 @@ impl ProgressReporter {
                 };
                 // Full simulations avoided so far by multi-fidelity
                 // screening (zero, and omitted, when fidelity is off).
+                // Each rung promotes exactly what the next one screens,
+                // so screened minus promoted over all rungs is the
+                // genomes screened out; like `FidelityStats::avoided`,
+                // count each as one simulation per instance.
                 let screened = m.fidelity_screened.value();
-                let avoided = screened.saturating_sub(m.fidelity_promoted.value());
+                let avoided = screened.saturating_sub(m.fidelity_promoted.value()) * instances;
                 let fidelity = if screened == 0 {
                     String::new()
                 } else {
@@ -450,6 +459,9 @@ impl ProgressReporter {
                     rate / 1e6,
                     fidelity,
                 );
+                if last {
+                    break;
+                }
             }
         });
         ProgressReporter { stop, handle }
@@ -571,7 +583,7 @@ fn explore(rest: &[&String]) -> Result<(), String> {
         trace.len(),
         strategy.name(),
     );
-    let obs = ObsSession::start(rest);
+    let obs = ObsSession::start(rest, 1);
     let mut explorer = Explorer::new(&hier);
     if let Some(plan) = &fidelity {
         explorer = explorer.with_fidelity(plan);
@@ -658,7 +670,7 @@ fn explore_suite(rest: &[&String], suite_name: &str) -> Result<(), String> {
         strategy.name(),
         aggregate,
     );
-    let obs = ObsSession::start(rest);
+    let obs = ObsSession::start(rest, suite.scenarios.len() as u64);
     let robust = evaluator.with_space_arc(space).run(strategy.as_ref());
     obs.finish()?;
     eprintln!(

@@ -383,6 +383,68 @@ fn explore_suite_exports_robust_and_per_scenario_fronts() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The number after `prefix` in `text` (the first occurrence).
+fn number_after(text: &str, prefix: &str) -> u64 {
+    let at = text
+        .find(prefix)
+        .unwrap_or_else(|| panic!("no `{prefix}` in {text}"));
+    let rest = &text[at + prefix.len()..];
+    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().expect("a number follows")
+}
+
+#[test]
+fn fidelity_avoided_count_agrees_across_summary_progress_and_json() {
+    let dir = tmpdir("avoided");
+    let json = dir.join("robust.json");
+    let records = dir.join("robust.prof");
+    let out = run_ok(dmx().args([
+        "explore",
+        "--suite",
+        "quick",
+        "--strategy",
+        "genetic",
+        "--generations",
+        "3",
+        "--population",
+        "16",
+        "--fidelity",
+        "halving",
+        "--seed",
+        "7",
+        "--progress",
+        "--json",
+        json.to_str().unwrap(),
+        "--out-records",
+        records.to_str().unwrap(),
+    ]));
+    let err = String::from_utf8_lossy(&out.stderr);
+    let summary = err
+        .lines()
+        .find(|l| l.starts_with("fidelity:"))
+        .unwrap_or_else(|| panic!("fidelity summary on stderr: {err}"));
+    let avoided = number_after(summary, "full sims (");
+    assert!(avoided > 0, "halving screened nothing out: {summary}");
+    // The simulation unit: each avoided genome saves one full
+    // simulation per scenario of the four-scenario suite.
+    assert_eq!(avoided % 4, 0, "{summary}");
+
+    // The reporter's last line is drawn after the search has ended.
+    let progress = err
+        .lines()
+        .rfind(|l| l.starts_with("progress:"))
+        .unwrap_or_else(|| panic!("progress lines on stderr: {err}"));
+    assert_eq!(
+        number_after(progress, "events/sec, "),
+        avoided,
+        "{progress}"
+    );
+
+    let exported = std::fs::read_to_string(&json).unwrap();
+    assert_eq!(number_after(&exported, "\"avoided\": "), avoided);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn explore_accepts_objective_lists() {
     let dir = tmpdir("objectives");

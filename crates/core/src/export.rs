@@ -226,9 +226,12 @@ fn islands_json(islands: &[crate::search::IslandStats], indent: &str) -> String 
 
 /// Serializes multi-fidelity screening statistics as a JSON object
 /// (shared by [`search_to_json`] and [`robust_to_json`]): one entry per
-/// screening rung plus the surrogate and full-simulation totals. Only
+/// screening rung plus the surrogate, full-simulation and avoided
+/// totals (the last as [`FidelityStats::avoided`]). Only
 /// emitted when a run actually carried a fidelity plan, so `--fidelity
 /// off` exports stay byte-identical to pre-fidelity ones.
+///
+/// [`FidelityStats::avoided`]: crate::search::FidelityStats::avoided
 fn fidelity_json(stats: &crate::search::FidelityStats, indent: &str) -> String {
     let mut s = String::from("{");
     let _ = write!(s, "\n{indent}  \"rungs\": [");
@@ -254,9 +257,10 @@ fn fidelity_json(stats: &crate::search::FidelityStats, indent: &str) -> String {
     );
     let _ = write!(
         s,
-        "\n{indent}  \"full_simulations\": {}",
+        "\n{indent}  \"full_simulations\": {},",
         stats.full_simulations
     );
+    let _ = write!(s, "\n{indent}  \"avoided\": {}", stats.avoided());
     let _ = write!(s, "\n{indent}}}");
     s
 }
