@@ -19,7 +19,7 @@
 //! byte-identical [`SimMetrics`], and the `sim_throughput` bench reports
 //! the kernel's speedup over it.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use dmx_memhier::{CostModel, CostParams, CounterSet, MemoryHierarchy};
 use dmx_trace::{BlockId, CompiledTrace, Trace, TraceEvent};
@@ -123,78 +123,98 @@ impl Default for ContentionParams {
     }
 }
 
-/// Sliding window of the last `window` op tids on one pool, with an
-/// incremental per-tid count so "distinct other threads" is O(1) per op.
+/// Sliding window of the last `window` ops on one pool, by thread rank
+/// (see [`CompiledTrace::op_thread_ranks`]), with a per-rank count and a
+/// running total of ranks present, so "distinct other threads" is O(1)
+/// per op with plain array reads.
 struct PoolWindow {
     ring: Vec<u32>,
     head: usize,
     filled: usize,
-    counts: HashMap<u32, u32>,
+    /// `counts[rank]` = ops by `rank` in the window.
+    counts: Vec<u32>,
+    /// Ranks with a non-zero count.
+    present: u32,
 }
 
 impl PoolWindow {
-    fn new(window: usize) -> Self {
+    /// A window of `window` ops (≥ 1) over thread ranks `0..threads`.
+    fn new(window: usize, threads: usize) -> Self {
         PoolWindow {
             ring: vec![0; window],
             head: 0,
             filled: 0,
-            counts: HashMap::new(),
+            counts: vec![0; threads],
+            present: 0,
         }
     }
 
-    /// Records `tid` touching the pool and returns the number of
+    /// Records thread `rank` touching the pool and returns the number of
     /// distinct *other* threads present in the window before this op.
-    fn observe(&mut self, tid: u32) -> u32 {
-        let others = (self.counts.len() - usize::from(self.counts.contains_key(&tid))) as u32;
-        let window = self.ring.len();
-        if self.filled == window {
-            let old = self.ring[self.head];
-            let n = self.counts.get_mut(&old).expect("windowed tid counted");
-            *n -= 1;
-            if *n == 0 {
-                self.counts.remove(&old);
+    fn observe(&mut self, rank: u32) -> u32 {
+        let r = rank as usize;
+        let others = self.present - u32::from(self.counts[r] > 0);
+        if self.filled == self.ring.len() {
+            let old = self.ring[self.head] as usize;
+            self.counts[old] -= 1;
+            if self.counts[old] == 0 {
+                self.present -= 1;
             }
         } else {
             self.filled += 1;
         }
-        self.ring[self.head] = tid;
-        self.head = (self.head + 1) % window;
-        *self.counts.entry(tid).or_insert(0) += 1;
+        self.ring[self.head] = rank;
+        self.head += 1;
+        if self.head == self.ring.len() {
+            self.head = 0;
+        }
+        if self.counts[r] == 0 {
+            self.present += 1;
+        }
+        self.counts[r] += 1;
         others
     }
 }
 
-/// Per-replay contention accounting: one sliding window per pool, the
-/// accumulated stall total, and a histogram of ops by distinct-other
-/// count from which the exact p99 per-op charge is recovered.
+/// Per-replay contention accounting: one sliding window per pool and a
+/// histogram of ops by distinct-other count, from which the stall total
+/// and the exact p99 per-op charge are recovered.
 struct ContentionState {
     params: ContentionParams,
     pools: Vec<PoolWindow>,
-    stalls: u64,
-    /// `dist[d]` = pool ops that observed `d` distinct other threads.
+    /// `dist[d]` = pool ops that observed `d` distinct other threads
+    /// (`d < threads`, so the histogram never grows).
     dist: Vec<u64>,
 }
 
 impl ContentionState {
-    fn new(params: ContentionParams, pool_count: usize) -> Self {
+    fn new(params: ContentionParams, pool_count: usize, threads: usize) -> Self {
         ContentionState {
             params,
             pools: (0..pool_count)
-                .map(|_| PoolWindow::new(params.window as usize))
+                .map(|_| PoolWindow::new(params.window as usize, threads))
                 .collect(),
-            stalls: 0,
-            dist: Vec::new(),
+            dist: vec![0; threads],
         }
     }
 
-    /// Charges one successful pool op issued by `tid` against `pool`.
-    fn charge(&mut self, pool: PoolId, tid: u32) {
-        let d = self.pools[pool as usize].observe(tid);
-        self.stalls += u64::from(self.params.stall_cycles) * u64::from(d);
-        if self.dist.len() <= d as usize {
-            self.dist.resize(d as usize + 1, 0);
-        }
+    /// Charges one successful pool op issued by thread `rank` against
+    /// `pool`.
+    fn charge(&mut self, pool: PoolId, rank: u32) {
+        let d = self.pools[pool as usize].observe(rank);
         self.dist[d as usize] += 1;
+    }
+
+    /// Total stall cycles: every op pays `stall_cycles` per distinct
+    /// other thread it observed.
+    fn stalls(&self) -> u64 {
+        let others: u64 = self
+            .dist
+            .iter()
+            .enumerate()
+            .map(|(d, &n)| d as u64 * n)
+            .sum();
+        u64::from(self.params.stall_cycles) * others
     }
 
     /// The p99 of per-op charged cycles, computed exactly from the
@@ -323,13 +343,13 @@ impl<'h> Simulator<'h> {
         self.contention
     }
 
-    /// Contention accounting for one replay, or `None` when the trace is
-    /// single-threaded or the model is disabled — the gate that keeps
-    /// tid-0-only replays on the original hot path with provably zero
-    /// contention cycles.
-    fn contention_state(&self, threaded: bool, pool_count: usize) -> Option<ContentionState> {
-        (threaded && self.contention.window > 0)
-            .then(|| ContentionState::new(self.contention, pool_count))
+    /// Contention accounting for one replay over `threads` distinct
+    /// pool-op threads, or `None` when the trace is single-threaded or
+    /// the model is disabled — the gate that keeps tid-0-only replays on
+    /// the original hot path with provably zero contention cycles.
+    fn contention_state(&self, threads: u32, pool_count: usize) -> Option<ContentionState> {
+        (threads > 1 && self.contention.window > 0)
+            .then(|| ContentionState::new(self.contention, pool_count, threads as usize))
     }
 
     /// The platform this simulator models.
@@ -404,11 +424,12 @@ impl<'h> Simulator<'h> {
         let mut failures = 0u64;
         let mut live_internal_frag = 0u64;
         let mut peak_internal_frag = 0u64;
-        let mut contention = self.contention_state(trace.is_threaded(), allocator.pool_count());
+        let mut contention =
+            self.contention_state(trace.distinct_op_tids(), allocator.pool_count());
         let sizes = trace.alloc_sizes();
         let reads = trace.alloc_reads();
         let writes = trace.alloc_writes();
-        let op_tids = trace.op_tids();
+        let ranks = trace.op_thread_ranks();
         let mut ordinal = 0usize;
         let slab = arena.prepare(trace.max_live_slots() as usize);
 
@@ -419,7 +440,7 @@ impl<'h> Simulator<'h> {
                     live_internal_frag -= u64::from(info.internal_fragmentation());
                     allocator.free_traced(info.addr, pool, &mut ctx);
                     if let Some(c) = contention.as_mut() {
-                        c.charge(pool, op_tids[op_idx]);
+                        c.charge(pool, ranks[op_idx]);
                     }
                     frees += 1;
                 }
@@ -435,7 +456,7 @@ impl<'h> Simulator<'h> {
                     peak_internal_frag = peak_internal_frag.max(live_internal_frag);
                     ctx.app_access(info.level, block_reads, block_writes);
                     if let Some(c) = contention.as_mut() {
-                        c.charge(pool, op_tids[op_idx]);
+                        c.charge(pool, ranks[op_idx]);
                     }
                     debug_assert!(slab[slot].is_none(), "slot already live");
                     slab[slot] = Some((info, pool));
@@ -482,17 +503,20 @@ impl<'h> Simulator<'h> {
         let mut tick_cycles = 0u64;
         let mut live_internal_frag = 0u64;
         let mut peak_internal_frag = 0u64;
-        // Re-derive the threaded gate from the raw events (the kernels
-        // read it off the compiled tid stream): contention only applies
-        // when more than one distinct thread issues allocator ops.
-        let threaded = trace
+        // Re-derive the thread ranks from the raw events (the kernel
+        // reads them off the compiled rank stream): first-appearance
+        // order among allocator ops. Contention only applies when more
+        // than one distinct thread issues allocator ops.
+        let mut rank_of: HashMap<u32, u32> = HashMap::new();
+        for tid in trace
             .iter()
             .filter(|ev| ev.is_allocator_op())
             .filter_map(|ev| ev.thread_id())
-            .collect::<HashSet<_>>()
-            .len()
-            > 1;
-        let mut contention = self.contention_state(threaded, allocator.pool_count());
+        {
+            let next = rank_of.len() as u32;
+            rank_of.entry(tid.0).or_insert(next);
+        }
+        let mut contention = self.contention_state(rank_of.len() as u32, allocator.pool_count());
 
         for event in trace {
             match *event {
@@ -503,7 +527,7 @@ impl<'h> Simulator<'h> {
                             live_internal_frag += u64::from(info.internal_fragmentation());
                             peak_internal_frag = peak_internal_frag.max(live_internal_frag);
                             if let Some(c) = contention.as_mut() {
-                                c.charge(pool, tid.0);
+                                c.charge(pool, rank_of[&tid.0]);
                             }
                             placed.insert(id, (info, pool));
                         }
@@ -517,7 +541,7 @@ impl<'h> Simulator<'h> {
                         live_internal_frag -= u64::from(info.internal_fragmentation());
                         allocator.free_traced(info.addr, pool, &mut ctx);
                         if let Some(c) = contention.as_mut() {
-                            c.charge(pool, tid.0);
+                            c.charge(pool, rank_of[&tid.0]);
                         }
                         frees += 1;
                     }
@@ -560,7 +584,10 @@ impl<'h> Simulator<'h> {
     ) -> SimMetrics {
         let cost = CostModel::with_params(self.hierarchy, self.cost_params);
         let (contention_stalls, tail_latency) = match &contention {
-            Some(c) => (c.stalls, c.tail_latency(self.cost_params.cpu_cycles_per_op)),
+            Some(c) => (
+                c.stalls(),
+                c.tail_latency(self.cost_params.cpu_cycles_per_op),
+            ),
             None => (0, 0),
         };
         let cycles =
@@ -996,7 +1023,7 @@ mod tests {
 
     #[test]
     fn pool_window_counts_distinct_other_threads() {
-        let mut w = PoolWindow::new(4);
+        let mut w = PoolWindow::new(4, 4);
         assert_eq!(w.observe(1), 0, "empty window: nobody else");
         assert_eq!(w.observe(1), 0, "same thread again: still nobody else");
         assert_eq!(w.observe(2), 1, "t1 is in the window");
@@ -1009,13 +1036,139 @@ mod tests {
         assert_eq!(w.observe(3), 0, "window [3, 3, 3, 3]: t3 all alone");
     }
 
+    proptest::proptest! {
+        /// The incremental window equals its definition: the number of
+        /// distinct ranks other than the op's own among the pool's last
+        /// `window` ops.
+        #[test]
+        fn pool_window_matches_brute_force_count(
+            threads in 1u32..40,
+            window in 1usize..=130,
+            ops in proptest::collection::vec((0usize..3, 0u32..1000), 0..600),
+        ) {
+            let mut windows: Vec<PoolWindow> =
+                (0..3).map(|_| PoolWindow::new(window, threads as usize)).collect();
+            let mut history: Vec<Vec<u32>> = vec![Vec::new(); 3];
+            for (pool, raw) in ops {
+                let rank = raw % threads;
+                let past = &history[pool];
+                let mut others: Vec<u32> = past[past.len().saturating_sub(window)..]
+                    .iter()
+                    .copied()
+                    .filter(|&r| r != rank)
+                    .collect();
+                others.sort_unstable();
+                others.dedup();
+                proptest::prop_assert_eq!(windows[pool].observe(rank), others.len() as u32);
+                history[pool].push(rank);
+            }
+        }
+    }
+
+    /// Requests up to 1 KiB on a segregated tier, the rest on a general
+    /// fallback.
+    fn segregated_tier(hier: &MemoryHierarchy) -> AllocatorConfig {
+        use crate::config::{PoolKind, PoolSpec, Route};
+        AllocatorConfig {
+            pools: vec![
+                PoolSpec {
+                    route: Route::Range { min: 1, max: 1024 },
+                    kind: PoolKind::Segregated {
+                        min_class: 16,
+                        max_class: 1024,
+                        chunk_bytes: 4096,
+                    },
+                    level: hier.slowest(),
+                },
+                PoolSpec::general(
+                    hier.slowest(),
+                    FitPolicy::FirstFit,
+                    FreeOrder::Lifo,
+                    CoalescePolicy::Never,
+                    SplitPolicy::Never,
+                ),
+            ],
+        }
+    }
+
+    #[test]
+    fn contention_depends_on_thread_identity_not_tid_values() {
+        use dmx_trace::gen::ServerMixConfig;
+        use dmx_trace::ThreadId;
+        // Relabel every thread id bijectively to sparse values, including
+        // 0 and `u32::MAX`: both replay paths must charge exactly as on
+        // the original trace.
+        let hier = presets::sp64k_dram4m();
+        let sim = Simulator::new(&hier);
+        let trace = ServerMixConfig::small().generate(17);
+        let mut tids: Vec<u32> = trace
+            .iter()
+            .filter_map(|ev| ev.thread_id())
+            .map(|t| t.0)
+            .collect();
+        tids.sort_unstable();
+        tids.dedup();
+        let sparse = |i: usize| match i {
+            0 => u32::MAX,
+            1 => 0,
+            _ => 0x9E37_79B9u32.wrapping_mul(i as u32) | 1,
+        };
+        let to: HashMap<u32, u32> = tids
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| (t, sparse(i)))
+            .collect();
+        let mut images: Vec<u32> = to.values().copied().collect();
+        images.sort_unstable();
+        images.dedup();
+        assert_eq!(images.len(), tids.len(), "relabelling must be a bijection");
+        assert!(tids.len() > 2 && to[&tids[0]] == u32::MAX && to[&tids[1]] == 0);
+        let relabel = |t: ThreadId| ThreadId(to[&t.0]);
+        let events = trace
+            .iter()
+            .map(|ev| match *ev {
+                TraceEvent::Alloc { id, size, tid } => TraceEvent::alloc_on(relabel(tid), id, size),
+                TraceEvent::Free { id, tid } => TraceEvent::free_on(relabel(tid), id),
+                TraceEvent::Access {
+                    id,
+                    reads,
+                    writes,
+                    tid,
+                } => TraceEvent::access_on(relabel(tid), id, reads, writes),
+                TraceEvent::Tick { cycles } => TraceEvent::tick(cycles),
+            })
+            .collect();
+        let sparse_trace = Trace::from_events(trace.name(), events).unwrap();
+        let configs = [
+            baseline(&hier),
+            AllocatorConfig::paper_example(&hier),
+            segregated_tier(&hier),
+        ];
+        for cfg in configs {
+            let want = sim.run(&cfg, &trace).unwrap();
+            assert!(want.contention_stalls > 0, "{} must contend", cfg.label());
+            assert_eq!(
+                sim.run(&cfg, &sparse_trace).unwrap(),
+                want,
+                "{}",
+                cfg.label()
+            );
+            assert_eq!(
+                sim.run_reference(&cfg, &sparse_trace).unwrap(),
+                want,
+                "{}",
+                cfg.label()
+            );
+        }
+    }
+
     #[test]
     fn tail_latency_is_p99_of_charged_cycles() {
         let params = ContentionParams {
             stall_cycles: 40,
             window: 8,
         };
-        let mut c = ContentionState::new(params, 1);
+        let mut c = ContentionState::new(params, 1, 2);
         c.dist = vec![99, 1];
         assert_eq!(c.tail_latency(12), 12, "p99 op saw 0 others at 99/100");
         c.dist = vec![98, 2];

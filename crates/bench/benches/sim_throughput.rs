@@ -16,6 +16,12 @@
 //!   over first-fit's on the same list order is recorded as `wf_over_ff`
 //!   and capped by the floor, so a return to linear worst-fit scans fails
 //!   on any host (the ratio does not depend on the host's speed);
+//! * on a threaded server-mix trace, a segregated-tier configuration is
+//!   replayed with the default contention model and with it switched
+//!   off; ns/event with over without is recorded as
+//!   `contention_over_off` and capped by the floor, so contention
+//!   bookkeeping that turns expensive again (per-op hashing roughly
+//!   doubled threaded replay) fails on any host;
 //! * the headline numbers are recorded to `BENCH_sim_throughput.json` at
 //!   the workspace root, validated by CI against the checked-in floor in
 //!   `crates/bench/floors/sim_throughput.json`.
@@ -24,7 +30,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::{Duration, Instant};
 
 use dmx_alloc::{
-    AllocatorConfig, CoalescePolicy, FitPolicy, FreeOrder, SimArena, Simulator, SplitPolicy,
+    AllocatorConfig, CoalescePolicy, ContentionParams, FitPolicy, FreeOrder, PoolKind, PoolSpec,
+    Route, SimArena, Simulator, SplitPolicy,
 };
 use dmx_bench::{json_num, json_str, write_bench_json};
 use dmx_core::scenario::ScenarioSuite;
@@ -36,34 +43,70 @@ use dmx_trace::CompiledTrace;
 /// scheduler noise, small enough for the CI smoke run.
 const WINDOW: Duration = Duration::from_millis(120);
 
-/// Best-of-window ns/event of `gen(<fit>,addr,co-no,sp-16)` on `trace`
-/// (at least 3 timed replays after one warm-up).
-fn general_ns_per_event(
-    hier: &MemoryHierarchy,
-    fit: FitPolicy,
+/// Best-of-window ns/event of each `(sim, config)` job replayed on
+/// `trace`. The jobs are timed in turns (at least 3 rounds after one
+/// warm-up round), so a drift in host load hits each of them alike and
+/// their ratios stay steady.
+fn ns_per_event(
+    jobs: &[(&Simulator<'_>, &AllocatorConfig)],
     trace: &CompiledTrace,
     arena: &mut SimArena,
-) -> f64 {
-    let sim = Simulator::new(hier);
-    let config = AllocatorConfig::general_only(
+) -> Vec<f64> {
+    let mut replay = |(sim, config): (&Simulator<'_>, &AllocatorConfig)| {
+        let t = Instant::now();
+        std::hint::black_box(sim.run_in_arena(config, trace, arena).expect("valid"));
+        t.elapsed()
+    };
+    for &job in jobs {
+        replay(job);
+    }
+    let mut best = vec![Duration::MAX; jobs.len()];
+    let (mut rounds, t0) = (0, Instant::now());
+    while rounds < 3 || t0.elapsed() < WINDOW * jobs.len() as u32 {
+        for (b, &job) in best.iter_mut().zip(jobs) {
+            *b = (*b).min(replay(job));
+        }
+        rounds += 1;
+    }
+    best.iter()
+        .map(|b| b.as_nanos() as f64 / trace.len() as f64)
+        .collect()
+}
+
+/// `gen(<fit>,addr,co-no,sp-16)` on the hierarchy's slowest level.
+fn general(hier: &MemoryHierarchy, fit: FitPolicy) -> AllocatorConfig {
+    AllocatorConfig::general_only(
         hier.slowest(),
         fit,
         FreeOrder::AddressOrdered,
         CoalescePolicy::Never,
         SplitPolicy::MinRemainder(16),
-    );
-    let mut replay = || {
-        let t = Instant::now();
-        std::hint::black_box(sim.run_in_arena(&config, trace, arena).expect("valid"));
-        t.elapsed()
-    };
-    replay();
-    let (mut best, mut runs, t0) = (Duration::MAX, 0, Instant::now());
-    while runs < 3 || t0.elapsed() < WINDOW {
-        best = best.min(replay());
-        runs += 1;
+    )
+}
+
+/// Requests up to 1 KiB on a segregated tier, the rest on a first-fit
+/// general fallback, all on the hierarchy's slowest level.
+fn segregated_tier(hier: &MemoryHierarchy) -> AllocatorConfig {
+    AllocatorConfig {
+        pools: vec![
+            PoolSpec {
+                route: Route::Range { min: 1, max: 1024 },
+                kind: PoolKind::Segregated {
+                    min_class: 16,
+                    max_class: 1024,
+                    chunk_bytes: 4096,
+                },
+                level: hier.slowest(),
+            },
+            PoolSpec::general(
+                hier.slowest(),
+                FitPolicy::FirstFit,
+                FreeOrder::Lifo,
+                CoalescePolicy::Never,
+                SplitPolicy::Never,
+            ),
+        ],
     }
-    best.as_nanos() as f64 / trace.len() as f64
 }
 
 fn bench_sim_throughput(c: &mut Criterion) {
@@ -154,12 +197,39 @@ fn bench_sim_throughput(c: &mut Criterion) {
     // Worst-fit versus first-fit on the paper trace's long free lists.
     let hier = dmx_memhier::presets::sp64k_dram4m();
     let paper = CompiledTrace::compile(&EasyportConfig::paper().generate(1));
-    let wf_ns = general_ns_per_event(&hier, FitPolicy::WorstFit, &paper, &mut arena);
-    let ff_ns = general_ns_per_event(&hier, FitPolicy::FirstFit, &paper, &mut arena);
+    let sim = Simulator::new(&hier);
+    let (wf, ff) = (
+        general(&hier, FitPolicy::WorstFit),
+        general(&hier, FitPolicy::FirstFit),
+    );
+    let ns = ns_per_event(&[(&sim, &wf), (&sim, &ff)], &paper, &mut arena);
+    let (wf_ns, ff_ns) = (ns[0], ns[1]);
     let wf_over_ff = wf_ns / ff_ns;
     println!(
         "paper easyport, gen(·,addr,co-no,sp-16): wf {wf_ns:.1} ns/ev, \
          ff {ff_ns:.1} ns/ev, wf/ff {wf_over_ff:.2}x  (ceiling 20x)"
+    );
+
+    // Threaded replay: one server-mix trace × a segregated-tier
+    // configuration, with the contention model at its defaults and
+    // switched off. The ratio prices the contention bookkeeping per
+    // event, independently of the host's speed.
+    let server_suite = ScenarioSuite::builtin("server-mix").expect("built-in suite");
+    let server = server_suite.materialize(42).swap_remove(0);
+    assert!(server.compiled.is_threaded(), "server-mix must be threaded");
+    let tier = segregated_tier(&server.hierarchy);
+    let on = Simulator::new(&server.hierarchy);
+    let off = on.with_contention(ContentionParams {
+        window: 0,
+        ..ContentionParams::default()
+    });
+    let ns = ns_per_event(&[(&on, &tier), (&off, &tier)], &server.compiled, &mut arena);
+    let (threaded_ns, off_ns) = (ns[0], ns[1]);
+    let contention_over_off = threaded_ns / off_ns;
+    println!(
+        "server-mix `{}`, segregated tier: {threaded_ns:.1} ns/ev with contention, \
+         {off_ns:.1} ns/ev without, ratio {contention_over_off:.2}x  (ceiling 1.4x)",
+        server.scenario.name
     );
 
     let path = write_bench_json(
@@ -178,6 +248,8 @@ fn bench_sim_throughput(c: &mut Criterion) {
             ("wf_ns_per_event", json_num(wf_ns)),
             ("ff_ns_per_event", json_num(ff_ns)),
             ("wf_over_ff", json_num(wf_over_ff)),
+            ("threaded_ns_per_event", json_num(threaded_ns)),
+            ("contention_over_off", json_num(contention_over_off)),
         ],
     );
     println!("recorded {}", path.display());

@@ -10,7 +10,8 @@ use crate::objective::Objective;
 use crate::param::ParamSpace;
 use crate::pareto::{pareto_front, ParetoSet};
 use crate::search::{
-    simulate_jobs, EvalInstance, FidelityPlan, SearchContext, SearchOutcome, SearchStrategy,
+    simulate_jobs, EvalInstance, FidelityPlan, RunKind, SearchContext, SearchOutcome,
+    SearchStrategy,
 };
 use crate::space::GenomeSpace;
 
@@ -196,7 +197,7 @@ impl<'h> Explorer<'h> {
         // Compile once; every worker replays the same lowered stream
         // through its own reusable arena.
         let compiled = CompiledTrace::compile(trace);
-        let (results, _) = simulate_jobs(configs.len(), self.threads, |i, arena| {
+        let (results, _) = simulate_jobs(RunKind::Full, configs.len(), self.threads, |i, arena| {
             let config = configs[i].clone();
             let metrics = sim
                 .run_in_arena(&config, &compiled, arena)

@@ -45,7 +45,7 @@ use crate::scenario::{aggregate_metrics, Aggregate, ScenarioMetrics};
 use crate::space::GenomeSpace;
 
 use super::cache::EvalCache;
-use super::{simulate, simulate_jobs, EvalInstance, SearchContext, SimStats};
+use super::{simulate, simulate_jobs, EvalInstance, RunKind, SearchContext, SimStats};
 
 /// Which surrogate model pre-ranks candidates on the lowest rung.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -594,7 +594,8 @@ impl<'a> MultiFidelityEvaluator<'a> {
             .cloned()
             .collect();
         let n = todo.len();
-        let (results, stats) = simulate_jobs(rung.len() * n, self.threads, |j, arena| {
+        let jobs = rung.len() * n;
+        let (results, stats) = simulate_jobs(RunKind::Screening, jobs, self.threads, |j, arena| {
             let hierarchy = self.instances[j / n].hierarchy;
             simulate(
                 self.space,
@@ -864,6 +865,12 @@ mod tests {
         assert!(stand_ins >= genomes.len() - full);
         let outcome = evaluator.into_outcome("subsample", &ctx);
         assert_eq!(outcome.evaluations, full);
+        // The kernel counters keep full simulations and prefix replays
+        // apart: each screened genome is one run per rung.
+        let sim = outcome.sim_stats;
+        assert_eq!(sim.runs, outcome.simulations as u64);
+        assert_eq!(sim.events, sim.runs * inst.trace.len() as u64);
+        let prefix_len = |f: f64| inst.trace.prefix(f).expect("valid rung").len() as u64;
         // Everything the outcome reports really ran at full fidelity.
         assert!(outcome
             .exploration
@@ -876,6 +883,15 @@ mod tests {
         assert_eq!(stats.rungs[1].screened, stats.rungs[0].promoted);
         assert_eq!(stats.full_simulations, full);
         assert_eq!(stats.avoided(), genomes.len() - full, "one instance");
+        let (s0, s1) = (
+            stats.rungs[0].screened as u64,
+            stats.rungs[1].screened as u64,
+        );
+        assert_eq!(sim.screen_runs, s0 + s1);
+        assert_eq!(
+            sim.screen_events,
+            s0 * prefix_len(0.2) + s1 * prefix_len(0.5)
+        );
     }
 
     #[test]

@@ -297,18 +297,35 @@ impl<'a> EvalInstance<'a> {
     }
 }
 
+/// Which kind of replay a simulation fan-out runs, so [`SimStats`] can
+/// report full simulations and screening replays apart.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RunKind {
+    /// Whole-trace simulations: the results outcomes and fronts hold.
+    Full,
+    /// Prefix replays of the multi-fidelity screening rungs.
+    Screening,
+}
+
 /// Aggregate simulation-kernel statistics for one search run, reported by
 /// `dmx explore --sim-stats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
-    /// Trace events replayed across all simulator runs.
+    /// Trace events replayed by full simulations.
     pub events: u64,
-    /// Simulator runs (one per genome × instance actually simulated).
+    /// Full simulations: one per genome × instance simulated on the
+    /// whole trace (equals [`SearchOutcome::simulations`]).
     pub runs: u64,
-    /// Runs that reused an existing [`dmx_alloc::SimArena`] slab instead of
-    /// allocating a fresh one.
+    /// Trace events replayed by screening runs.
+    pub screen_events: u64,
+    /// Screening runs: one per genome × prefix instance replayed by a
+    /// multi-fidelity rung. 0 without a [`FidelityPlan`].
+    pub screen_runs: u64,
+    /// Runs of either kind that reused an existing
+    /// [`dmx_alloc::SimArena`] slab instead of allocating a fresh one.
     pub arena_reuses: u64,
-    /// Wall-clock nanoseconds spent inside simulation fan-outs.
+    /// Wall-clock nanoseconds spent inside simulation fan-outs of either
+    /// kind.
     pub nanos: u64,
 }
 
@@ -316,18 +333,21 @@ impl AddAssign for SimStats {
     fn add_assign(&mut self, other: SimStats) {
         self.events += other.events;
         self.runs += other.runs;
+        self.screen_events += other.screen_events;
+        self.screen_runs += other.screen_runs;
         self.arena_reuses += other.arena_reuses;
         self.nanos += other.nanos;
     }
 }
 
 impl SimStats {
-    /// Replay throughput in events per second (0 when nothing ran).
+    /// Replay throughput in events per second over runs of both kinds
+    /// (0 when nothing ran).
     pub fn events_per_sec(&self) -> f64 {
         if self.nanos == 0 {
             0.0
         } else {
-            self.events as f64 * 1e9 / self.nanos as f64
+            (self.events + self.screen_events) as f64 * 1e9 / self.nanos as f64
         }
     }
 
@@ -338,10 +358,13 @@ impl SimStats {
     /// outcome because the kernel cannot see them.
     pub fn render(&self, cache_hits: usize) -> String {
         format!(
-            "sim stats: {} events replayed in {} simulator runs, \
-             {:.0} events/sec, {} arena reuses, {} cache hits",
+            "sim stats: {} events replayed in {} full simulations, \
+             {} events in {} screening runs, {:.0} events/sec, \
+             {} arena reuses, {} cache hits",
             self.events,
             self.runs,
+            self.screen_events,
+            self.screen_runs,
             self.events_per_sec(),
             self.arena_reuses,
             cache_hits,
@@ -649,7 +672,8 @@ impl<'a> Evaluator<'a> {
         let n = fresh.len();
         dmx_obs::metrics().eval_fresh.add(n as u64);
         dmx_obs::metrics().batch_fresh.record(n as u64);
-        let (results, stats) = simulate_jobs(self.instances.len() * n, self.threads, |j, arena| {
+        let jobs = self.instances.len() * n;
+        let (results, stats) = simulate_jobs(RunKind::Full, jobs, self.threads, |j, arena| {
             let inst = &self.instances[j / n];
             simulate(
                 self.space,

@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use dmx_alloc::SimArena;
 
-use super::SimStats;
+use super::{RunKind, SimStats};
 
 /// Cache-line padding so per-chunk heads do not false-share.
 #[repr(align(64))]
@@ -89,7 +89,8 @@ impl StealQueue {
 
 /// Runs jobs `0..jobs` on up to `threads` scoped workers and returns
 /// their results in job order, plus the kernel counters of every worker
-/// arena summed into one [`SimStats`] (with the fan-out's wall time).
+/// arena summed into one [`SimStats`] (with the fan-out's wall time),
+/// booked as runs of `kind`.
 ///
 /// This is the only place dmx-core spawns simulation threads: the
 /// exhaustive runner, the evaluator's full-fidelity batches and the
@@ -97,7 +98,12 @@ impl StealQueue {
 /// job indices from a [`StealQueue`], and each owns a plain [`SimArena`]
 /// that `run(job, arena)` replays through, so the live-block slab is
 /// reset in place across a worker's jobs.
-pub(crate) fn simulate_jobs<R, F>(jobs: usize, threads: usize, run: F) -> (Vec<R>, SimStats)
+pub(crate) fn simulate_jobs<R, F>(
+    kind: RunKind,
+    jobs: usize,
+    threads: usize,
+    run: F,
+) -> (Vec<R>, SimStats)
 where
     R: Send,
     F: Fn(usize, &mut SimArena) -> R + Sync,
@@ -133,13 +139,18 @@ where
     stats.nanos = start.elapsed().as_nanos() as u64;
 
     let mut results: Vec<Option<R>> = (0..jobs).map(|_| None).collect();
+    let (mut events, mut runs) = (0, 0);
     for (done, arena) in outputs {
-        stats.events += arena.events_replayed();
-        stats.runs += arena.runs();
+        events += arena.events_replayed();
+        runs += arena.runs();
         stats.arena_reuses += arena.reuses();
         for (j, r) in done {
             results[j] = Some(r);
         }
+    }
+    match kind {
+        RunKind::Full => (stats.events, stats.runs) = (events, runs),
+        RunKind::Screening => (stats.screen_events, stats.screen_runs) = (events, runs),
     }
     let results = results
         .into_iter()
@@ -249,7 +260,7 @@ mod tests {
             for c in &calls {
                 c.store(0, Ordering::Relaxed);
             }
-            let (out, _) = simulate_jobs(37, threads, |j, _| {
+            let (out, _) = simulate_jobs(RunKind::Full, 37, threads, |j, _| {
                 calls[j].fetch_add(1, Ordering::Relaxed);
                 j * j
             });
@@ -259,7 +270,7 @@ mod tests {
                 "threads={threads}: every job runs exactly once"
             );
         }
-        let (empty, stats) = simulate_jobs(0, 4, |j, _| j);
+        let (empty, stats) = simulate_jobs(RunKind::Full, 0, 4, |j, _| j);
         assert!(empty.is_empty());
         assert_eq!(stats, SimStats::default());
     }
@@ -268,7 +279,7 @@ mod tests {
     fn simulate_jobs_output_is_identical_across_worker_counts() {
         let sizes: Vec<usize> = (0..12).map(|j| 5 + (j * 7) % 23).collect();
         let run = |threads| {
-            simulate_jobs(sizes.len(), threads, |j, arena| {
+            simulate_jobs(RunKind::Full, sizes.len(), threads, |j, arena| {
                 replay_ramp(sizes[j], arena)
             })
         };
@@ -286,7 +297,9 @@ mod tests {
     fn simulate_jobs_sums_the_worker_arena_counters() {
         let events_per_run = 2 * 10; // ramp(10, _): 10 allocs + 10 frees
         for threads in [1, 2, 8] {
-            let (_, stats) = simulate_jobs(16, threads, |_, arena| replay_ramp(10, arena));
+            let (_, stats) = simulate_jobs(RunKind::Full, 16, threads, |_, arena| {
+                replay_ramp(10, arena)
+            });
             assert_eq!(stats.runs, 16, "threads={threads}");
             assert_eq!(stats.events, 16 * events_per_run, "threads={threads}");
             // Each worker's first run allocates its slab; every later run
@@ -299,5 +312,11 @@ mod tests {
             );
             assert!(stats.nanos > 0);
         }
+        // Screening fan-outs book into the screening counters only.
+        let (_, stats) =
+            simulate_jobs(RunKind::Screening, 16, 2, |_, arena| replay_ramp(10, arena));
+        assert_eq!((stats.runs, stats.events), (0, 0));
+        assert_eq!(stats.screen_runs, 16);
+        assert_eq!(stats.screen_events, 16 * events_per_run);
     }
 }

@@ -24,6 +24,10 @@
 //!   since access charging is a pure per-level sum) and the trace's
 //!   total compute ticks ([`CompiledTrace::total_tick_cycles`]). This
 //!   is the stream the replay kernel walks;
+//! * the issuing thread of each pool op is lowered to a dense
+//!   **rank** — its first-appearance order
+//!   ([`CompiledTrace::op_thread_ranks`]) — so the contention model keeps
+//!   per-thread state in flat arrays instead of maps keyed by raw ids;
 //! * per-allocation **lifetimes** (events between alloc and free) are
 //!   precomputed for placement heuristics and diagnostics;
 //! * the compile is one O(events) pass, done **once per workload** and
@@ -37,7 +41,7 @@
 //! tick charges are additive (order never affects the totals the cost
 //! model consumes).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -92,11 +96,6 @@ impl PoolOp {
     }
 }
 
-/// Number of distinct thread ids in a pool-op tid stream.
-fn distinct_tids(op_tids: &[u32]) -> u32 {
-    op_tids.iter().collect::<HashSet<_>>().len() as u32
-}
-
 /// A flat, replay-ready SoA lowering of one workload trace.
 ///
 /// Built once per workload with [`CompiledTrace::compile`] (or emitted
@@ -118,9 +117,11 @@ pub struct CompiledTrace {
     tids: Vec<u32>,
     /// Allocator-op stream: allocs and frees only, in event order.
     pool_ops: Vec<PoolOp>,
-    /// Issuing thread of each pool op, parallel to [`Self::pool_ops`] —
-    /// what the contention model consumes.
-    op_tids: Vec<u32>,
+    /// Dense rank of each pool op's issuing thread, parallel to
+    /// [`Self::pool_ops`]: a thread's rank is its first-appearance order
+    /// among pool ops, in `0..distinct_op_tids`. What the contention
+    /// model consumes.
+    op_thread_ranks: Vec<u32>,
     /// Number of distinct thread ids over the pool-op stream. 1 (or 0
     /// for op-free traces) means single-threaded: the kernels skip
     /// contention bookkeeping entirely.
@@ -156,7 +157,21 @@ impl CompiledTrace {
         let mut args2 = Vec::with_capacity(len);
         let mut tids = Vec::with_capacity(len);
         let mut pool_ops = Vec::new();
-        let mut op_tids = Vec::new();
+        let mut op_thread_ranks = Vec::new();
+        // tid → first-appearance rank among pool ops. Runs of ops by one
+        // thread reuse the last lookup, so a single-threaded trace hashes
+        // once.
+        let mut rank_of: HashMap<u32, u32> = HashMap::new();
+        let mut last: Option<(u32, u32)> = None;
+        let mut rank = |tid: u32| match last {
+            Some((t, r)) if t == tid => r,
+            _ => {
+                let next = rank_of.len() as u32;
+                let r = *rank_of.entry(tid).or_insert(next);
+                last = Some((tid, r));
+                r
+            }
+        };
         let mut alloc_sizes = Vec::new();
         let mut alloc_reads: Vec<u64> = Vec::new();
         let mut alloc_writes: Vec<u64> = Vec::new();
@@ -190,7 +205,7 @@ impl CompiledTrace {
                     args2.push(0);
                     tids.push(tid.0);
                     pool_ops.push(PoolOp::alloc(slot));
-                    op_tids.push(tid.0);
+                    op_thread_ranks.push(rank(tid.0));
                 }
                 TraceEvent::Free { id, tid } => {
                     let (slot, born, ordinal) =
@@ -204,7 +219,7 @@ impl CompiledTrace {
                     args2.push(0);
                     tids.push(tid.0);
                     pool_ops.push(PoolOp::free(slot));
-                    op_tids.push(tid.0);
+                    op_thread_ranks.push(rank(tid.0));
                 }
                 TraceEvent::Access {
                     id,
@@ -237,7 +252,7 @@ impl CompiledTrace {
             lifetimes[ordinal] = (end - born) as u32;
         }
 
-        let distinct_op_tids = distinct_tids(&op_tids);
+        let distinct_op_tids = rank_of.len() as u32;
         CompiledTrace {
             name: trace.name().to_owned(),
             kinds,
@@ -246,7 +261,7 @@ impl CompiledTrace {
             args2,
             tids,
             pool_ops,
-            op_tids,
+            op_thread_ranks,
             distinct_op_tids,
             alloc_sizes,
             alloc_reads,
@@ -278,9 +293,10 @@ impl CompiledTrace {
     /// total would charge accesses that happen after the cut), lifetimes
     /// of blocks still live at the cut run to the window end, and the
     /// tick/peak/slot summaries are recomputed. Because the dense-slot
-    /// assignment of a compile depends only on the event prefix already
-    /// consumed, the result is **identical** to compiling the truncated
-    /// source trace; `prefix(1.0)` returns a clone of `self`.
+    /// and thread-rank assignments of a compile depend only on the event
+    /// prefix already consumed, the result is **identical** to compiling
+    /// the truncated source trace; `prefix(1.0)` returns a clone of
+    /// `self`.
     ///
     /// # Errors
     ///
@@ -298,7 +314,6 @@ impl CompiledTrace {
         }
 
         let mut pool_ops = Vec::new();
-        let mut op_tids = Vec::new();
         let mut alloc_sizes = Vec::new();
         let mut alloc_reads: Vec<u64> = Vec::new();
         let mut alloc_writes: Vec<u64> = Vec::new();
@@ -326,7 +341,6 @@ impl CompiledTrace {
                     lifetimes.push(0);
                     allocs += 1;
                     pool_ops.push(PoolOp::alloc(slot));
-                    op_tids.push(self.tids[at]);
                     live_bytes += u64::from(size);
                     peak_live_bytes = peak_live_bytes.max(live_bytes);
                     // The free-slot stack hands out the same slots for
@@ -340,7 +354,6 @@ impl CompiledTrace {
                     owner[slot as usize] = (usize::MAX, 0);
                     frees += 1;
                     pool_ops.push(PoolOp::free(slot));
-                    op_tids.push(self.tids[at]);
                     live_bytes -= u64::from(alloc_sizes[ordinal]);
                 }
                 OpCode::Access => {
@@ -358,7 +371,11 @@ impl CompiledTrace {
             }
         }
 
-        let distinct_op_tids = distinct_tids(&op_tids);
+        // First-appearance ranks depend only on the ops already seen, so
+        // the window's ranks are the first ones of the full stream and
+        // its distinct count is one past the highest rank among them.
+        let op_thread_ranks = self.op_thread_ranks[..pool_ops.len()].to_vec();
+        let distinct_op_tids = op_thread_ranks.iter().max().map_or(0, |&r| r + 1);
         Ok(CompiledTrace {
             name: self.name.clone(),
             kinds: self.kinds[..cut].to_vec(),
@@ -367,7 +384,7 @@ impl CompiledTrace {
             args2: self.args2[..cut].to_vec(),
             tids: self.tids[..cut].to_vec(),
             pool_ops,
-            op_tids,
+            op_thread_ranks,
             distinct_op_tids,
             alloc_sizes,
             alloc_reads,
@@ -400,10 +417,14 @@ impl CompiledTrace {
         &self.tids
     }
 
-    /// Issuing thread of each pool op, parallel to [`Self::pool_ops`] —
-    /// the stream the contention model consumes.
-    pub fn op_tids(&self) -> &[u32] {
-        &self.op_tids
+    /// Dense rank of each pool op's issuing thread, parallel to
+    /// [`Self::pool_ops`] — the stream the contention model consumes. A
+    /// thread's rank is the order in which it first issues a pool op, so
+    /// ranks lie in `0..`[`Self::distinct_op_tids`] and a replayer can
+    /// keep per-thread state in a flat array. The raw thread ids stay
+    /// available per event through [`Self::tids`].
+    pub fn op_thread_ranks(&self) -> &[u32] {
+        &self.op_thread_ranks
     }
 
     /// Number of distinct thread ids over the pool-op stream.
@@ -786,7 +807,8 @@ mod tests {
     fn tid_lowering_preserves_thread_identity() {
         use crate::event::ThreadId;
         // Producer thread 1 allocates, consumer thread 2 frees; a tick
-        // separates them. Pool-op tids must follow the event tids.
+        // separates them. Events keep their raw tids; pool ops carry the
+        // threads' first-appearance ranks.
         let t = Trace::from_events(
             "t",
             vec![
@@ -799,7 +821,7 @@ mod tests {
         .unwrap();
         let c = CompiledTrace::compile(&t);
         assert_eq!(c.tids(), [1, 2, 0, 2]);
-        assert_eq!(c.op_tids(), [1, 2]);
+        assert_eq!(c.op_thread_ranks(), [0, 1]);
         assert_eq!(c.distinct_op_tids(), 2);
         assert!(c.is_threaded());
         // Single-threaded traces gate contention off.
@@ -833,7 +855,32 @@ mod tests {
                 Trace::from_events(t.name(), t.events()[..cut].to_vec()).expect("valid prefix");
             let p = c.prefix(fraction).unwrap();
             assert_eq!(p, CompiledTrace::compile(&truncated));
-            assert_eq!(p.op_tids().len(), p.pool_ops().len());
+            assert_eq!(p.op_thread_ranks().len(), p.pool_ops().len());
+        }
+    }
+
+    #[test]
+    fn prefix_ranks_equal_compile_of_truncated_server_trace() {
+        use crate::gen::ServerMixConfig;
+        let t = ServerMixConfig::small().generate(17);
+        let c = CompiledTrace::compile(&t);
+        assert!(c.distinct_op_tids() > 2, "fixture must be multi-threaded");
+        for fraction in [0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9] {
+            let cut = ((t.len() as f64 * fraction).ceil() as usize).min(t.len());
+            let truncated =
+                Trace::from_events(t.name(), t.events()[..cut].to_vec()).expect("valid prefix");
+            let fresh = CompiledTrace::compile(&truncated);
+            let p = c.prefix(fraction).unwrap();
+            assert_eq!(
+                p.op_thread_ranks(),
+                fresh.op_thread_ranks(),
+                "fraction {fraction}"
+            );
+            assert_eq!(
+                p.distinct_op_tids(),
+                fresh.distinct_op_tids(),
+                "fraction {fraction}"
+            );
         }
     }
 }
