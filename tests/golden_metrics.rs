@@ -1186,3 +1186,67 @@ fn multi_fidelity_search_is_deterministic_across_worker_counts() {
         "multi-fidelity run drifted between 1 and 8 workers"
     );
 }
+
+/// Fixed-seed byte digests of the two screening paths: a halving + k-NN
+/// genetic search on easyport (`search_to_json`) and a robust,
+/// multi-fidelity genetic search over a two-scenario suite
+/// (`robust_to_json`). The worker-count test above only compares runs
+/// with each other; these pin the absolute exported bytes — front,
+/// accounting, fidelity block and per-scenario fronts — at 1 and 8
+/// workers.
+#[test]
+fn multi_fidelity_and_robust_exports_reproduce_pinned_digests() {
+    use dmx_core::export::{robust_to_json, search_to_json};
+    use dmx_core::scenario::{Aggregate, MultiScenarioEvaluator, ScenarioSuite};
+    use dmx_core::search::GeneticSearch;
+    use dmx_core::study::{easyport_space, easyport_trace, StudyScale};
+    use dmx_core::{Explorer, FidelityPlan, Objective};
+
+    const FIDELITY_JSON_FNV: u64 = 0xd976_82a1_346c_3f7c;
+    const ROBUST_JSON_FNV: u64 = 0x3241_37f5_57b4_05d5;
+
+    let strategy = GeneticSearch {
+        population: 10,
+        generations: 3,
+        mutation: 0.2,
+        seed: 2006,
+    };
+    let hier = dmx_memhier::presets::sp64k_dram4m();
+    let space = easyport_space(&hier, StudyScale::Quick);
+    let trace = easyport_trace(StudyScale::Quick, 42);
+    let quick = ScenarioSuite::builtin("quick").expect("built-in suite");
+    let pair = ScenarioSuite::new(
+        "quick-pair",
+        "the first two scenarios of the quick suite",
+        quick.scenarios[..2].to_vec(),
+    );
+
+    for threads in [1usize, 8] {
+        let outcome = Explorer::new(&hier)
+            .with_threads(threads)
+            .with_fidelity(&FidelityPlan::halving())
+            .search(&strategy, &space, &trace, &Objective::FIG1);
+        let json = search_to_json(&outcome, &Objective::FIG1);
+        assert!(json.contains("\"fidelity\""), "fidelity block missing");
+        assert_eq!(
+            fnv1a(json.as_bytes()),
+            FIDELITY_JSON_FNV,
+            "threads={threads}: multi-fidelity export drifted"
+        );
+
+        let robust = MultiScenarioEvaluator::new(&pair)
+            .with_aggregate(Aggregate::WorstCase)
+            .with_threads(threads)
+            .with_fidelity(FidelityPlan::halving())
+            .with_seed(2006)
+            .run(&strategy);
+        let json = robust_to_json(&robust);
+        assert_eq!(robust.scenarios.len(), 2, "two-scenario suite");
+        assert!(json.contains("\"fidelity\""), "fidelity block missing");
+        assert_eq!(
+            fnv1a(json.as_bytes()),
+            ROBUST_JSON_FNV,
+            "threads={threads}: robust multi-fidelity export drifted"
+        );
+    }
+}
