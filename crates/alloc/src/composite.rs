@@ -146,11 +146,6 @@ impl CompositeAllocator {
         &self.regions
     }
 
-    /// Occupancy snapshots of every pool, in composition order.
-    pub fn pool_stats(&self) -> Vec<crate::pool::PoolStats> {
-        self.pools.iter().map(|p| p.stats()).collect()
-    }
-
     /// The pool index a request of `size` bytes routes to first.
     fn route(&self, size: u32) -> usize {
         if let Ok(i) = self.exact.binary_search_by_key(&size, |&(s, _)| s) {

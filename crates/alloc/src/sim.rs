@@ -311,7 +311,6 @@ struct OpTallies {
 #[derive(Debug, Clone, Copy)]
 pub struct Simulator<'h> {
     hierarchy: &'h MemoryHierarchy,
-    cost_params: CostParams,
     contention: ContentionParams,
 }
 
@@ -320,15 +319,8 @@ impl<'h> Simulator<'h> {
     pub fn new(hierarchy: &'h MemoryHierarchy) -> Self {
         Simulator {
             hierarchy,
-            cost_params: CostParams::default(),
             contention: ContentionParams::default(),
         }
-    }
-
-    /// Overrides the CPU-side cost parameters.
-    pub fn with_cost_params(mut self, params: CostParams) -> Self {
-        self.cost_params = params;
-        self
     }
 
     /// Overrides the shared-pool contention parameters (only observable
@@ -582,12 +574,10 @@ impl<'h> Simulator<'h> {
         tallies: OpTallies,
         contention: Option<ContentionState>,
     ) -> SimMetrics {
-        let cost = CostModel::with_params(self.hierarchy, self.cost_params);
+        let params = CostParams::default();
+        let cost = CostModel::with_params(self.hierarchy, params);
         let (contention_stalls, tail_latency) = match &contention {
-            Some(c) => (
-                c.stalls(),
-                c.tail_latency(self.cost_params.cpu_cycles_per_op),
-            ),
+            Some(c) => (c.stalls(), c.tail_latency(params.cpu_cycles_per_op)),
             None => (0, 0),
         };
         let cycles =
@@ -974,7 +964,7 @@ mod tests {
             m.contention_stalls > 0,
             "two threads sharing one pool must stall"
         );
-        assert!(m.tail_latency > sim.cost_params.cpu_cycles_per_op);
+        assert!(m.tail_latency > CostParams::default().cpu_cycles_per_op);
         assert_eq!(quiet.contention_stalls, 0, "window 0 disables the model");
         assert_eq!(
             m.cycles,

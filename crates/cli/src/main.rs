@@ -751,7 +751,15 @@ fn scenarios(rest: &[&String]) -> Result<(), String> {
 fn parse_objectives(spec: &str) -> Result<Vec<Objective>, String> {
     // `split(',')` yields at least one item, so an empty spec fails in
     // `Objective::from_str` — the result is always non-empty.
-    spec.split(',').map(str::parse).collect()
+    let objectives: Vec<Objective> = spec.split(',').map(str::parse).collect::<Result<_, _>>()?;
+    for (i, o) in objectives.iter().enumerate() {
+        if objectives[..i].contains(o) {
+            return Err(format!(
+                "objective `{o}` is listed twice in `--objectives {spec}`"
+            ));
+        }
+    }
+    Ok(objectives)
 }
 
 /// Pulls one objective value out of a stored record. Contention-model

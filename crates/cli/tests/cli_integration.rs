@@ -494,6 +494,57 @@ fn explore_accepts_objective_lists() {
 }
 
 #[test]
+fn repeated_objectives_exit_1_with_a_message() {
+    let dir = tmpdir("repeated-objectives");
+    let trace = dir.join("t.trace");
+    run_ok(
+        dmx()
+            .args(["gen-trace", "synthetic", "--seed", "3", "--out"])
+            .arg(&trace),
+    );
+    let records = dir.join("t.prof");
+    run_ok(
+        dmx()
+            .arg("explore")
+            .arg("--trace")
+            .arg(&trace)
+            .arg("--out-records")
+            .arg(&records)
+            .args(["--strategy", "sample", "--sample-n", "8"]),
+    );
+    // An alias of an objective already listed repeats it too.
+    for spec in ["footprint,footprint", "footprint,accesses,footprint_bytes"] {
+        let explore = dmx()
+            .arg("explore")
+            .arg("--trace")
+            .arg(&trace)
+            .arg("--out-records")
+            .arg(dir.join("x.prof"))
+            .args(["--objectives", spec])
+            .output()
+            .expect("binary runs");
+        let pareto = dmx()
+            .arg("pareto")
+            .arg("--records")
+            .arg(&records)
+            .args(["--objectives", spec])
+            .output()
+            .expect("binary runs");
+        for (cmd, out) in [("explore", explore), ("pareto", pareto)] {
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{cmd} {spec}: {err}");
+            assert!(err.contains("listed twice"), "{cmd} {spec}: {err}");
+        }
+    }
+    assert!(
+        !dir.join("x.prof").exists(),
+        "a rejected explore must not write records"
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn study_subcommand_prints_summary() {
     let out = run_ok(dmx().args(["study", "vtc", "--seed", "5"]));
     let text = String::from_utf8_lossy(&out.stdout);

@@ -81,9 +81,8 @@ pub use scenario::{
     Aggregate, CommonalityReport, MultiScenarioEvaluator, RobustOutcome, Scenario, ScenarioSuite,
 };
 pub use search::{
-    thread_budget, EvalCache, ExhaustiveSearch, FidelityPlan, FidelityStats, GeneticSearch,
-    HillClimbSearch, IslandKind, IslandSearch, IslandStats, KnnSurrogate, Migration, RungStats,
-    SearchOutcome, SearchStrategy, SimStats, StrategyError, SubsampleSearch, Surrogate,
-    SurrogateKind,
+    thread_budget, ExhaustiveSearch, FidelityPlan, FidelityStats, GeneticSearch, HillClimbSearch,
+    IslandKind, IslandSearch, IslandStats, Migration, RungStats, SearchOutcome, SearchStrategy,
+    SimStats, StrategyError, SubsampleSearch, SurrogateKind,
 };
 pub use space::{GenomeSpace, GrammarSpace};

@@ -169,7 +169,7 @@ impl ParamSpace {
     /// dedicated-size set the placement axis is meaningless (there is no
     /// pool to place), so all placements collapse onto index 0. Two
     /// genomes denote the same configuration iff their canonical forms are
-    /// equal — the search layer's [`crate::search::EvalCache`] keys on
+    /// equal — the [`crate::search::Evaluator`]'s memo tables key on
     /// this.
     pub fn canonicalize(&self, mut genome: Genome) -> Genome {
         if self.dedicated_size_sets[genome[0]].is_empty() {

@@ -20,8 +20,8 @@
 //!   folding of per-scenario metrics into robust objective vectors;
 //! * [`MultiScenarioEvaluator`] (in [`robust`]) — runs any
 //!   [`SearchStrategy`](crate::search::SearchStrategy) with every genome
-//!   evaluated on the whole suite in parallel (scenario-keyed
-//!   [`EvalCache`](crate::search::EvalCache)), and reports the robust
+//!   evaluated on the whole suite in parallel (memoized once per
+//!   genome, with one result per scenario), and reports the robust
 //!   front, per-scenario fronts, and the commonality between them.
 //!
 //! # Example
@@ -177,7 +177,7 @@ impl Scenario {
         }
     }
 
-    /// Stable identity for cache keying (hash of the scenario name).
+    /// Stable identity of the scenario (hash of its name).
     pub fn id(&self) -> u64 {
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         self.name.hash(&mut hasher);

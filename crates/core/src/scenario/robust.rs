@@ -4,10 +4,10 @@
 //! multi-instance [`SearchContext`], so any [`SearchStrategy`] —
 //! exhaustive, subsampled, genetic, hill-climbing — optimizes *robust*
 //! objectives unchanged: every genome a strategy asks about is simulated
-//! on every scenario (in parallel, memoized per scenario in the
-//! scenario-keyed [`EvalCache`](crate::search::EvalCache)), and the
-//! per-scenario metrics fold through the chosen [`Aggregate`] before the
-//! strategy sees them. The result carries three views:
+//! on every scenario (in parallel, memoized in the
+//! [`Evaluator`](crate::search::Evaluator)'s table with one result per
+//! scenario), and the per-scenario metrics fold through the chosen
+//! [`Aggregate`] before the strategy sees them. The result carries three views:
 //!
 //! 1. the **robust front** — Pareto-optimal on aggregated objectives;
 //! 2. **per-scenario fronts** — Pareto-optimal within each scenario, over
@@ -167,7 +167,6 @@ impl<'a> MultiScenarioEvaluator<'a> {
             .iter()
             .map(|m| EvalInstance {
                 name: m.scenario.name.as_str(),
-                id: m.scenario.id(),
                 hierarchy: &m.hierarchy,
                 // An `Arc` handle onto the memoized compiled trace — the
                 // only per-run copy cost is the pointer.

@@ -12,15 +12,15 @@
 //! as the tie-break), and only the best `keep` fraction is promoted to
 //! the next rung
 //! (and eventually to the full-trace simulation). Once enough
-//! full-fidelity results accumulate, a [`Surrogate`] model (k-nearest
-//! neighbors over normalized genome distance by default) short-circuits
-//! the lowest rung entirely — ranking costs a lookup, not a replay.
+//! full-fidelity results accumulate, an optional k-nearest-neighbor
+//! surrogate over normalized genome distance short-circuits the lowest
+//! rung entirely — ranking costs a lookup, not a replay.
 //!
 //! Two structural guarantees keep this safe:
 //!
-//! * **fronts are full-fidelity-only** — prefix results live in a
-//!   *separate* screening cache keyed by `(space, workload, fidelity,
-//!   genome)` and never reach the main [`super::EvalCache`], which is
+//! * **fronts are full-fidelity-only** — every rung has its own memo
+//!   table, keyed on the genome; prefix results live in the screening
+//!   rungs' tables and never reach the full-trace rung's table, which is
 //!   the only source [`super::Evaluator::into_outcome`] drains; a
 //!   screened-out candidate can bias *where* the search looks next, but
 //!   never what the outcome reports;
@@ -30,30 +30,24 @@
 //!   "do not pursue", rather than comparing prefix-scale metrics
 //!   against full-trace ones.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::fmt;
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use dmx_trace::CompiledTrace;
 
 use crate::objective::Objective;
 use crate::param::Genome;
 use crate::runner::RunResult;
-use crate::scenario::{aggregate_metrics, Aggregate, ScenarioMetrics};
-use crate::space::GenomeSpace;
 
-use super::cache::EvalCache;
-use super::{simulate, simulate_jobs, EvalInstance, RunKind, SearchContext, SimStats};
+use super::{eval_rung, RunKind, RungTable, SearchContext, SimStats};
 
 /// Which surrogate model pre-ranks candidates on the lowest rung.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SurrogateKind {
     /// No surrogate: the lowest rung always runs prefix replays.
     Off,
-    /// k-nearest-neighbor regression over cached full-fidelity metrics
-    /// ([`KnnSurrogate`]).
+    /// k-nearest-neighbor regression over observed full-fidelity
+    /// metrics.
     Knn {
         /// Neighbors consulted per prediction (≥ 1); the model stays
         /// silent until it has observed at least `k` full results.
@@ -191,45 +185,17 @@ impl FidelityStats {
     }
 }
 
-/// A cheap stand-in model over observed full-fidelity results, used to
-/// rank candidates before any simulation.
+/// k-nearest-neighbor surrogate: a cheap stand-in model over observed
+/// full-fidelity results that ranks candidates before any simulation.
+/// It predicts each objective of a candidate as the mean over its `k`
+/// closest observed genomes, with per-axis distances normalized by the
+/// space's axis lengths so wide axes do not dominate narrow ones.
 ///
-/// The contract mirrors successive halving: [`Surrogate::predict`] only
-/// orders candidates (per-objective estimates, lower = more promising);
-/// it never produces metrics that reach an outcome. Implementations must
-/// be deterministic — same observation sequence, same predictions.
-pub trait Surrogate: fmt::Debug + Send {
-    /// Short model name for reports (`"knn"`, …).
-    fn name(&self) -> &'static str;
-
-    /// Records one full-fidelity observation (called once per distinct
-    /// genome that completed a full simulation, in deterministic order).
-    fn observe(&mut self, genome: &Genome, result: &Arc<RunResult>);
-
-    /// `true` once the model has enough observations to rank a batch.
-    fn ready(&self) -> bool;
-
-    /// Predicted objective values of `genome` (one per objective, lower
-    /// is better; `f64::INFINITY` entries flag predicted-infeasible), or
-    /// `None` while the model is not [`Self::ready`]. Per-objective
-    /// vectors — rather than one scalar — let the screener rank by
-    /// Pareto dominance, so candidates that are extreme on one objective
-    /// are not culled for being mediocre on a weighted sum.
-    fn predict(&self, genome: &Genome, objectives: &[Objective]) -> Option<Vec<f64>>;
-
-    /// The observed result nearest to `genome` — the stand-in handed to
-    /// strategies for surrogate-screened candidates. `None` while not
-    /// ready.
-    fn nearest(&self, genome: &Genome) -> Option<Arc<RunResult>>;
-}
-
-/// k-nearest-neighbor surrogate: predicts each objective of a candidate
-/// as the mean over its `k` closest observed genomes, with per-axis
-/// distances normalized by the space's axis lengths so wide axes do not
-/// dominate narrow ones. Deterministic: ties in distance break on the
-/// genome ordering.
+/// Predictions only order candidates; they never produce metrics that
+/// reach an outcome. Deterministic: same observation sequence, same
+/// predictions, and ties in distance break on the genome ordering.
 #[derive(Debug)]
-pub struct KnnSurrogate {
+pub(crate) struct KnnSurrogate {
     k: usize,
     /// Per-axis domain sizes of the genome space (distance normalizer).
     axis_lens: Vec<f64>,
@@ -241,7 +207,7 @@ pub struct KnnSurrogate {
 impl KnnSurrogate {
     /// A fresh model consulting `k` neighbors over a space with the
     /// given per-axis domain sizes.
-    pub fn new(k: usize, axis_lens: &[usize]) -> Self {
+    pub(crate) fn new(k: usize, axis_lens: &[usize]) -> Self {
         assert!(k >= 1, "k-NN surrogate needs k >= 1");
         KnnSurrogate {
             k,
@@ -279,25 +245,28 @@ impl KnnSurrogate {
         order.truncate(self.k);
         order.into_iter().map(|(_, i)| i).collect()
     }
-}
 
-impl Surrogate for KnnSurrogate {
-    fn name(&self) -> &'static str {
-        "knn"
-    }
-
-    fn observe(&mut self, genome: &Genome, result: &Arc<RunResult>) {
+    /// Records one full-fidelity observation (called once per distinct
+    /// genome that completed a full simulation, in deterministic order).
+    pub(crate) fn observe(&mut self, genome: &Genome, result: &Arc<RunResult>) {
         if self.points.iter().any(|(g, _)| g == genome) {
             return;
         }
         self.points.push((genome.clone(), result.clone()));
     }
 
-    fn ready(&self) -> bool {
+    /// `true` once the model has enough observations to rank a batch.
+    pub(crate) fn ready(&self) -> bool {
         self.points.len() >= self.k
     }
 
-    fn predict(&self, genome: &Genome, objectives: &[Objective]) -> Option<Vec<f64>> {
+    /// Predicted objective values of `genome` (one per objective, lower
+    /// is better; `f64::INFINITY` entries flag predicted-infeasible), or
+    /// `None` while the model is not [`Self::ready`]. Per-objective
+    /// vectors — rather than one scalar — let the screener rank by
+    /// Pareto dominance, so candidates that are extreme on one objective
+    /// are not culled for being mediocre on a weighted sum.
+    pub(crate) fn predict(&self, genome: &Genome, objectives: &[Objective]) -> Option<Vec<f64>> {
         if !self.ready() {
             return None;
         }
@@ -316,7 +285,9 @@ impl Surrogate for KnnSurrogate {
         Some(totals.into_iter().map(|t| t / self.k as f64).collect())
     }
 
-    fn nearest(&self, genome: &Genome) -> Option<Arc<RunResult>> {
+    /// The observed result nearest to `genome` — the stand-in base for
+    /// surrogate-screened candidates. `None` while not ready.
+    pub(crate) fn nearest(&self, genome: &Genome) -> Option<Arc<RunResult>> {
         if !self.ready() {
             return None;
         }
@@ -326,42 +297,30 @@ impl Surrogate for KnnSurrogate {
     }
 }
 
-/// One workload instance cut to a screening rung's fraction.
+/// One screening rung: every context instance's trace cut to the rung's
+/// fraction, in instance order, and the rung's memo table.
 #[derive(Debug)]
-struct PrefixInstance {
-    /// Fidelity-tagged cache namespace: `hash(instance id, fraction)`,
-    /// so every rung memoizes independently of the others and of the
-    /// full-fidelity cache.
-    id: u64,
-    trace: Arc<CompiledTrace>,
+struct PrefixRung {
+    traces: Vec<CompiledTrace>,
+    table: RungTable,
 }
 
 /// The screening engine the [`super::Evaluator`] drives when its context
-/// carries a [`FidelityPlan`]: it owns the prefix traces, the separate
-/// screening cache, the optional [`Surrogate`], and the running
-/// [`FidelityStats`]. Strategies never see this type — screening is
-/// invisible except through the stand-in results and the outcome stats.
+/// carries a [`FidelityPlan`]: it owns the prefix rungs, the optional
+/// [`KnnSurrogate`], and the running [`FidelityStats`]. Strategies never
+/// see this type — screening is invisible except through the stand-in
+/// results and the outcome stats.
 #[derive(Debug)]
-pub struct MultiFidelityEvaluator<'a> {
-    plan: &'a FidelityPlan,
-    space: &'a dyn GenomeSpace,
-    space_id: u64,
-    instances: &'a [EvalInstance<'a>],
-    aggregate: Option<Aggregate>,
-    objectives: &'a [Objective],
-    threads: usize,
-    /// `rungs[r]` holds one [`PrefixInstance`] per context instance,
-    /// cut to screening fraction `r`.
-    rungs: Vec<Vec<PrefixInstance>>,
-    /// Prefix results, keyed `(space_id, fidelity-tagged workload id,
-    /// genome)`. Uses `peek`/`insert` only, so the main cache's hit/miss
-    /// accounting (and the obs cache counters) stay full-fidelity-only.
-    screen_cache: EvalCache,
-    surrogate: Option<Mutex<Box<dyn Surrogate>>>,
-    stats: Mutex<FidelityStats>,
+pub(crate) struct MultiFidelityEvaluator {
+    /// Fraction of candidates promoted past each screening rung.
+    keep: f64,
+    /// One rung per screening fraction, lowest first.
+    rungs: Vec<PrefixRung>,
+    surrogate: Option<KnnSurrogate>,
+    stats: FidelityStats,
 }
 
-impl<'a> MultiFidelityEvaluator<'a> {
+impl MultiFidelityEvaluator {
     /// Builds the screening engine for a context: cuts every instance
     /// trace once per screening rung (O(events) each, paid once per
     /// search) and instantiates the plan's surrogate.
@@ -369,82 +328,60 @@ impl<'a> MultiFidelityEvaluator<'a> {
     /// # Panics
     ///
     /// Panics if the plan fails [`FidelityPlan::validate`].
-    pub fn new(plan: &'a FidelityPlan, ctx: &SearchContext<'a>) -> Self {
+    pub(crate) fn new(plan: &FidelityPlan, ctx: &SearchContext<'_>) -> Self {
         if let Err(err) = plan.validate() {
             panic!("invalid fidelity plan: {err}");
         }
         let rungs = plan
             .screening_fractions()
             .iter()
-            .map(|&fraction| {
-                ctx.instances
+            .map(|&fraction| PrefixRung {
+                // The plan was validated above, so every screening
+                // fraction is in (0, 1].
+                traces: ctx
+                    .instances
                     .iter()
                     .map(|inst| {
-                        let mut hasher = DefaultHasher::new();
-                        inst.id.hash(&mut hasher);
-                        fraction.to_bits().hash(&mut hasher);
-                        // The plan was validated above, so every
-                        // screening fraction is in (0, 1].
-                        let prefix = inst
-                            .trace
+                        inst.trace
                             .prefix(fraction)
-                            .expect("validated plan has in-range fractions");
-                        PrefixInstance {
-                            id: hasher.finish(),
-                            trace: Arc::new(prefix),
-                        }
+                            .expect("validated plan has in-range fractions")
                     })
-                    .collect()
+                    .collect(),
+                table: RungTable::new(),
             })
             .collect();
-        let surrogate: Option<Mutex<Box<dyn Surrogate>>> = match plan.surrogate {
-            SurrogateKind::Off => None,
-            SurrogateKind::Knn { k } => Some(Mutex::new(Box::new(KnnSurrogate::new(
-                k,
-                &ctx.space.axis_lens(),
-            )))),
-        };
         MultiFidelityEvaluator {
-            plan,
-            space: ctx.space,
-            space_id: ctx.space.space_id(),
-            instances: ctx.instances,
-            aggregate: ctx.aggregate,
-            objectives: ctx.objectives,
-            threads: ctx.threads.max(1),
+            keep: plan.keep,
             rungs,
-            screen_cache: EvalCache::new(),
-            surrogate,
-            stats: Mutex::new(FidelityStats {
+            surrogate: match plan.surrogate {
+                SurrogateKind::Off => None,
+                SurrogateKind::Knn { k } => Some(KnnSurrogate::new(k, &ctx.space.axis_lens())),
+            },
+            stats: FidelityStats {
                 fractions: plan.screening_fractions().to_vec(),
                 rungs: vec![RungStats::default(); plan.screening_fractions().len()],
                 surrogate_hits: 0,
                 full_simulations: 0,
                 instances: ctx.instances.len(),
-            }),
+            },
         }
     }
 
-    /// Statistics so far; [`super::Evaluator::into_outcome`] fills in
-    /// the full-simulation count it alone knows.
-    pub(super) fn stats(&self) -> FidelityStats {
-        self.stats.lock().expect("fidelity stats poisoned").clone()
+    /// The statistics of the whole search, completed with the
+    /// full-simulation count only the [`super::Evaluator`] knows.
+    pub(super) fn into_stats(self, full_simulations: usize) -> FidelityStats {
+        FidelityStats {
+            full_simulations,
+            ..self.stats
+        }
     }
 
-    /// Feeds completed full-fidelity results to the surrogate, in the
-    /// (deterministic) order the batch promoted them.
-    pub(super) fn observe_full(
-        &self,
-        genomes: &[Genome],
-        lookup: impl Fn(&Genome) -> Option<Arc<RunResult>>,
-    ) {
-        let Some(surrogate) = &self.surrogate else {
-            return;
-        };
-        let mut surrogate = surrogate.lock().expect("surrogate poisoned");
-        for g in genomes {
-            if let Some(result) = lookup(g) {
-                surrogate.observe(g, &result);
+    /// Feeds the full-trace rung's results for `genomes` to the
+    /// surrogate, in the (deterministic) order the batch promoted them.
+    pub(super) fn observe_full(&mut self, genomes: &[Genome], full: &RungTable) {
+        if let Some(surrogate) = &mut self.surrogate {
+            for g in genomes {
+                surrogate.observe(g, &full[g].folded);
             }
         }
     }
@@ -454,21 +391,21 @@ impl<'a> MultiFidelityEvaluator<'a> {
     /// not reorder what the evaluator simulates) and an
     /// infeasible-marked stand-in result for every screened-out genome.
     pub(super) fn screen(
-        &self,
+        &mut self,
+        ctx: &SearchContext<'_>,
         fresh: Vec<Genome>,
-        sim_stats: &Mutex<SimStats>,
+        sim_stats: &mut SimStats,
     ) -> (Vec<Genome>, HashMap<Genome, Arc<RunResult>>) {
         let mut candidates = fresh;
         let mut stand_ins: HashMap<Genome, Arc<RunResult>> = HashMap::new();
-        for (r, rung_instances) in self.rungs.iter().enumerate() {
+        for r in 0..self.rungs.len() {
             let entered = candidates.len();
-            let keep_n = ((entered as f64 * self.plan.keep).ceil() as usize).max(1);
+            let keep_n = ((entered as f64 * self.keep).ceil() as usize).max(1);
             if keep_n >= entered {
                 // Nothing would be cut — promote everyone without
                 // spending a single prefix replay.
-                let mut stats = self.stats.lock().expect("fidelity stats poisoned");
-                stats.rungs[r].screened += entered;
-                stats.rungs[r].promoted += entered;
+                self.stats.rungs[r].screened += entered;
+                self.stats.rungs[r].promoted += entered;
                 dmx_obs::metrics().fidelity_screened.add(entered as u64);
                 dmx_obs::metrics().fidelity_promoted.add(entered as u64);
                 continue;
@@ -478,39 +415,31 @@ impl<'a> MultiFidelityEvaluator<'a> {
             // The surrogate may take over the lowest rung once ready —
             // all-or-nothing per batch, so one ranking never mixes
             // surrogate predictions with prefix measurements.
-            let predictions: Option<Vec<Vec<f64>>> = if r == 0 {
-                self.surrogate.as_ref().and_then(|s| {
-                    let s = s.lock().expect("surrogate poisoned");
-                    if !s.ready() {
-                        return None;
-                    }
-                    Some(
-                        candidates
-                            .iter()
-                            .map(|g| {
-                                s.predict(g, self.objectives)
-                                    .expect("ready surrogate always predicts")
-                            })
-                            .collect(),
-                    )
-                })
-            } else {
-                None
+            let predictions: Option<Vec<Vec<f64>>> = match &self.surrogate {
+                Some(s) if r == 0 && s.ready() => Some(
+                    candidates
+                        .iter()
+                        .map(|g| {
+                            s.predict(g, ctx.objectives)
+                                .expect("ready surrogate always predicts")
+                        })
+                        .collect(),
+                ),
+                _ => None,
             };
             let (values, replayed): (Vec<Vec<f64>>, Option<Vec<Arc<RunResult>>>) = match predictions
             {
                 Some(values) => {
-                    let mut stats = self.stats.lock().expect("fidelity stats poisoned");
-                    stats.rungs[r].surrogate_hits += entered;
-                    stats.surrogate_hits += entered;
+                    self.stats.rungs[r].surrogate_hits += entered;
+                    self.stats.surrogate_hits += entered;
                     dmx_obs::metrics()
                         .fidelity_surrogate_hits
                         .add(entered as u64);
                     (values, None)
                 }
                 None => {
-                    let results = self.replay_rung(rung_instances, &candidates, sim_stats);
-                    let values = objective_values(&results, self.objectives);
+                    let results = self.rungs[r].replay(ctx, &candidates, sim_stats);
+                    let values = objective_values(&results, ctx.objectives);
                     (values, Some(results))
                 }
             };
@@ -528,15 +457,12 @@ impl<'a> MultiFidelityEvaluator<'a> {
                 }
                 let base = match &replayed {
                     Some(results) => results[i].clone(),
-                    None => self.surrogate_nearest(&g),
+                    None => self.surrogate_nearest(ctx, &g),
                 };
                 stand_ins.insert(g, stand_in(&base));
             }
-            {
-                let mut stats = self.stats.lock().expect("fidelity stats poisoned");
-                stats.rungs[r].screened += entered;
-                stats.rungs[r].promoted += survivors.len();
-            }
+            self.stats.rungs[r].screened += entered;
+            self.stats.rungs[r].promoted += survivors.len();
             dmx_obs::metrics().fidelity_screened.add(entered as u64);
             dmx_obs::metrics()
                 .fidelity_promoted
@@ -548,19 +474,15 @@ impl<'a> MultiFidelityEvaluator<'a> {
 
     /// The nearest observed full result, as the stand-in base for a
     /// surrogate-screened genome.
-    fn surrogate_nearest(&self, genome: &Genome) -> Arc<RunResult> {
-        let surrogate = self
+    fn surrogate_nearest(&self, ctx: &SearchContext<'_>, genome: &Genome) -> Arc<RunResult> {
+        let neighbor = self
             .surrogate
             .as_ref()
-            .expect("surrogate scored this batch")
-            .lock()
-            .expect("surrogate poisoned");
-        let neighbor = surrogate
-            .nearest(genome)
-            .expect("surrogate scored, so it is ready");
+            .and_then(|s| s.nearest(genome))
+            .expect("surrogate scored this batch, so it is ready");
         // The neighbor's metrics under this genome's own identity: the
         // stand-in must label the candidate, not its neighbor.
-        let config = self.space.config_at(self.instances[0].hierarchy, genome);
+        let config = ctx.space.config_at(ctx.instances[0].hierarchy, genome);
         let label = config.label();
         Arc::new(RunResult {
             config,
@@ -568,85 +490,33 @@ impl<'a> MultiFidelityEvaluator<'a> {
             metrics: neighbor.metrics.clone(),
         })
     }
+}
 
-    /// Replays one screening rung for `candidates`: every candidate on
-    /// every prefix instance, memoized in the screening cache, through the
-    /// same fan-out as the full evaluator; folds
-    /// per-instance prefix metrics through the aggregate in robust mode.
-    /// Returns one result per candidate, in candidate order.
-    fn replay_rung(
-        &self,
-        rung: &[PrefixInstance],
+impl PrefixRung {
+    /// Replays `candidates` on this rung — those not in its table yet —
+    /// and returns one (robust-folded) prefix result per candidate, in
+    /// candidate order.
+    fn replay(
+        &mut self,
+        ctx: &SearchContext<'_>,
         candidates: &[Genome],
-        sim_stats: &Mutex<SimStats>,
+        sim_stats: &mut SimStats,
     ) -> Vec<Arc<RunResult>> {
-        for pi in rung {
+        for trace in &self.traces {
             dmx_obs::metrics()
                 .fidelity_prefix_events
-                .record(pi.trace.len() as u64);
+                .record(trace.len() as u64);
         }
         let todo: Vec<Genome> = candidates
             .iter()
-            .filter(|g| {
-                rung.iter()
-                    .any(|pi| self.screen_cache.peek(self.space_id, pi.id, g).is_none())
-            })
+            .filter(|g| !self.table.contains_key(*g))
             .cloned()
             .collect();
-        let n = todo.len();
-        let jobs = rung.len() * n;
-        let (results, stats) = simulate_jobs(RunKind::Screening, jobs, self.threads, |j, arena| {
-            let hierarchy = self.instances[j / n].hierarchy;
-            simulate(
-                self.space,
-                hierarchy,
-                &rung[j / n].trace,
-                &todo[j % n],
-                arena,
-            )
-        });
-        *sim_stats.lock().expect("sim stats poisoned") += stats;
-        for (j, result) in results.into_iter().enumerate() {
-            self.screen_cache.insert(
-                self.space_id,
-                rung[j / n].id,
-                todo[j % n].clone(),
-                Arc::new(result),
-            );
-        }
-
+        let traces: Vec<&CompiledTrace> = self.traces.iter().collect();
+        *sim_stats += eval_rung(ctx, &traces, &mut self.table, &todo, RunKind::Screening);
         candidates
             .iter()
-            .map(|g| {
-                let parts: Vec<Arc<RunResult>> = rung
-                    .iter()
-                    .map(|pi| {
-                        self.screen_cache
-                            .peek(self.space_id, pi.id, g)
-                            .expect("candidate was just screened")
-                    })
-                    .collect();
-                match self.aggregate {
-                    None => parts.into_iter().next().expect("one instance"),
-                    Some(aggregate) => {
-                        let folded: Vec<ScenarioMetrics<'_>> = self
-                            .instances
-                            .iter()
-                            .zip(&parts)
-                            .map(|(inst, r)| ScenarioMetrics {
-                                metrics: &r.metrics,
-                                weight: inst.weight,
-                                admissible: inst.constraints.is_none_or(|c| c.accepts(&r.metrics)),
-                            })
-                            .collect();
-                        Arc::new(RunResult {
-                            config: parts[0].config.clone(),
-                            label: parts[0].label.clone(),
-                            metrics: aggregate_metrics(aggregate, &folded),
-                        })
-                    }
-                }
-            })
+            .map(|g| Arc::clone(&self.table[g].folded))
             .collect()
     }
 }
@@ -747,7 +617,7 @@ fn stand_in(base: &RunResult) -> Arc<RunResult> {
 mod tests {
     use super::*;
     use crate::param::ParamSpace;
-    use crate::search::{Evaluator, GeneticSearch, SearchStrategy};
+    use crate::search::{EvalInstance, Evaluator, GeneticSearch, SearchStrategy};
     use crate::study::{easyport_space, easyport_trace, StudyScale};
     use dmx_memhier::presets;
 
@@ -846,7 +716,7 @@ mod tests {
             ..FidelityPlan::halving()
         };
         let ctx = quick_ctx(&space, &inst, Some(&plan));
-        let evaluator = Evaluator::new(&ctx);
+        let mut evaluator = Evaluator::new(&ctx);
         let genomes: Vec<Genome> = (0..40.min(space.len()))
             .map(|i| space.genome_at(i))
             .collect();
@@ -863,7 +733,7 @@ mod tests {
         );
         let stand_ins = results.iter().filter(|r| !r.metrics.feasible()).count();
         assert!(stand_ins >= genomes.len() - full);
-        let outcome = evaluator.into_outcome("subsample", &ctx);
+        let outcome = evaluator.into_outcome("subsample");
         assert_eq!(outcome.evaluations, full);
         // The kernel counters keep full simulations and prefix replays
         // apart: each screened genome is one run per rung.
@@ -976,7 +846,7 @@ mod tests {
         let trace = easyport_trace(StudyScale::Quick, 42);
         let inst = EvalInstance::single(&hier, &trace);
         let ctx = quick_ctx(&space, &inst, None);
-        let evaluator = Evaluator::new(&ctx);
+        let mut evaluator = Evaluator::new(&ctx);
         let genomes: Vec<Genome> = (0..6).map(|i| space.genome_at(i)).collect();
         let results = evaluator.eval_batch(&genomes);
 

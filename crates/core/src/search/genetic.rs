@@ -6,8 +6,8 @@
 //! mutation as the variation operators (all plain index arithmetic on the
 //! [`Genome`], whatever its length — odometer indices and grammar codons
 //! breed identically), and elitism by carrying the current non-dominated
-//! individuals into the next generation unchanged. The memoized
-//! [`super::EvalCache`] makes the elitist revisits free.
+//! individuals into the next generation unchanged. The
+//! [`super::Evaluator`]'s memo table makes the elitist revisits free.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -291,7 +291,7 @@ impl SearchStrategy for GeneticSearch {
         assert!(!ctx.space.is_empty(), "cannot search an empty space");
 
         let mut rng = self.rng();
-        let evaluator = Evaluator::new(ctx);
+        let mut evaluator = Evaluator::new(ctx);
         let lens = ctx.space.axis_lens();
         let mut population = self.initial_population(&mut rng, ctx);
 
@@ -310,7 +310,7 @@ impl SearchStrategy for GeneticSearch {
             population = self.breed(&mut rng, ctx, &lens, &population, &results).next;
         }
 
-        evaluator.into_outcome(self.name(), ctx)
+        evaluator.into_outcome(self.name())
     }
 }
 

@@ -86,7 +86,7 @@ impl SearchStrategy for HillClimbSearch {
         assert!(!ctx.space.is_empty(), "cannot search an empty space");
 
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0x6863_5F64_6D78_2B31);
-        let evaluator = Evaluator::new(ctx);
+        let mut evaluator = Evaluator::new(ctx);
 
         for _restart in 0..self.restarts {
             // A fresh direction: random positive weights per objective.
@@ -139,7 +139,7 @@ impl SearchStrategy for HillClimbSearch {
             }
         }
 
-        evaluator.into_outcome(self.name(), ctx)
+        evaluator.into_outcome(self.name())
     }
 }
 

@@ -6,10 +6,9 @@
 //! individuals over a migration topology (ring / fully-connected / star),
 //! so a front region discovered on one island seeds the neighbors without
 //! collapsing the populations into one gene pool. All islands evaluate
-//! through one shared [`Evaluator`] — its sharded
-//! [`EvalCache`](super::EvalCache) is the cross-island sharing medium: a
-//! genome simulated on *any* island is a cache hit everywhere, so the
-//! model never pays twice for convergent evolution.
+//! through one [`Evaluator`] — its memo table is the cross-island sharing
+//! medium: a genome simulated on *any* island is a cache hit everywhere,
+//! so the model never pays twice for convergent evolution.
 //!
 //! # Determinism
 //!
@@ -19,8 +18,8 @@
 //! 1. **Lockstep generations.** Every generation, all island populations
 //!    are concatenated — in island-id order — into *one* evaluation batch.
 //!    The batch planner (dedup, hit/miss accounting) is sequential; only
-//!    the simulations fan out to worker threads, and those write into
-//!    keyed cache slots, so scheduling cannot change any result.
+//!    the simulations fan out to worker threads, whose results come back
+//!    in job order, so scheduling cannot change any result.
 //! 2. **Barrier migration.** Migration happens between generations, after
 //!    all islands have advanced, and edges are walked in a fixed order —
 //!    merge by island id, never by completion order.
@@ -618,7 +617,7 @@ impl SearchStrategy for IslandSearch {
         }
         assert!(!ctx.space.is_empty(), "cannot search an empty space");
 
-        let evaluator = Evaluator::new(ctx);
+        let mut evaluator = Evaluator::new(ctx);
         let mut states: Vec<Box<dyn IslandState>> = (0..self.islands)
             .map(|i| -> Box<dyn IslandState> {
                 let seed = island_seed(self.seed, i);
@@ -721,7 +720,7 @@ impl SearchStrategy for IslandSearch {
             }
         }
 
-        let mut outcome = evaluator.into_outcome(self.name(), ctx);
+        let mut outcome = evaluator.into_outcome(self.name());
         outcome.islands = states
             .iter()
             .zip(tracks)

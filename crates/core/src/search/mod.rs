@@ -17,11 +17,11 @@
 //! between index and configuration — the paper's 8-axis odometer space
 //! ([`crate::ParamSpace`]) and the grammar-derivation space
 //! ([`crate::GrammarSpace`]) run through identical strategy code. All
-//! evaluations go through a shared, sharded [`EvalCache`] keyed on
-//! (space id, workload id, genome), so revisits — the common case in GA
-//! populations — cost a hash lookup instead of a simulation, and each
-//! batch evaluates in parallel through the same fan-out as the
-//! exhaustive runner.
+//! evaluations go through one [`Evaluator`], which keeps a private memo
+//! table per fidelity rung keyed on the canonical genome, so revisits —
+//! the common case in GA populations — cost a hash lookup instead of a
+//! simulation, and each batch evaluates in parallel through the same
+//! fan-out as the exhaustive runner.
 //!
 //! A [`SearchContext`] carries one *or several* [`EvalInstance`]s.
 //! Without an [`Aggregate`] policy this is the classic single-workload
@@ -62,18 +62,13 @@
 //! assert_eq!(outcome.exploration.results.len(), outcome.evaluations);
 //! ```
 
-mod cache;
 mod fidelity;
 mod genetic;
 mod hillclimb;
 mod island;
 mod queue;
 
-pub use cache::{EvalCache, EvalKey};
-pub use fidelity::{
-    FidelityPlan, FidelityStats, KnnSurrogate, MultiFidelityEvaluator, RungStats, Surrogate,
-    SurrogateKind,
-};
+pub use fidelity::{FidelityPlan, FidelityStats, RungStats, SurrogateKind};
 pub use genetic::GeneticSearch;
 pub use hillclimb::HillClimbSearch;
 pub use island::{IslandKind, IslandSearch, IslandStats, Migration};
@@ -82,11 +77,10 @@ pub(crate) use queue::simulate_jobs;
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::ops::AddAssign;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use dmx_alloc::{SimArena, Simulator};
+use dmx_alloc::Simulator;
 use dmx_memhier::MemoryHierarchy;
 use dmx_trace::{CompiledTrace, Trace};
 
@@ -98,6 +92,8 @@ use crate::runner::{Exploration, RunResult};
 use crate::sample::sample_indices;
 use crate::scenario::{aggregate_metrics, Aggregate, ScenarioMetrics};
 use crate::space::GenomeSpace;
+
+use fidelity::MultiFidelityEvaluator;
 
 /// Updates the per-generation observability gauges: the generation
 /// counter/gauges plus — when the context has at least two objectives —
@@ -204,55 +200,6 @@ fn parse_thread_budget(raw: Option<&str>) -> (usize, Option<&str>) {
     }
 }
 
-/// Simulates one genome on one compiled workload through a worker's
-/// arena — the job body of every evaluation fan-out.
-fn simulate(
-    space: &dyn GenomeSpace,
-    hierarchy: &MemoryHierarchy,
-    trace: &CompiledTrace,
-    genome: &Genome,
-    arena: &mut SimArena,
-) -> RunResult {
-    let config = space.config_at(hierarchy, genome);
-    let metrics = Simulator::new(hierarchy)
-        .run_in_arena(&config, trace, arena)
-        .expect("space genomes materialize to valid configurations");
-    RunResult {
-        label: config.label(),
-        config,
-        metrics,
-    }
-}
-
-/// A stable identity for a (platform, trace) pair, used as the workload
-/// half of the [`EvalCache`] key. The trace's full event stream is
-/// fingerprinted (not just its name and length — two same-name traces
-/// from different seeds must not collide), so two different workloads —
-/// or the same trace on a different platform — get different keys and a
-/// cache shared across workloads can never serve stale results. One
-/// O(events) pass, paid once per search, is noise next to a single
-/// simulation.
-pub fn workload_key(hierarchy: &MemoryHierarchy, trace: &Trace) -> u64 {
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    trace.name().hash(&mut hasher);
-    // Events hash their thread ids, and the contention parameters the
-    // evaluators charge threaded replays with are folded in below — so a
-    // threaded workload (or the same one under a different contention
-    // model) can never alias a single-threaded replay in the eval cache
-    // or the fidelity prefix cache.
-    trace.events().hash(&mut hasher);
-    dmx_alloc::ContentionParams::default().hash(&mut hasher);
-    hierarchy.len().hash(&mut hasher);
-    for (_, level) in hierarchy.iter() {
-        level.capacity().hash(&mut hasher);
-        level.read_energy_pj().hash(&mut hasher);
-        level.write_energy_pj().hash(&mut hasher);
-        level.read_latency().hash(&mut hasher);
-        level.write_latency().hash(&mut hasher);
-    }
-    hasher.finish()
-}
-
 /// One (platform, workload) pair a configuration is evaluated on.
 ///
 /// Single-workload search uses exactly one instance
@@ -267,8 +214,6 @@ pub fn workload_key(hierarchy: &MemoryHierarchy, trace: &Trace) -> u64 {
 pub struct EvalInstance<'a> {
     /// Display name (the trace name, or the scenario name in suites).
     pub name: &'a str,
-    /// Cache key namespace — must be distinct per instance in a context.
-    pub id: u64,
     /// The platform configurations are simulated on.
     pub hierarchy: &'a MemoryHierarchy,
     /// The compiled workload every configuration replays, shared across
@@ -282,13 +227,11 @@ pub struct EvalInstance<'a> {
 }
 
 impl<'a> EvalInstance<'a> {
-    /// The classic single-workload instance: named after the trace, keyed
-    /// by [`workload_key`], weight 1, no constraints. Compiles the trace
-    /// (one O(events) pass).
+    /// The classic single-workload instance: named after the trace,
+    /// weight 1, no constraints. Compiles the trace (one O(events) pass).
     pub fn single(hierarchy: &'a MemoryHierarchy, trace: &'a Trace) -> Self {
         EvalInstance {
             name: trace.name(),
-            id: workload_key(hierarchy, trace),
             hierarchy,
             trace: CompiledTrace::compile_shared(trace),
             weight: 1.0,
@@ -419,8 +362,8 @@ pub struct SearchOutcome {
     /// Total simulator runs (= `evaluations` × instances in
     /// multi-instance contexts).
     pub simulations: usize,
-    /// Evaluation requests served from the memo cache instead of the
-    /// simulator.
+    /// Evaluation requests served from the evaluator's memo table instead
+    /// of the simulator.
     pub cache_hits: usize,
     /// The Pareto front over everything evaluated, on the context's
     /// objectives (robust objectives in multi-instance contexts). Indices
@@ -516,12 +459,12 @@ impl std::error::Error for StrategyError {}
 ///         "first-n"
 ///     }
 ///     fn search(&self, ctx: &SearchContext<'_>) -> SearchOutcome {
-///         let evaluator = Evaluator::new(ctx);
+///         let mut evaluator = Evaluator::new(ctx);
 ///         let genomes: Vec<_> = (0..self.0.min(ctx.space.len()))
 ///             .map(|i| ctx.space.genome_at(i))
 ///             .collect();
 ///         evaluator.eval_batch(&genomes);
-///         evaluator.into_outcome(self.name(), ctx)
+///         evaluator.into_outcome(self.name())
 ///     }
 /// }
 ///
@@ -541,172 +484,61 @@ pub trait SearchStrategy {
     fn search(&self, ctx: &SearchContext<'_>) -> SearchOutcome;
 }
 
-/// Memoized, parallel batch evaluator — the engine under every strategy.
-///
-/// Each [`Self::eval_batch`] call canonicalizes the genomes, simulates the
-/// not-yet-seen ones on every instance in parallel (the same fan-out as
-/// [`crate::Explorer::run_configs`]), stores the per-instance
-/// results in the shared scenario-keyed [`EvalCache`], folds them through
-/// the context's [`Aggregate`] in robust (scenario) mode, and returns
-/// one result per input genome in input order.
+/// One genome evaluated on one fidelity rung.
 #[derive(Debug)]
-pub struct Evaluator<'a> {
-    space: &'a dyn GenomeSpace,
-    /// The space's cache-key half, computed once per evaluator.
-    space_id: u64,
-    instances: &'a [EvalInstance<'a>],
-    /// `Some` = robust (scenario) mode, whatever the instance count.
-    aggregate: Option<Aggregate>,
-    threads: usize,
-    cache: EvalCache,
-    /// Folded results per genome; only populated in robust mode (classic
-    /// single-workload search serves straight from the cache).
-    robust: Mutex<HashMap<Genome, Arc<RunResult>>>,
-    /// Kernel counters summed over every fan-out so far.
-    sim_stats: Mutex<SimStats>,
-    /// The multi-fidelity screening engine, when the context carries a
-    /// [`FidelityPlan`]. Screens fresh genomes *before* they reach the
-    /// full-trace jobs; its prefix results live in a separate cache and
-    /// never touch `cache`/`robust` (fronts stay full-fidelity-only).
-    fidelity: Option<MultiFidelityEvaluator<'a>>,
+struct Entry {
+    /// One result per context instance, in instance order.
+    parts: Vec<Arc<RunResult>>,
+    /// What the strategy sees: the parts folded through the context's
+    /// [`Aggregate`] in robust mode, the single part itself (the same
+    /// `Arc`) in classic mode.
+    folded: Arc<RunResult>,
 }
 
-impl<'a> Evaluator<'a> {
-    /// A fresh evaluator (empty cache) over the context's space and
-    /// workload instances.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the context has no instances, two instances share an id,
-    /// or several instances were given without an [`Aggregate`] to fold
-    /// them.
-    pub fn new(ctx: &SearchContext<'a>) -> Self {
-        assert!(!ctx.instances.is_empty(), "need at least one instance");
-        assert!(
-            ctx.aggregate.is_some() || ctx.instances.len() == 1,
-            "multiple instances need an aggregate policy to fold them"
-        );
-        let mut ids: Vec<u64> = ctx.instances.iter().map(|i| i.id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(
-            ids.len(),
-            ctx.instances.len(),
-            "instance ids must be distinct (they namespace the cache)"
-        );
-        Evaluator {
-            space: ctx.space,
-            space_id: ctx.space.space_id(),
-            instances: ctx.instances,
-            aggregate: ctx.aggregate,
-            threads: ctx.threads.max(1),
-            cache: EvalCache::new(),
-            robust: Mutex::new(HashMap::new()),
-            sim_stats: Mutex::new(SimStats::default()),
-            fidelity: ctx
-                .fidelity
-                .map(|plan| MultiFidelityEvaluator::new(plan, ctx)),
+/// The memo table of one fidelity rung, keyed on the canonical genome.
+type RungTable = HashMap<Genome, Entry>;
+
+/// Evaluates `genomes` — canonical, distinct and not yet in `table` — on
+/// one fidelity rung: simulates each on every trace of the rung (one per
+/// context instance, in instance order) through one instance-major
+/// fan-out, folds each genome's per-instance results, and stores both in
+/// `table`. Returns the fan-out's kernel counters, booked as `kind`.
+fn eval_rung(
+    ctx: &SearchContext<'_>,
+    traces: &[&CompiledTrace],
+    table: &mut RungTable,
+    genomes: &[Genome],
+    kind: RunKind,
+) -> SimStats {
+    // Instance-major jobs, so a worker's contiguous chunk stays on one
+    // trace. The traces are borrowed — no worker ever clones an event
+    // stream.
+    let n = genomes.len();
+    let (results, stats) = simulate_jobs(kind, traces.len() * n, ctx.threads, |j, arena| {
+        let hierarchy = ctx.instances[j / n].hierarchy;
+        let config = ctx.space.config_at(hierarchy, &genomes[j % n]);
+        let metrics = Simulator::new(hierarchy)
+            .run_in_arena(&config, traces[j / n], arena)
+            .expect("space genomes materialize to valid configurations");
+        RunResult {
+            label: config.label(),
+            config,
+            metrics,
         }
+    });
+    let mut parts: Vec<Vec<Arc<RunResult>>> = vec![Vec::new(); n];
+    for (j, result) in results.into_iter().enumerate() {
+        parts[j % n].push(Arc::new(result));
     }
-
-    /// Aggregate simulation-kernel statistics so far.
-    pub fn sim_stats(&self) -> SimStats {
-        *self.sim_stats.lock().expect("sim stats poisoned")
-    }
-
-    /// The folded (or, in classic mode, plain) result for a canonical
-    /// genome, if it has been evaluated.
-    fn lookup(&self, genome: &Genome) -> Option<Arc<RunResult>> {
-        if self.aggregate.is_none() {
-            self.cache.peek(self.space_id, self.instances[0].id, genome)
-        } else {
-            self.robust
-                .lock()
-                .expect("robust map poisoned")
-                .get(genome)
-                .cloned()
-        }
-    }
-
-    /// Evaluates a batch of genomes, returning one shared result per
-    /// genome in input order. Already-seen configurations come out of the
-    /// cache; new ones are simulated in parallel — on every workload
-    /// instance — and folded into robust results.
-    pub fn eval_batch(&self, genomes: &[Genome]) -> Vec<Arc<RunResult>> {
-        let _span = dmx_obs::span(dmx_obs::names::EVAL_BATCH, genomes.len() as u64);
-        dmx_obs::metrics().eval_batches.incr();
-        let canonical: Vec<Genome> = genomes
-            .iter()
-            .map(|g| self.space.canonicalize(g.clone()))
-            .collect();
-
-        // Collect the distinct genomes this batch sees for the first time.
-        // A duplicate of a genome already scheduled in this batch counts as
-        // a cache hit: one simulation serves both requests.
-        let mut fresh: Vec<Genome> = Vec::new();
-        let mut seen: HashSet<Genome> = HashSet::new();
-        for g in &canonical {
-            if seen.contains(g) || self.lookup(g).is_some() {
-                self.cache.record_hit();
-            } else {
-                self.cache.record_miss();
-                seen.insert(g.clone());
-                fresh.push(g.clone());
-            }
-        }
-
-        // Multi-fidelity screening: rank the fresh genomes on cheap
-        // prefix rungs (or the surrogate) and let only the survivors
-        // reach the full-trace jobs below. Screened-out genomes get an
-        // infeasible-marked stand-in that is returned to the strategy
-        // but never stored — outcomes stay full-fidelity-only.
-        let (fresh, stand_ins) = match &self.fidelity {
-            Some(mf) if !fresh.is_empty() => mf.screen(fresh, &self.sim_stats),
-            _ => (fresh, HashMap::new()),
-        };
-
-        // One job = one (instance, genome), instance-major so a worker's
-        // contiguous chunk of jobs stays on one trace. The compiled traces
-        // are shared behind `Arc`s — no worker ever clones an event
-        // stream.
-        let n = fresh.len();
-        dmx_obs::metrics().eval_fresh.add(n as u64);
-        dmx_obs::metrics().batch_fresh.record(n as u64);
-        let jobs = self.instances.len() * n;
-        let (results, stats) = simulate_jobs(RunKind::Full, jobs, self.threads, |j, arena| {
-            let inst = &self.instances[j / n];
-            simulate(
-                self.space,
-                inst.hierarchy,
-                &inst.trace,
-                &fresh[j % n],
-                arena,
-            )
-        });
-        *self.sim_stats.lock().expect("sim stats poisoned") += stats;
-        for (j, result) in results.into_iter().enumerate() {
-            let (inst, genome) = (&self.instances[j / n], &fresh[j % n]);
-            self.cache
-                .insert(self.space_id, inst.id, genome.clone(), Arc::new(result));
-        }
-
-        // Fold the fresh genomes into robust results (robust mode
-        // only; classic search serves raw results). The fold runs
-        // even for a one-scenario suite so that scenario constraints
-        // apply and the per-scenario views get populated.
-        if let Some(aggregate) = self.aggregate {
-            let mut robust = self.robust.lock().expect("robust map poisoned");
-            for g in &fresh {
-                let parts: Vec<Arc<RunResult>> = self
-                    .instances
-                    .iter()
-                    .map(|inst| {
-                        self.cache
-                            .peek(self.space_id, inst.id, g)
-                            .expect("just simulated")
-                    })
-                    .collect();
-                let folded: Vec<ScenarioMetrics<'_>> = self
+    for (genome, parts) in genomes.iter().zip(parts) {
+        // The fold runs even for a one-scenario suite so that scenario
+        // constraints apply. The representative config and label come
+        // from the first instance; the genome is the cross-platform
+        // identity (see `SearchOutcome::genomes`).
+        let folded = match ctx.aggregate {
+            None => Arc::clone(&parts[0]),
+            Some(aggregate) => {
+                let scenarios: Vec<ScenarioMetrics<'_>> = ctx
                     .instances
                     .iter()
                     .zip(&parts)
@@ -716,50 +548,146 @@ impl<'a> Evaluator<'a> {
                         admissible: inst.constraints.is_none_or(|c| c.accepts(&r.metrics)),
                     })
                     .collect();
-                let metrics = aggregate_metrics(aggregate, &folded);
-                // The representative config/label come from the first
-                // instance; the genome (see `SearchOutcome::genomes`)
-                // is the cross-platform identity.
-                robust.insert(
-                    g.clone(),
-                    Arc::new(RunResult {
-                        config: parts[0].config.clone(),
-                        label: parts[0].label.clone(),
-                        metrics,
-                    }),
-                );
+                Arc::new(RunResult {
+                    config: parts[0].config.clone(),
+                    label: parts[0].label.clone(),
+                    metrics: aggregate_metrics(aggregate, &scenarios),
+                })
+            }
+        };
+        table.insert(genome.clone(), Entry { parts, folded });
+    }
+    stats
+}
+
+/// Memoized, parallel batch evaluator — the engine under every strategy.
+///
+/// Each [`Self::eval_batch`] call canonicalizes the genomes, simulates the
+/// not-yet-seen ones on every instance in parallel (the same fan-out as
+/// [`crate::Explorer::run_configs`]), folds them through the context's
+/// [`Aggregate`] in robust (scenario) mode, and returns one result per
+/// input genome in input order. Every genome is simulated at most once:
+/// the evaluator keeps one private memo table per fidelity rung, and the
+/// full-trace rung's table is the only source of the outcome.
+#[derive(Debug)]
+pub struct Evaluator<'a> {
+    ctx: SearchContext<'a>,
+    /// The full-trace rung: every genome simulated on the whole traces.
+    table: RungTable,
+    /// Evaluation requests served from `table` (or by an earlier
+    /// duplicate in the same batch) instead of the simulator.
+    cache_hits: usize,
+    /// Kernel counters summed over every fan-out so far.
+    sim_stats: SimStats,
+    /// The multi-fidelity screening engine, when the context carries a
+    /// [`FidelityPlan`]. Screens fresh genomes *before* they reach the
+    /// full-trace rung; its prefix rungs keep their own tables, so
+    /// fronts stay full-fidelity-only.
+    screener: Option<MultiFidelityEvaluator>,
+}
+
+impl<'a> Evaluator<'a> {
+    /// A fresh evaluator (empty tables) over the context's space and
+    /// workload instances.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the context has no instances, several instances were
+    /// given without an [`Aggregate`] to fold them, or the context's
+    /// [`FidelityPlan`] fails [`FidelityPlan::validate`].
+    pub fn new(ctx: &SearchContext<'a>) -> Self {
+        assert!(!ctx.instances.is_empty(), "need at least one instance");
+        assert!(
+            ctx.aggregate.is_some() || ctx.instances.len() == 1,
+            "multiple instances need an aggregate policy to fold them"
+        );
+        Evaluator {
+            ctx: *ctx,
+            table: RungTable::new(),
+            cache_hits: 0,
+            sim_stats: SimStats::default(),
+            screener: ctx
+                .fidelity
+                .map(|plan| MultiFidelityEvaluator::new(plan, ctx)),
+        }
+    }
+
+    /// Aggregate simulation-kernel statistics so far.
+    pub fn sim_stats(&self) -> SimStats {
+        self.sim_stats
+    }
+
+    /// Evaluation requests served without a simulation so far.
+    pub fn cache_hits(&self) -> usize {
+        self.cache_hits
+    }
+
+    /// Distinct configurations evaluated so far.
+    pub fn evaluations(&self) -> usize {
+        self.table.len()
+    }
+
+    /// Evaluates a batch of genomes, returning one shared result per
+    /// genome in input order. Already-seen configurations come out of the
+    /// table; new ones are simulated in parallel — on every workload
+    /// instance — and folded into robust results.
+    pub fn eval_batch(&mut self, genomes: &[Genome]) -> Vec<Arc<RunResult>> {
+        let _span = dmx_obs::span(dmx_obs::names::EVAL_BATCH, genomes.len() as u64);
+        dmx_obs::metrics().eval_batches.incr();
+        let canonical: Vec<Genome> = genomes
+            .iter()
+            .map(|g| self.ctx.space.canonicalize(g.clone()))
+            .collect();
+
+        // Collect the distinct genomes this batch sees for the first time.
+        // A duplicate of a genome already scheduled in this batch counts as
+        // a cache hit: one simulation serves both requests.
+        let mut fresh: Vec<Genome> = Vec::new();
+        let mut seen: HashSet<Genome> = HashSet::new();
+        for g in &canonical {
+            if seen.contains(g) || self.table.contains_key(g) {
+                dmx_obs::metrics().cache_hits.incr();
+                dmx_obs::instant(dmx_obs::names::CACHE_HIT, 0);
+                self.cache_hits += 1;
+            } else {
+                dmx_obs::metrics().cache_misses.incr();
+                dmx_obs::instant(dmx_obs::names::CACHE_MISS, 0);
+                seen.insert(g.clone());
+                fresh.push(g.clone());
             }
         }
 
+        // Multi-fidelity screening: rank the fresh genomes on cheap
+        // prefix rungs (or the surrogate) and let only the survivors
+        // reach the full-trace rung below. Screened-out genomes get an
+        // infeasible-marked stand-in that is returned to the strategy
+        // but never stored — outcomes stay full-fidelity-only.
+        let (fresh, stand_ins) = match &mut self.screener {
+            Some(mf) if !fresh.is_empty() => mf.screen(&self.ctx, fresh, &mut self.sim_stats),
+            _ => (fresh, HashMap::new()),
+        };
+
+        dmx_obs::metrics().eval_fresh.add(fresh.len() as u64);
+        dmx_obs::metrics().batch_fresh.record(fresh.len() as u64);
+        let traces: Vec<&CompiledTrace> = self.ctx.instances.iter().map(|i| &*i.trace).collect();
+        self.sim_stats += eval_rung(&self.ctx, &traces, &mut self.table, &fresh, RunKind::Full);
+
         // Feed the surrogate with the survivors' full-fidelity results,
         // in batch order (deterministic, so predictions are too).
-        if let Some(mf) = &self.fidelity {
-            mf.observe_full(&fresh, |g| self.lookup(g));
+        if let Some(mf) = &mut self.screener {
+            mf.observe_full(&fresh, &self.table);
         }
 
         canonical
             .iter()
             .map(|g| {
-                self.lookup(g)
+                self.table
+                    .get(g)
+                    .map(|e| Arc::clone(&e.folded))
                     .or_else(|| stand_ins.get(g).cloned())
                     .expect("batch member was just evaluated or screened")
             })
             .collect()
-    }
-
-    /// Distinct configurations evaluated so far.
-    pub fn evaluations(&self) -> usize {
-        if self.aggregate.is_none() {
-            self.cache.len()
-        } else {
-            self.robust.lock().expect("robust map poisoned").len()
-        }
-    }
-
-    /// Read access to the memo cache (hit/miss counters, per-instance
-    /// entries).
-    pub fn cache(&self) -> &EvalCache {
-        &self.cache
     }
 
     /// Consumes the evaluator into a [`SearchOutcome`]: every distinct
@@ -767,68 +695,51 @@ impl<'a> Evaluator<'a> {
     /// Pareto front on the context's objectives. Robust (scenario) mode
     /// additionally gets one per-instance [`Exploration`] each, in the
     /// same genome order as the robust one.
-    pub fn into_outcome(self, strategy: &str, ctx: &SearchContext<'_>) -> SearchOutcome {
-        let cache_hits = self.cache.hits();
-        let simulations = self.cache.len();
-        let sim_stats = self.sim_stats();
-        let fidelity = self.fidelity.as_ref().map(|mf| {
-            let mut stats = mf.stats();
-            stats.full_simulations = simulations;
-            stats
-        });
-        let (workload, genomes, results, scenario_explorations) = match ctx.aggregate {
-            None => {
-                // Drain the cache; the strategies have dropped their batch
-                // results by now, so the `Arc`s are usually unique and the
-                // results move out without cloning.
-                let entries = self.cache.into_entries();
-                let genomes: Vec<Genome> = entries.iter().map(|((_, _, g), _)| g.clone()).collect();
-                let results: Vec<RunResult> = entries
-                    .into_iter()
-                    .map(|(_, r)| Arc::try_unwrap(r).unwrap_or_else(|shared| (*shared).clone()))
-                    .collect();
-                (
-                    ctx.instances[0].name.to_owned(),
-                    genomes,
-                    results,
-                    Vec::new(),
-                )
+    pub fn into_outcome(self, strategy: &str) -> SearchOutcome {
+        let ctx = self.ctx;
+        let simulations = self.table.len() * ctx.instances.len();
+        let fidelity = self.screener.map(|mf| mf.into_stats(simulations));
+        let mut entries: Vec<(Genome, Entry)> = self.table.into_iter().collect();
+        entries.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+
+        // The strategies have dropped their batch results by now, so the
+        // folded `Arc`s are usually unique and move out without cloning —
+        // the exhaustive sweep's result set is large enough that a
+        // transient second copy would matter.
+        let mut columns: Vec<Vec<RunResult>> = match ctx.aggregate {
+            None => Vec::new(),
+            Some(_) => ctx.instances.iter().map(|_| Vec::new()).collect(),
+        };
+        let mut genomes = Vec::with_capacity(entries.len());
+        let mut results = Vec::with_capacity(entries.len());
+        for (genome, Entry { parts, folded }) in entries {
+            // The loop consumes `parts`: in classic mode (no columns) its
+            // one part is `folded` itself, which is then unique. Robust
+            // per-instance results are copied rather than moved out: the
+            // copies are compact, and freeing the originals with the table
+            // measured a lower peak RSS on suite searches.
+            for (column, part) in columns.iter_mut().zip(parts) {
+                column.push(RunResult::clone(&part));
             }
+            genomes.push(genome);
+            results.push(Arc::unwrap_or_clone(folded));
+        }
+        let workload = match ctx.aggregate {
+            None => ctx.instances[0].name.to_owned(),
             Some(aggregate) => {
-                let robust = self.robust.into_inner().expect("robust map poisoned");
-                let mut entries: Vec<(Genome, Arc<RunResult>)> = robust.into_iter().collect();
-                entries.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
-                let genomes: Vec<Genome> = entries.iter().map(|(g, _)| g.clone()).collect();
-                let scenario_explorations: Vec<Exploration> = ctx
-                    .instances
-                    .iter()
-                    .map(|inst| Exploration {
-                        workload: inst.name.to_owned(),
-                        results: genomes
-                            .iter()
-                            .map(|g| {
-                                (*self
-                                    .cache
-                                    .peek(self.space_id, inst.id, g)
-                                    .expect("genome was evaluated"))
-                                .clone()
-                            })
-                            .collect(),
-                    })
-                    .collect();
-                let results: Vec<RunResult> = entries
-                    .into_iter()
-                    .map(|(_, r)| Arc::try_unwrap(r).unwrap_or_else(|shared| (*shared).clone()))
-                    .collect();
                 let names: Vec<&str> = ctx.instances.iter().map(|i| i.name).collect();
-                (
-                    format!("robust[{aggregate}]({})", names.join("+")),
-                    genomes,
-                    results,
-                    scenario_explorations,
-                )
+                format!("robust[{aggregate}]({})", names.join("+"))
             }
         };
+        let scenario_explorations: Vec<Exploration> = ctx
+            .instances
+            .iter()
+            .zip(columns)
+            .map(|(inst, results)| Exploration {
+                workload: inst.name.to_owned(),
+                results,
+            })
+            .collect();
         let evaluations = results.len();
         let exploration = Exploration { workload, results };
         let front = exploration.pareto(ctx.objectives);
@@ -836,12 +747,12 @@ impl<'a> Evaluator<'a> {
             strategy: strategy.to_owned(),
             evaluations,
             simulations,
-            cache_hits,
+            cache_hits: self.cache_hits,
             exploration,
             genomes,
             front,
             scenario_explorations,
-            sim_stats,
+            sim_stats: self.sim_stats,
             islands: Vec::new(),
             fidelity,
         }
@@ -862,12 +773,12 @@ impl SearchStrategy for ExhaustiveSearch {
     }
 
     fn search(&self, ctx: &SearchContext<'_>) -> SearchOutcome {
-        let evaluator = Evaluator::new(ctx);
+        let mut evaluator = Evaluator::new(ctx);
         let genomes: Vec<Genome> = (0..ctx.space.len())
             .map(|i| ctx.space.genome_at(i))
             .collect();
         evaluator.eval_batch(&genomes);
-        evaluator.into_outcome(self.name(), ctx)
+        evaluator.into_outcome(self.name())
     }
 }
 
@@ -888,13 +799,13 @@ impl SearchStrategy for SubsampleSearch {
     }
 
     fn search(&self, ctx: &SearchContext<'_>) -> SearchOutcome {
-        let evaluator = Evaluator::new(ctx);
+        let mut evaluator = Evaluator::new(ctx);
         let genomes: Vec<Genome> = sample_indices(ctx.space.len(), self.n, self.seed)
             .into_iter()
             .map(|i| ctx.space.genome_at(i))
             .collect();
         evaluator.eval_batch(&genomes);
-        evaluator.into_outcome(self.name(), ctx)
+        evaluator.into_outcome(self.name())
     }
 }
 
@@ -904,6 +815,7 @@ mod tests {
     use crate::param::ParamSpace;
     use crate::study::{easyport_space, easyport_trace, StudyScale};
     use crate::Explorer;
+    use dmx_alloc::SimMetrics;
     use dmx_memhier::presets;
     use dmx_trace::gen::{SyntheticConfig, TraceGenerator};
 
@@ -963,14 +875,14 @@ mod tests {
         let trace = easyport_trace(StudyScale::Quick, 42);
         let inst = EvalInstance::single(&hier, &trace);
         let ctx = quick_ctx(&space, &inst);
-        let evaluator = Evaluator::new(&ctx);
+        let mut evaluator = Evaluator::new(&ctx);
         let g = space.genome_at(3);
         let first = evaluator.eval_batch(&[g.clone(), g.clone(), g.clone()]);
         assert_eq!(evaluator.evaluations(), 1, "one distinct genome, one sim");
         let again = evaluator.eval_batch(&[g]);
         assert_eq!(evaluator.evaluations(), 1);
         assert!(Arc::ptr_eq(&first[0], &again[0]), "same shared entry");
-        assert_eq!(evaluator.cache().hits(), 3, "two in-batch + one re-request");
+        assert_eq!(evaluator.cache_hits(), 3, "two in-batch + one re-request");
     }
 
     #[test]
@@ -1000,9 +912,9 @@ mod tests {
         assert_eq!(a.front.points, b.front.points);
     }
 
-    /// Regression test for the stale-cache bug: one evaluator shared by
-    /// two workloads must keep the workloads' results apart — keyed on the
-    /// genome alone, the second workload inherited the first one's
+    /// Regression test for the stale-cache bug: one evaluator over two
+    /// workloads must keep the workloads' results apart — keyed on the
+    /// genome alone, the second workload once inherited the first one's
     /// metrics.
     #[test]
     fn multi_instance_evaluator_never_mixes_workloads() {
@@ -1013,7 +925,6 @@ mod tests {
         let instances = [
             EvalInstance {
                 name: "a",
-                id: 1,
                 hierarchy: &hier,
                 trace: CompiledTrace::compile_shared(&trace_a),
                 weight: 1.0,
@@ -1021,7 +932,6 @@ mod tests {
             },
             EvalInstance {
                 name: "b",
-                id: 2,
                 hierarchy: &hier,
                 trace: CompiledTrace::compile_shared(&trace_b),
                 weight: 1.0,
@@ -1036,11 +946,11 @@ mod tests {
             threads: 4,
             fidelity: None,
         };
-        let evaluator = Evaluator::new(&ctx);
+        let mut evaluator = Evaluator::new(&ctx);
         let g = space.genome_at(5);
         let robust = evaluator.eval_batch(std::slice::from_ref(&g));
 
-        // Per-workload entries must match fresh, independent simulations.
+        // Per-workload results must match fresh, independent simulations.
         let sim = Simulator::new(&hier);
         let config = space.config_at(&hier, &g);
         let on_a = sim.run(&config, &trace_a).unwrap();
@@ -1049,9 +959,13 @@ mod tests {
             on_a, on_b,
             "fixture traces must measure differently for the test to bite"
         );
-        let sid = space.space_id();
-        assert_eq!(evaluator.cache().peek(sid, 1, &g).unwrap().metrics, on_a);
-        assert_eq!(evaluator.cache().peek(sid, 2, &g).unwrap().metrics, on_b);
+        let outcome = evaluator.into_outcome("test");
+        let per_instance: Vec<&SimMetrics> = outcome
+            .scenario_explorations
+            .iter()
+            .map(|e| &e.results[0].metrics)
+            .collect();
+        assert_eq!(per_instance, [&on_a, &on_b]);
 
         // And the folded result is the worst case of the two, exactly.
         assert_eq!(
@@ -1077,7 +991,7 @@ mod tests {
         let handle = Arc::clone(&inst.trace);
         let baseline = Arc::strong_count(&handle);
         let ctx = quick_ctx(&space, &inst);
-        let evaluator = Evaluator::new(&ctx);
+        let mut evaluator = Evaluator::new(&ctx);
         for start in [0usize, 4, 8] {
             let genomes: Vec<Genome> = (start..start + 4).map(|i| space.genome_at(i)).collect();
             evaluator.eval_batch(&genomes);
@@ -1096,7 +1010,7 @@ mod tests {
             "every run replays the whole compiled trace"
         );
         assert!(stats.nanos > 0, "batch time must be recorded");
-        let outcome = evaluator.into_outcome("test", &ctx);
+        let outcome = evaluator.into_outcome("test");
         assert_eq!(outcome.sim_stats, stats, "stats carried into the outcome");
     }
 
@@ -1112,7 +1026,6 @@ mod tests {
             .iter()
             .map(|m| EvalInstance {
                 name: m.scenario.name.as_str(),
-                id: m.scenario.id(),
                 hierarchy: &m.hierarchy,
                 trace: Arc::clone(&m.compiled),
                 weight: m.scenario.weight,
@@ -1131,7 +1044,7 @@ mod tests {
             threads: 4,
             fidelity: None,
         };
-        let evaluator = Evaluator::new(&ctx);
+        let mut evaluator = Evaluator::new(&ctx);
         for start in [0usize, 3] {
             let genomes: Vec<Genome> = (start..start + 3).map(|i| space.genome_at(i)).collect();
             evaluator.eval_batch(&genomes);
@@ -1185,27 +1098,6 @@ mod tests {
             Err(StrategyError::NoClimbers { island: 0 })
         );
         assert!(IslandSearch::heterogeneous(3).validate().is_ok());
-    }
-
-    #[test]
-    fn duplicate_instance_ids_rejected() {
-        let hier = presets::sp64k_dram4m();
-        let space = easyport_space(&hier, StudyScale::Quick);
-        let trace = easyport_trace(StudyScale::Quick, 42);
-        let mut a = EvalInstance::single(&hier, &trace);
-        a.id = 9;
-        let instances = [a.clone(), a];
-        let ctx = SearchContext {
-            space: &space,
-            instances: &instances,
-            aggregate: Some(Aggregate::WorstCase),
-            objectives: &Objective::FIG1,
-            threads: 1,
-            fidelity: None,
-        };
-        let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| Evaluator::new(&ctx)));
-        assert!(result.is_err(), "duplicate ids must be rejected");
     }
 
     #[test]

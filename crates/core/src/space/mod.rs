@@ -20,7 +20,7 @@
 //!   operators could produce (crossover, ±1 mutation, redraw within
 //!   `axis_lens`) folds to a canonical representative, and two genomes
 //!   denote the same configuration iff their canonical forms are equal
-//!   (the eval cache keys on this);
+//!   (the evaluator's memo tables key on this);
 //! * `config_at` of a canonical genome always builds a valid
 //!   configuration for any hierarchy the space was built against;
 //! * `axis_lens()[d]` bounds coordinate `d`: mutation redraws inside
@@ -48,10 +48,11 @@ pub trait GenomeSpace: fmt::Debug + Send + Sync {
     /// Short human-readable name (`"odometer"`, `"grammar"`, …).
     fn name(&self) -> &str;
 
-    /// Stable identity for cache keying: two spaces with different
-    /// names or shapes must not share cached results. The default hashes
-    /// the name and the axis lengths; override it only if two same-shape
-    /// spaces of the same kind can decode genomes differently.
+    /// Stable identity of the space: two spaces with different names or
+    /// shapes get different ids, so tools can tell whether two runs
+    /// explored the same space. The default hashes the name and the axis
+    /// lengths; override it only if two same-shape spaces of the same
+    /// kind can decode genomes differently.
     fn space_id(&self) -> u64 {
         let mut hasher = DefaultHasher::new();
         self.name().hash(&mut hasher);

@@ -90,9 +90,9 @@ fn grammar_rediscovers_every_odometer_configuration() {
     );
 }
 
-/// The two spaces must never share cache keys: same canonical genome
-/// shape or not, their ids differ, so an [`dmx_core::search::EvalCache`]
-/// shared across spaces keeps their results apart.
+/// The two spaces must never share an identity: same canonical genome
+/// shape or not, their ids differ, so a run over one can never be taken
+/// for a run over the other.
 #[test]
 fn covering_grammar_and_odometer_have_distinct_space_ids() {
     let hierarchy = dmx_memhier::presets::sp64k_dram4m();

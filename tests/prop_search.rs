@@ -146,7 +146,7 @@ proptest! {
             threads: 4,
             fidelity: None,
         };
-        let evaluator = Evaluator::new(&ctx);
+        let mut evaluator = Evaluator::new(&ctx);
 
         // Random batch (with repeats) drawn from the space, plus a guided
         // run's worth of traffic through the same evaluator.
@@ -168,11 +168,12 @@ proptest! {
             prop_assert!(std::sync::Arc::ptr_eq(a, b));
         }
 
-        // And every entry in the cache keys back to its own config.
-        for ((_, _, genome), result) in evaluator.cache().entries() {
+        // And every entry of the outcome keys back to its own config.
+        let outcome = evaluator.into_outcome("test");
+        for (genome, result) in outcome.genomes.iter().zip(&outcome.exploration.results) {
             prop_assert_eq!(
                 &result.label,
-                &space.config_at(&hierarchy, &genome).label(),
+                &space.config_at(&hierarchy, genome).label(),
                 "cached entry mismatches its genome (seed {})",
                 seed
             );
