@@ -1250,3 +1250,100 @@ fn multi_fidelity_and_robust_exports_reproduce_pinned_digests() {
         );
     }
 }
+
+/// The `custom_allocator` example's composite as an [`AllocatorConfig`]:
+/// a dedicated 64-byte pool on the L1 scratchpad, segregated classes and a
+/// buddy pool on the L2 SRAM, and a best-fit coalescing general fallback
+/// in main memory — three levels, four pool kinds.
+fn custom_allocator_config(hier: &MemoryHierarchy) -> AllocatorConfig {
+    let l1 = hier.fastest();
+    let l2 = hier.id_by_name("L2-sram").expect("preset has an L2");
+    let main = hier.slowest();
+    AllocatorConfig {
+        pools: vec![
+            PoolSpec {
+                route: Route::Exact(64),
+                kind: PoolKind::Fixed {
+                    block_size: 64,
+                    chunk_blocks: 64,
+                },
+                level: l1,
+            },
+            PoolSpec {
+                route: Route::Range { min: 1, max: 256 },
+                kind: PoolKind::Segregated {
+                    min_class: 16,
+                    max_class: 256,
+                    chunk_bytes: 4096,
+                },
+                level: l2,
+            },
+            PoolSpec {
+                route: Route::Range {
+                    min: 257,
+                    max: 4096,
+                },
+                kind: PoolKind::Buddy {
+                    min_order: 6,
+                    max_order: 14,
+                },
+                level: l2,
+            },
+            PoolSpec {
+                route: Route::Fallback,
+                kind: PoolKind::General {
+                    fit: FitPolicy::BestFit,
+                    order: FreeOrder::AddressOrdered,
+                    coalesce: CoalescePolicy::Immediate,
+                    split: SplitPolicy::MinRemainder(16),
+                    align: 8,
+                    chunk_bytes: 16 * 1024,
+                },
+                level: main,
+            },
+        ],
+    }
+}
+
+#[test]
+fn custom_allocator_example_reproduces_pinned_metrics() {
+    use dmx_alloc::pool::{BuddyPool, FixedBlockPool, GeneralPool, SegregatedPool};
+    use dmx_alloc::CompositeAllocator;
+
+    let hier = dmx_memhier::presets::sp32k_sram256k_dram8m();
+    let sim = Simulator::new(&hier);
+    let trace = SyntheticConfig::bimodal(20_000).generate(7);
+    let config = custom_allocator_config(&hier);
+
+    let (l1, l2, main) = (
+        hier.fastest(),
+        hier.id_by_name("L2-sram").unwrap(),
+        hier.slowest(),
+    );
+    let mut built = CompositeAllocator::builder(&hier)
+        .dedicated(64, FixedBlockPool::new(l1, 64, 64))
+        .ranged(1, 256, SegregatedPool::new(l2, 16, 256, 4096))
+        .ranged(257, 4096, BuddyPool::new(l2, 6, 14))
+        .fallback(GeneralPool::new(
+            main,
+            FitPolicy::BestFit,
+            FreeOrder::AddressOrdered,
+            CoalescePolicy::Immediate,
+            SplitPolicy::MinRemainder(16),
+            8,
+            16 * 1024,
+        ))
+        .build()
+        .unwrap();
+    let by_hand = sim.run_built(&mut built, &trace);
+
+    let reference = sim.run_reference(&config, &trace).unwrap();
+    let run = sim.run(&config, &trace).unwrap();
+    assert_eq!(run, reference, "Simulator::run vs run_reference");
+    assert_eq!(by_hand, reference, "builder + run_built vs run_reference");
+    assert_eq!(run.failures, 0);
+    assert_eq!(run.total_accesses(), 2_239_835);
+    assert_eq!(run.footprint, 36_864);
+    assert_eq!(run.energy_pj, 377_964_816);
+    assert_eq!(run.cycles, 8_435_509);
+}
