@@ -13,7 +13,7 @@ use dmx_memhier::{LevelId, MemoryHierarchy};
 use crate::composite::CompositeAllocator;
 use crate::error::BuildError;
 use crate::policy::{CoalescePolicy, FitPolicy, FreeOrder, SplitPolicy};
-use crate::pool::{BuddyPool, FixedBlockPool, GeneralPool, RegionPool, SegregatedPool};
+use crate::pool::{BuddyPool, FixedBlockPool, GeneralPool, Pool, RegionPool, SegregatedPool};
 
 /// Which request sizes a pool serves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -323,7 +323,9 @@ impl AllocatorConfig {
         Ok(())
     }
 
-    /// Instantiates the configuration over `hierarchy`.
+    /// Instantiates the configuration over `hierarchy`: pool `i` of the
+    /// composite is `self.pools[i]`, so the [`PoolId`](crate::PoolId) an
+    /// allocation reports is its spec's index.
     ///
     /// # Errors
     ///
@@ -331,23 +333,29 @@ impl AllocatorConfig {
     /// pool is constructed.
     pub fn build(&self, hierarchy: &MemoryHierarchy) -> Result<CompositeAllocator, BuildError> {
         self.validate(hierarchy)?;
-        let mut builder = CompositeAllocator::builder(hierarchy);
-        for spec in &self.pools {
-            builder = match (&spec.route, Self::instantiate(spec)) {
-                (Route::Exact(size), pool) => pool.add_dedicated(builder, *size),
-                (Route::Range { min, max }, pool) => pool.add_ranged(builder, *min, *max),
-                (Route::Fallback, pool) => pool.add_fallback(builder),
-            };
+        let mut pools = Vec::with_capacity(self.pools.len());
+        let mut exact = Vec::new();
+        let mut ranges = Vec::new();
+        let mut fallback = 0;
+        for (i, spec) in self.pools.iter().enumerate() {
+            pools.push(Self::instantiate(spec));
+            match spec.route {
+                Route::Exact(size) => exact.push((size, i)),
+                Route::Range { min, max } => ranges.push((min, max, i)),
+                Route::Fallback => fallback = i,
+            }
         }
-        builder.build()
+        Ok(CompositeAllocator::new(
+            hierarchy, pools, exact, ranges, fallback,
+        ))
     }
 
-    fn instantiate(spec: &PoolSpec) -> BuiltPool {
+    fn instantiate(spec: &PoolSpec) -> Box<dyn Pool> {
         match &spec.kind {
             PoolKind::Fixed {
                 block_size,
                 chunk_blocks,
-            } => BuiltPool::Fixed(FixedBlockPool::new(spec.level, *block_size, *chunk_blocks)),
+            } => Box::new(FixedBlockPool::new(spec.level, *block_size, *chunk_blocks)),
             PoolKind::General {
                 fit,
                 order,
@@ -355,7 +363,7 @@ impl AllocatorConfig {
                 split,
                 align,
                 chunk_bytes,
-            } => BuiltPool::General(GeneralPool::new(
+            } => Box::new(GeneralPool::new(
                 spec.level,
                 *fit,
                 *order,
@@ -368,7 +376,7 @@ impl AllocatorConfig {
                 min_class,
                 max_class,
                 chunk_bytes,
-            } => BuiltPool::Segregated(SegregatedPool::new(
+            } => Box::new(SegregatedPool::new(
                 spec.level,
                 *min_class,
                 *max_class,
@@ -377,10 +385,8 @@ impl AllocatorConfig {
             PoolKind::Buddy {
                 min_order,
                 max_order,
-            } => BuiltPool::Buddy(BuddyPool::new(spec.level, *min_order, *max_order)),
-            PoolKind::Region { chunk_bytes } => {
-                BuiltPool::Region(RegionPool::new(spec.level, *chunk_bytes))
-            }
+            } => Box::new(BuddyPool::new(spec.level, *min_order, *max_order)),
+            PoolKind::Region { chunk_bytes } => Box::new(RegionPool::new(spec.level, *chunk_bytes)),
         }
     }
 
@@ -401,60 +407,6 @@ impl fmt::Display for AllocatorConfig {
     }
 }
 
-/// Helper enum so `build` can move concrete pools into the builder without
-/// boxing twice.
-enum BuiltPool {
-    Fixed(FixedBlockPool),
-    General(GeneralPool),
-    Segregated(SegregatedPool),
-    Buddy(BuddyPool),
-    Region(RegionPool),
-}
-
-impl BuiltPool {
-    fn add_dedicated(
-        self,
-        b: crate::composite::CompositeBuilder,
-        size: u32,
-    ) -> crate::composite::CompositeBuilder {
-        match self {
-            BuiltPool::Fixed(p) => b.dedicated(size, p),
-            BuiltPool::General(p) => b.dedicated(size, p),
-            BuiltPool::Segregated(p) => b.dedicated(size, p),
-            BuiltPool::Buddy(p) => b.dedicated(size, p),
-            BuiltPool::Region(p) => b.dedicated(size, p),
-        }
-    }
-
-    fn add_ranged(
-        self,
-        b: crate::composite::CompositeBuilder,
-        min: u32,
-        max: u32,
-    ) -> crate::composite::CompositeBuilder {
-        match self {
-            BuiltPool::Fixed(p) => b.ranged(min, max, p),
-            BuiltPool::General(p) => b.ranged(min, max, p),
-            BuiltPool::Segregated(p) => b.ranged(min, max, p),
-            BuiltPool::Buddy(p) => b.ranged(min, max, p),
-            BuiltPool::Region(p) => b.ranged(min, max, p),
-        }
-    }
-
-    fn add_fallback(
-        self,
-        b: crate::composite::CompositeBuilder,
-    ) -> crate::composite::CompositeBuilder {
-        match self {
-            BuiltPool::Fixed(p) => b.fallback(p),
-            BuiltPool::General(p) => b.fallback(p),
-            BuiltPool::Segregated(p) => b.fallback(p),
-            BuiltPool::Buddy(p) => b.fallback(p),
-            BuiltPool::Region(p) => b.fallback(p),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -468,11 +420,11 @@ mod tests {
         assert!(cfg.validate(&hier).is_ok());
         let mut a = cfg.build(&hier).unwrap();
         let mut ctx = AllocCtx::new(hier.len());
-        let hot = a.alloc(74, &mut ctx).unwrap();
+        let (hot, _) = a.alloc(74, &mut ctx).unwrap();
         assert_eq!(hot.level, hier.fastest());
-        let frame = a.alloc(1500, &mut ctx).unwrap();
+        let (frame, _) = a.alloc(1500, &mut ctx).unwrap();
         assert_eq!(frame.level, hier.slowest());
-        let odd = a.alloc(300, &mut ctx).unwrap();
+        let (odd, _) = a.alloc(300, &mut ctx).unwrap();
         assert_eq!(odd.level, hier.slowest());
         a.validate();
     }
@@ -500,6 +452,19 @@ mod tests {
             pools: vec![PoolSpec::fixed(74, LevelId(0))],
         };
         assert_eq!(cfg.validate(&hier), Err(BuildError::NoFallbackPool));
+
+        // Two fallbacks.
+        let general = PoolSpec::general(
+            LevelId(1),
+            FitPolicy::FirstFit,
+            FreeOrder::Lifo,
+            CoalescePolicy::Never,
+            SplitPolicy::Never,
+        );
+        let cfg = AllocatorConfig {
+            pools: vec![general.clone(), general],
+        };
+        assert_eq!(cfg.validate(&hier), Err(BuildError::MultipleFallbackPools));
 
         // Duplicate exact route.
         let cfg = AllocatorConfig {
@@ -599,7 +564,7 @@ mod tests {
         let mut a = cfg.build(&hier).unwrap();
         let mut ctx = AllocCtx::new(hier.len());
         for size in [74u32, 30, 200, 800, 3000] {
-            let b = a.alloc(size, &mut ctx).unwrap();
+            let (b, _) = a.alloc(size, &mut ctx).unwrap();
             assert!(b.occupied >= size);
         }
         a.validate();

@@ -19,11 +19,14 @@
 //!   [`pool::RegionPool`] (arena);
 //! * **Policies** — [`FitPolicy`], [`FreeOrder`], [`CoalescePolicy`],
 //!   [`SplitPolicy`];
-//! * **Composition** — [`CompositeAllocator`] routes request sizes to
-//!   pools (dedicated pools for hot sizes, a fallback general pool), each
-//!   pool placed on its own memory level;
 //! * **Configuration** — [`AllocatorConfig`] / [`PoolSpec`]: the flat
-//!   parameter vector that one point of the exploration space denotes;
+//!   parameter vector that one point of the exploration space denotes,
+//!   and the one way to build an allocator;
+//! * **Composition** — [`AllocatorConfig::build`] yields a
+//!   [`CompositeAllocator`] that routes request sizes to pools (dedicated
+//!   pools for hot sizes, a fallback general pool), each pool placed on
+//!   its own memory level; pool `i` is `config.pools[i]`, and that index
+//!   is the [`PoolId`] every allocation reports;
 //! * **Simulation** — [`Simulator`] replays a [`dmx_trace::Trace`] (or,
 //!   on the hot path, a pre-lowered [`dmx_trace::CompiledTrace`] through a
 //!   reusable [`SimArena`]) and produces [`SimMetrics`]: per-level

@@ -34,8 +34,9 @@ use crate::error::AllocError;
 /// A memory pool: the unit of placement and the unit of composition.
 ///
 /// Pools are driven by a [`CompositeAllocator`](crate::CompositeAllocator),
-/// which owns the shared [`RegionTable`]; standalone use works the same way
-/// (see the `custom_allocator` example).
+/// which owns the shared [`RegionTable`]. Standalone use passes a
+/// [`RegionTable`] of its own, as the pool property tests and the
+/// `tab5_allocator_ops` bench do.
 pub trait Pool {
     /// Serves an allocation of `size` bytes.
     ///

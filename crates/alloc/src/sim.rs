@@ -6,9 +6,9 @@
 //! Replay is the hot path of every exploration: each objective the search
 //! strategies optimize comes from a full trace replay, and robust
 //! (scenario-suite) evaluation multiplies replay volume by the suite
-//! size. The one kernel, [`Simulator::replay`], therefore runs on a
-//! [`CompiledTrace`] — block ids pre-renamed to dense recycled slots,
-//! accesses and ticks hoisted out of the op stream — so per-op
+//! size. The one kernel, behind [`Simulator::run_in_arena`], therefore
+//! runs on a [`CompiledTrace`] — block ids pre-renamed to dense recycled
+//! slots, accesses and ticks hoisted out of the op stream — so per-op
 //! bookkeeping is a flat slab index instead of a hash lookup, and on a
 //! reusable [`SimArena`] so the slab is allocated once per worker, not
 //! once per genome.
@@ -382,13 +382,6 @@ impl<'h> Simulator<'h> {
         Ok(self.replay(&mut allocator, trace, arena))
     }
 
-    /// Replays `trace` against an already-built allocator (useful for
-    /// hand-composed allocators; see the `custom_allocator` example).
-    pub fn run_built(&self, allocator: &mut CompositeAllocator, trace: &Trace) -> SimMetrics {
-        let mut arena = SimArena::new();
-        self.replay(allocator, &CompiledTrace::compile(trace), &mut arena)
-    }
-
     /// The replay kernel. It walks only the allocator-visible pool-op
     /// stream ([`CompiledTrace::pool_ops`]); every op costs a slab index,
     /// never a hash lookup. Work that does not depend on allocator state
@@ -401,7 +394,7 @@ impl<'h> Simulator<'h> {
     /// event in order. A block whose allocation failed leaves its slot
     /// empty, so its accesses are never charged and its free falls
     /// through, exactly as in the reference interpreter.
-    pub fn replay(
+    fn replay(
         &self,
         allocator: &mut CompositeAllocator,
         trace: &CompiledTrace,
@@ -430,7 +423,7 @@ impl<'h> Simulator<'h> {
             if op.is_free() {
                 if let Some((info, pool)) = slab[slot].take() {
                     live_internal_frag -= u64::from(info.internal_fragmentation());
-                    allocator.free_traced(info.addr, pool, &mut ctx);
+                    allocator.free(info.addr, pool, &mut ctx);
                     if let Some(c) = contention.as_mut() {
                         c.charge(pool, ranks[op_idx]);
                     }
@@ -441,7 +434,7 @@ impl<'h> Simulator<'h> {
             let size = sizes[ordinal];
             let (block_reads, block_writes) = (reads[ordinal], writes[ordinal]);
             ordinal += 1;
-            match allocator.alloc_traced(size, &mut ctx) {
+            match allocator.alloc(size, &mut ctx) {
                 Ok((info, pool)) => {
                     allocs += 1;
                     live_internal_frag += u64::from(info.internal_fragmentation());
@@ -475,8 +468,8 @@ impl<'h> Simulator<'h> {
 
     /// The original hash-map interpreter over the uncompiled trace, kept
     /// as the correctness oracle (golden tests and proptests pin it
-    /// byte-identical to [`Self::replay`]) and as the `sim_throughput`
-    /// bench baseline.
+    /// byte-identical to the kernel behind [`Self::run_in_arena`]) and as
+    /// the `sim_throughput` bench baseline.
     ///
     /// # Errors
     ///
@@ -512,26 +505,24 @@ impl<'h> Simulator<'h> {
 
         for event in trace {
             match *event {
-                TraceEvent::Alloc { id, size, tid } => {
-                    match allocator.alloc_traced(size, &mut ctx) {
-                        Ok((info, pool)) => {
-                            allocs += 1;
-                            live_internal_frag += u64::from(info.internal_fragmentation());
-                            peak_internal_frag = peak_internal_frag.max(live_internal_frag);
-                            if let Some(c) = contention.as_mut() {
-                                c.charge(pool, rank_of[&tid.0]);
-                            }
-                            placed.insert(id, (info, pool));
+                TraceEvent::Alloc { id, size, tid } => match allocator.alloc(size, &mut ctx) {
+                    Ok((info, pool)) => {
+                        allocs += 1;
+                        live_internal_frag += u64::from(info.internal_fragmentation());
+                        peak_internal_frag = peak_internal_frag.max(live_internal_frag);
+                        if let Some(c) = contention.as_mut() {
+                            c.charge(pool, rank_of[&tid.0]);
                         }
-                        Err(_) => {
-                            failures += 1;
-                        }
+                        placed.insert(id, (info, pool));
                     }
-                }
+                    Err(_) => {
+                        failures += 1;
+                    }
+                },
                 TraceEvent::Free { id, tid } => {
                     if let Some((info, pool)) = placed.remove(&id) {
                         live_internal_frag -= u64::from(info.internal_fragmentation());
-                        allocator.free_traced(info.addr, pool, &mut ctx);
+                        allocator.free(info.addr, pool, &mut ctx);
                         if let Some(c) = contention.as_mut() {
                             c.charge(pool, rank_of[&tid.0]);
                         }

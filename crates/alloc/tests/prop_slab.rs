@@ -408,13 +408,13 @@ proptest! {
     }
 
     /// Compiling is structurally sound on arbitrary scripts: dense slots,
-    /// exact peak-concurrency slab bound, lifetimes for every alloc.
+    /// exact peak-concurrency slab bound, a hoisted size for every alloc.
     #[test]
     fn compiled_trace_slots_are_dense_and_bounded(ops in arb_ops(500, 150)) {
         let trace = trace_from_ops(&ops);
         let compiled = CompiledTrace::compile(&trace);
         prop_assert_eq!(compiled.len(), trace.len());
-        prop_assert_eq!(compiled.lifetimes().len() as u64, compiled.allocs());
+        prop_assert_eq!(compiled.alloc_sizes().len() as u64, compiled.allocs());
         let stats = dmx_trace::TraceStats::compute(&trace);
         prop_assert_eq!(u64::from(compiled.max_live_slots()), stats.peak_live_blocks);
     }

@@ -657,3 +657,75 @@ fn invalid_strategy_parameters_exit_1_with_a_message() {
         assert!(err.contains(message), "{flags:?}: {err}");
     }
 }
+
+#[test]
+fn edge_case_flags_exit_0_or_1_never_panic() {
+    use dmx_trace::gen::{SyntheticConfig, TraceGenerator};
+    use dmx_trace::textfmt;
+
+    let dir = tmpdir("edge");
+    let trace = dir.join("t.trace");
+    let records = dir.join("t.prof");
+    let trace_text = textfmt::to_string(&SyntheticConfig::uniform_churn(300).generate(3));
+    std::fs::write(&trace, trace_text).unwrap();
+    let sample = ["--strategy", "sample", "--sample-n", "4"];
+    let halving = [
+        "--strategy",
+        "sample",
+        "--sample-n",
+        "4",
+        "--fidelity",
+        "halving",
+    ];
+    let island = [
+        "--strategy",
+        "island",
+        "--population",
+        "4",
+        "--generations",
+        "1",
+    ];
+    for flags in [
+        [&halving[..], &["--keep", "NaN"]].concat(),
+        [&halving[..], &["--rungs", ""]].concat(),
+        [&halving[..], &["--rungs", "0.5,nan,1"]].concat(),
+        [&halving[..], &["--rungs", "1e-300,1"]].concat(),
+        [&halving[..], &["--knn-k", "0"]].concat(),
+        [&island[..], &["--islands", "0"]].concat(),
+        [&island[..], &["--migrate-every", "0"]].concat(),
+        vec!["--strategy", "sample", "--sample-n", "0"],
+        vec!["--strategy", "sample", "--sample-n", "99999999999999999999"],
+        [&sample[..], &["--objectives", ","]].concat(),
+    ] {
+        let out = dmx()
+            .arg("explore")
+            .arg("--trace")
+            .arg(&trace)
+            .arg("--out-records")
+            .arg(&records)
+            .args(&flags)
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            matches!(out.status.code(), Some(0 | 1)) && !err.contains("panicked"),
+            "explore {flags:?} exited {:?}: {err}",
+            out.status.code()
+        );
+    }
+
+    // A trace file is not a records file: a parse error, not a panic.
+    let out = dmx()
+        .arg("pareto")
+        .arg("--records")
+        .arg(&trace)
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        matches!(out.status.code(), Some(0 | 1)) && !err.contains("panicked"),
+        "pareto --records <trace> exited {:?}: {err}",
+        out.status.code()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -46,7 +46,6 @@ pub use aggregate::{aggregate_metrics, Aggregate, ScenarioMetrics};
 pub use robust::{CommonalityReport, CommonalityRow, MultiScenarioEvaluator, RobustOutcome};
 pub use suite::ScenarioSuite;
 
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use dmx_memhier::MemoryHierarchy;
@@ -177,13 +176,6 @@ impl Scenario {
         }
     }
 
-    /// Stable identity of the scenario (hash of its name).
-    pub fn id(&self) -> u64 {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        self.name.hash(&mut hasher);
-        hasher.finish()
-    }
-
     /// Builds the platform and generates the trace for one run.
     /// Deterministic in `run_seed`.
     pub fn materialize(&self, run_seed: u64) -> MaterializedScenario<'_> {
@@ -249,26 +241,6 @@ mod tests {
         ] {
             assert!(!p.build().is_empty(), "{} must build", p.name());
         }
-    }
-
-    #[test]
-    fn scenario_ids_are_name_stable() {
-        let a = Scenario::new(
-            "alpha",
-            WorkloadSpec::Synthetic(SyntheticConfig::bimodal(10)),
-            1,
-            PlatformSpec::DramOnly4m,
-        );
-        let mut b = a.clone();
-        b.seed = 99;
-        assert_eq!(a.id(), b.id(), "id depends on the name only");
-        let c = Scenario::new(
-            "beta",
-            WorkloadSpec::Synthetic(SyntheticConfig::bimodal(10)),
-            1,
-            PlatformSpec::DramOnly4m,
-        );
-        assert_ne!(a.id(), c.id());
     }
 
     #[test]

@@ -355,9 +355,10 @@ mod tests {
         let platforms: std::collections::HashSet<&str> =
             suite.scenarios.iter().map(|s| s.platform.name()).collect();
         assert!(platforms.len() >= 4, "platform diversity: {platforms:?}");
-        // Scenario ids are distinct.
-        let ids: std::collections::HashSet<u64> = suite.scenarios.iter().map(|s| s.id()).collect();
-        assert_eq!(ids.len(), suite.scenarios.len());
+        // Scenario names are distinct.
+        let names: std::collections::HashSet<&str> =
+            suite.scenarios.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names.len(), suite.scenarios.len());
     }
 
     #[test]

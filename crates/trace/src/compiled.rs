@@ -27,9 +27,8 @@
 //! * the issuing thread of each pool op is lowered to a dense
 //!   **rank** — its first-appearance order
 //!   ([`CompiledTrace::op_thread_ranks`]) — so the contention model keeps
-//!   per-thread state in flat arrays instead of maps keyed by raw ids;
-//! * per-allocation **lifetimes** (events between alloc and free) are
-//!   precomputed for placement heuristics and diagnostics;
+//!   per-thread state in flat arrays instead of maps keyed by raw ids
+//!   (the raw thread ids stay on the source [`Trace`](crate::Trace));
 //! * the compile is one O(events) pass, done **once per workload** and
 //!   shared between workers behind an `Arc` — workers never clone the
 //!   event streams.
@@ -111,10 +110,8 @@ pub struct CompiledTrace {
     slots: Vec<u32>,
     /// …first argument (alloc size / access reads / tick cycles)…
     args: Vec<u32>,
-    /// …second argument (access writes; 0 otherwise)…
+    /// …second argument (access writes; 0 otherwise).
     args2: Vec<u32>,
-    /// …issuing thread per event (0 for ticks).
-    tids: Vec<u32>,
     /// Allocator-op stream: allocs and frees only, in event order.
     pool_ops: Vec<PoolOp>,
     /// Dense rank of each pool op's issuing thread, parallel to
@@ -136,9 +133,6 @@ pub struct CompiledTrace {
     /// Sum of all `Tick` cycles (allocator-independent, charged once).
     total_tick_cycles: u64,
     max_live_slots: u32,
-    /// Lifetime (in events, alloc → free) of each allocation, in
-    /// allocation order; blocks live at trace end run to the last event.
-    lifetimes: Vec<u32>,
     allocs: u64,
     frees: u64,
     peak_live_bytes: u64,
@@ -147,15 +141,14 @@ pub struct CompiledTrace {
 impl CompiledTrace {
     /// Lowers `trace` into the compiled form: one O(events) pass that
     /// renames ids to dense recycled slots, splits the stream into SoA
-    /// arrays, and precomputes sizes, lifetimes, per-allocation access
-    /// totals, total tick cycles and the peak live-slot count.
+    /// arrays, and precomputes sizes, per-allocation access totals,
+    /// total tick cycles and the peak live-slot count.
     pub fn compile(trace: &Trace) -> CompiledTrace {
         let len = trace.len();
         let mut kinds = Vec::with_capacity(len);
         let mut slots = Vec::with_capacity(len);
         let mut args = Vec::with_capacity(len);
         let mut args2 = Vec::with_capacity(len);
-        let mut tids = Vec::with_capacity(len);
         let mut pool_ops = Vec::new();
         let mut op_thread_ranks = Vec::new();
         // tid → first-appearance rank among pool ops. Runs of ops by one
@@ -176,15 +169,14 @@ impl CompiledTrace {
         let mut alloc_reads: Vec<u64> = Vec::new();
         let mut alloc_writes: Vec<u64> = Vec::new();
         let mut total_tick_cycles = 0u64;
-        // id → (slot, alloc event index, alloc ordinal) for live blocks.
-        let mut live: HashMap<u64, (u32, usize, usize)> = HashMap::new();
+        // id → (slot, alloc ordinal) for live blocks.
+        let mut live: HashMap<u64, (u32, usize)> = HashMap::new();
         let mut free_slots: Vec<u32> = Vec::new();
         let mut next_slot: u32 = 0;
-        let mut lifetimes: Vec<u32> = Vec::new();
         let mut allocs = 0u64;
         let mut frees = 0u64;
 
-        for (at, event) in trace.iter().enumerate() {
+        for event in trace {
             match *event {
                 TraceEvent::Alloc { id, size, tid } => {
                     let slot = free_slots.pop().unwrap_or_else(|| {
@@ -193,8 +185,7 @@ impl CompiledTrace {
                         assert!(s < PoolOp::FREE_BIT, "slot index overflows the op encoding");
                         s
                     });
-                    live.insert(id.0, (slot, at, lifetimes.len()));
-                    lifetimes.push(0);
+                    live.insert(id.0, (slot, alloc_sizes.len()));
                     alloc_sizes.push(size);
                     alloc_reads.push(0);
                     alloc_writes.push(0);
@@ -203,38 +194,30 @@ impl CompiledTrace {
                     slots.push(slot);
                     args.push(size);
                     args2.push(0);
-                    tids.push(tid.0);
                     pool_ops.push(PoolOp::alloc(slot));
                     op_thread_ranks.push(rank(tid.0));
                 }
                 TraceEvent::Free { id, tid } => {
-                    let (slot, born, ordinal) =
-                        live.remove(&id.0).expect("validated trace frees live ids");
-                    lifetimes[ordinal] = (at - born) as u32;
+                    let (slot, _) = live.remove(&id.0).expect("validated trace frees live ids");
                     free_slots.push(slot);
                     frees += 1;
                     kinds.push(OpCode::Free);
                     slots.push(slot);
                     args.push(0);
                     args2.push(0);
-                    tids.push(tid.0);
                     pool_ops.push(PoolOp::free(slot));
                     op_thread_ranks.push(rank(tid.0));
                 }
                 TraceEvent::Access {
-                    id,
-                    reads,
-                    writes,
-                    tid,
+                    id, reads, writes, ..
                 } => {
-                    let (slot, _, ordinal) = live[&id.0];
+                    let (slot, ordinal) = live[&id.0];
                     alloc_reads[ordinal] += u64::from(reads);
                     alloc_writes[ordinal] += u64::from(writes);
                     kinds.push(OpCode::Access);
                     slots.push(slot);
                     args.push(reads);
                     args2.push(writes);
-                    tids.push(tid.0);
                 }
                 TraceEvent::Tick { cycles } => {
                     total_tick_cycles += u64::from(cycles);
@@ -242,14 +225,8 @@ impl CompiledTrace {
                     slots.push(0);
                     args.push(cycles);
                     args2.push(0);
-                    tids.push(0);
                 }
             }
-        }
-        // Blocks alive at trace end: lifetime runs to the last event.
-        let end = trace.len();
-        for (_, (_, born, ordinal)) in live {
-            lifetimes[ordinal] = (end - born) as u32;
         }
 
         let distinct_op_tids = rank_of.len() as u32;
@@ -259,7 +236,6 @@ impl CompiledTrace {
             slots,
             args,
             args2,
-            tids,
             pool_ops,
             op_thread_ranks,
             distinct_op_tids,
@@ -268,7 +244,6 @@ impl CompiledTrace {
             alloc_writes,
             total_tick_cycles,
             max_live_slots: next_slot,
-            lifetimes,
             allocs,
             frees,
             peak_live_bytes: trace.peak_live_bytes(),
@@ -290,8 +265,7 @@ impl CompiledTrace {
     /// The SoA event streams are a plain cut, but the hoisted
     /// per-allocation data is rebuilt over the window: access totals are
     /// re-accumulated from in-window `Access` events only (a lifetime
-    /// total would charge accesses that happen after the cut), lifetimes
-    /// of blocks still live at the cut run to the window end, and the
+    /// total would charge accesses that happen after the cut), and the
     /// tick/peak/slot summaries are recomputed. Because the dense-slot
     /// and thread-rank assignments of a compile depend only on the event
     /// prefix already consumed, the result is **identical** to compiling
@@ -317,14 +291,13 @@ impl CompiledTrace {
         let mut alloc_sizes = Vec::new();
         let mut alloc_reads: Vec<u64> = Vec::new();
         let mut alloc_writes: Vec<u64> = Vec::new();
-        let mut lifetimes: Vec<u32> = Vec::new();
         let mut total_tick_cycles = 0u64;
         let mut allocs = 0u64;
         let mut frees = 0u64;
-        // slot → (alloc ordinal, alloc event index) for in-window live
-        // blocks. Slots are already dense, so a flat table replaces the
-        // id map that `compile` needs.
-        let mut owner: Vec<(usize, usize)> = vec![(usize::MAX, 0); self.max_live_slots as usize];
+        // slot → alloc ordinal of its in-window live block. Slots are
+        // already dense, so a flat table replaces the id map that
+        // `compile` needs.
+        let mut owner: Vec<usize> = vec![0; self.max_live_slots as usize];
         let mut live_bytes = 0u64;
         let mut peak_live_bytes = 0u64;
         let mut max_live_slots = 0u32;
@@ -334,11 +307,10 @@ impl CompiledTrace {
             match self.kinds[at] {
                 OpCode::Alloc => {
                     let size = self.args[at];
-                    owner[slot as usize] = (alloc_sizes.len(), at);
+                    owner[slot as usize] = alloc_sizes.len();
                     alloc_sizes.push(size);
                     alloc_reads.push(0);
                     alloc_writes.push(0);
-                    lifetimes.push(0);
                     allocs += 1;
                     pool_ops.push(PoolOp::alloc(slot));
                     live_bytes += u64::from(size);
@@ -349,28 +321,19 @@ impl CompiledTrace {
                     max_live_slots = max_live_slots.max(slot + 1);
                 }
                 OpCode::Free => {
-                    let (ordinal, born) = owner[slot as usize];
-                    lifetimes[ordinal] = (at - born) as u32;
-                    owner[slot as usize] = (usize::MAX, 0);
+                    let ordinal = owner[slot as usize];
                     frees += 1;
                     pool_ops.push(PoolOp::free(slot));
                     live_bytes -= u64::from(alloc_sizes[ordinal]);
                 }
                 OpCode::Access => {
-                    let (ordinal, _) = owner[slot as usize];
+                    let ordinal = owner[slot as usize];
                     alloc_reads[ordinal] += u64::from(self.args[at]);
                     alloc_writes[ordinal] += u64::from(self.args2[at]);
                 }
                 OpCode::Tick => total_tick_cycles += u64::from(self.args[at]),
             }
         }
-        // Blocks whose lifetime crosses the cut run to the window end.
-        for &(ordinal, born) in &owner {
-            if ordinal != usize::MAX {
-                lifetimes[ordinal] = (cut - born) as u32;
-            }
-        }
-
         // First-appearance ranks depend only on the ops already seen, so
         // the window's ranks are the first ones of the full stream and
         // its distinct count is one past the highest rank among them.
@@ -382,7 +345,6 @@ impl CompiledTrace {
             slots: self.slots[..cut].to_vec(),
             args: self.args[..cut].to_vec(),
             args2: self.args2[..cut].to_vec(),
-            tids: self.tids[..cut].to_vec(),
             pool_ops,
             op_thread_ranks,
             distinct_op_tids,
@@ -391,7 +353,6 @@ impl CompiledTrace {
             alloc_writes,
             total_tick_cycles,
             max_live_slots,
-            lifetimes,
             allocs,
             frees,
             peak_live_bytes,
@@ -411,18 +372,12 @@ impl CompiledTrace {
         &self.pool_ops
     }
 
-    /// Issuing thread of each event, parallel to the full event stream
-    /// (0 for ticks, which are thread-agnostic).
-    pub fn tids(&self) -> &[u32] {
-        &self.tids
-    }
-
     /// Dense rank of each pool op's issuing thread, parallel to
     /// [`Self::pool_ops`] — the stream the contention model consumes. A
     /// thread's rank is the order in which it first issues a pool op, so
     /// ranks lie in `0..`[`Self::distinct_op_tids`] and a replayer can
     /// keep per-thread state in a flat array. The raw thread ids stay
-    /// available per event through [`Self::tids`].
+    /// on the source [`Trace`].
     pub fn op_thread_ranks(&self) -> &[u32] {
         &self.op_thread_ranks
     }
@@ -477,12 +432,6 @@ impl CompiledTrace {
     /// size a replayer needs.
     pub fn max_live_slots(&self) -> u32 {
         self.max_live_slots
-    }
-
-    /// Per-allocation lifetimes in events (alloc → free, or alloc → end
-    /// of trace for blocks never freed), in allocation order.
-    pub fn lifetimes(&self) -> &[u32] {
-        &self.lifetimes
     }
 
     /// Total allocations in the trace.
@@ -582,14 +531,13 @@ mod tests {
     }
 
     #[test]
-    fn lifetimes_cover_freed_and_leaked_blocks() {
+    fn counts_cover_freed_and_leaked_blocks() {
         let t = Trace::from_events(
             "t",
             vec![alloc(1, 8), TraceEvent::tick(5), free(1), alloc(2, 8)],
         )
         .unwrap();
         let c = CompiledTrace::compile(&t);
-        assert_eq!(c.lifetimes(), [2, 1], "freed at +2; leaked runs to end");
         assert_eq!(c.allocs(), 2);
         assert_eq!(c.frees(), 1);
         assert_eq!(c.total_tick_cycles(), 5);
@@ -662,7 +610,6 @@ mod tests {
         assert_eq!(u64::from(c.max_live_slots()), stats.peak_live_blocks);
         assert_eq!(c.allocs(), stats.allocs);
         assert_eq!(c.frees(), stats.frees);
-        assert_eq!(c.lifetimes().len() as u64, c.allocs());
         assert_eq!(c.alloc_sizes().len() as u64, c.allocs());
         assert_eq!(c.pool_ops().len() as u64, c.allocs() + c.frees());
         // The hoisted totals must cover exactly the stream's accesses
@@ -754,7 +701,7 @@ mod tests {
     #[test]
     fn prefix_adjusts_hoisted_totals_at_the_cut() {
         // Block 1 lives across the cut: only its in-window accesses may
-        // be charged, and its lifetime must end at the window.
+        // be charged, and it stays live in the window's slab.
         let t = Trace::from_events(
             "t",
             vec![
@@ -777,11 +724,7 @@ mod tests {
         );
         assert_eq!(p.alloc_writes(), [2]);
         assert_eq!(p.total_tick_cycles(), 9);
-        assert_eq!(
-            p.lifetimes(),
-            [3],
-            "live-at-cut lifetime runs to the window end"
-        );
+        assert_eq!(p.max_live_slots(), 1, "live-at-cut block keeps its slot");
         assert_eq!(p.allocs(), 1);
         assert_eq!(p.frees(), 0);
         assert_eq!(p.pool_ops().len(), 1);
@@ -807,8 +750,8 @@ mod tests {
     fn tid_lowering_preserves_thread_identity() {
         use crate::event::ThreadId;
         // Producer thread 1 allocates, consumer thread 2 frees; a tick
-        // separates them. Events keep their raw tids; pool ops carry the
-        // threads' first-appearance ranks.
+        // separates them. Pool ops carry the threads' first-appearance
+        // ranks.
         let t = Trace::from_events(
             "t",
             vec![
@@ -820,7 +763,6 @@ mod tests {
         )
         .unwrap();
         let c = CompiledTrace::compile(&t);
-        assert_eq!(c.tids(), [1, 2, 0, 2]);
         assert_eq!(c.op_thread_ranks(), [0, 1]);
         assert_eq!(c.distinct_op_tids(), 2);
         assert!(c.is_threaded());

@@ -8,7 +8,7 @@
 //! * [`TraceEvent`] / [`Trace`] — a validated sequence of
 //!   allocate / free / access / compute-tick events;
 //! * [`CompiledTrace`] — the replay-optimized lowering (dense recycled
-//!   block slots, baked-in sizes, precomputed lifetimes) the simulation
+//!   block slots, baked-in sizes, hoisted access totals) the simulation
 //!   kernel consumes; built once per workload and `Arc`-shared;
 //! * [`TraceStats`] — profiled statistics (dominant block sizes, peak live
 //!   footprint, lifetimes) that seed the exploration's parameter space;

@@ -1307,40 +1307,14 @@ fn custom_allocator_config(hier: &MemoryHierarchy) -> AllocatorConfig {
 
 #[test]
 fn custom_allocator_example_reproduces_pinned_metrics() {
-    use dmx_alloc::pool::{BuddyPool, FixedBlockPool, GeneralPool, SegregatedPool};
-    use dmx_alloc::CompositeAllocator;
-
     let hier = dmx_memhier::presets::sp32k_sram256k_dram8m();
     let sim = Simulator::new(&hier);
     let trace = SyntheticConfig::bimodal(20_000).generate(7);
     let config = custom_allocator_config(&hier);
 
-    let (l1, l2, main) = (
-        hier.fastest(),
-        hier.id_by_name("L2-sram").unwrap(),
-        hier.slowest(),
-    );
-    let mut built = CompositeAllocator::builder(&hier)
-        .dedicated(64, FixedBlockPool::new(l1, 64, 64))
-        .ranged(1, 256, SegregatedPool::new(l2, 16, 256, 4096))
-        .ranged(257, 4096, BuddyPool::new(l2, 6, 14))
-        .fallback(GeneralPool::new(
-            main,
-            FitPolicy::BestFit,
-            FreeOrder::AddressOrdered,
-            CoalescePolicy::Immediate,
-            SplitPolicy::MinRemainder(16),
-            8,
-            16 * 1024,
-        ))
-        .build()
-        .unwrap();
-    let by_hand = sim.run_built(&mut built, &trace);
-
     let reference = sim.run_reference(&config, &trace).unwrap();
     let run = sim.run(&config, &trace).unwrap();
     assert_eq!(run, reference, "Simulator::run vs run_reference");
-    assert_eq!(by_hand, reference, "builder + run_built vs run_reference");
     assert_eq!(run.failures, 0);
     assert_eq!(run.total_accesses(), 2_239_835);
     assert_eq!(run.footprint, 36_864);

@@ -37,7 +37,7 @@ proptest! {
     }
 
     /// A prefix view equals a fresh compile of the truncated source
-    /// trace — same slots, same hoisted access totals, same lifetimes —
+    /// trace — same slots, same hoisted access totals, same thread ranks —
     /// for any fraction. This is what lets the screening rungs reuse the
     /// replay kernel unchanged.
     #[test]
