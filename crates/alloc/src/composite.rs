@@ -158,18 +158,24 @@ impl CompositeAllocator {
 mod tests {
     use super::*;
     use crate::config::{AllocatorConfig, PoolKind, PoolSpec, Route};
+    use crate::error::BuildError;
     use crate::policy::{CoalescePolicy, FitPolicy, FreeOrder, SplitPolicy};
     use dmx_memhier::{presets, LevelId};
 
-    /// Builds `pools` followed by a first-fit general fallback on L1.
-    fn build(hier: &MemoryHierarchy, mut pools: Vec<PoolSpec>) -> CompositeAllocator {
-        pools.push(PoolSpec::general(
+    /// A first-fit general fallback on L1.
+    fn general_fallback() -> PoolSpec {
+        PoolSpec::general(
             LevelId(1),
             FitPolicy::FirstFit,
             FreeOrder::Lifo,
             CoalescePolicy::Immediate,
             SplitPolicy::MinRemainder(16),
-        ));
+        )
+    }
+
+    /// Builds `pools` followed by [`general_fallback`].
+    fn build(hier: &MemoryHierarchy, mut pools: Vec<PoolSpec>) -> CompositeAllocator {
+        pools.push(general_fallback());
         AllocatorConfig { pools }.build(hier).unwrap()
     }
 
@@ -232,6 +238,24 @@ mod tests {
         }
         assert!(spilled, "overflow must reach the fallback pool");
         a.validate();
+    }
+
+    #[test]
+    fn build_requires_exactly_one_fallback() {
+        let hier = presets::sp64k_dram4m();
+        let err = AllocatorConfig {
+            pools: vec![PoolSpec::fixed(74, LevelId(0))],
+        }
+        .build(&hier)
+        .unwrap_err();
+        assert_eq!(err, BuildError::NoFallbackPool);
+
+        let err = AllocatorConfig {
+            pools: vec![general_fallback(), general_fallback()],
+        }
+        .build(&hier)
+        .unwrap_err();
+        assert_eq!(err, BuildError::MultipleFallbackPools);
     }
 
     #[test]
