@@ -80,4 +80,4 @@ pub use freelist::FreeList;
 pub use freemap::FreeMap;
 pub use policy::{CoalescePolicy, FitPolicy, FreeOrder, SplitPolicy};
 pub use pool::PoolStats;
-pub use sim::{ContentionParams, SimArena, SimMetrics, Simulator};
+pub use sim::{ContentionParams, ReplayState, SimArena, SimMetrics, Simulator};

@@ -11,7 +11,9 @@
 //! slots, accesses and ticks hoisted out of the op stream — so per-op
 //! bookkeeping is a flat slab index instead of a hash lookup, and on a
 //! reusable [`SimArena`] so the slab is allocated once per worker, not
-//! once per genome.
+//! once per genome. [`Simulator::start`] exposes the same replay as a
+//! [`ReplayState`] that can pause between pool ops and report metrics
+//! so far, which the exhaustive sweep uses to stop dominated replays.
 //!
 //! [`Simulator::run_reference`] keeps the original hash-map interpreter
 //! (over the uncompiled [`Trace`]) as a correctness oracle and throughput
@@ -248,12 +250,16 @@ type SlabEntry = Option<(BlockInfo, PoolId)>;
 ///
 /// The only allocation the slab kernel needs that scales with the
 /// workload is the live-block slab (`max_live_slots` entries). A worker
-/// keeps one arena across all the genomes it evaluates; each run resets
-/// the slab in place instead of reallocating, and the arena counts runs,
-/// reuses and events for the `--sim-stats` report.
+/// keeps one arena across all the genomes it evaluates; each replay
+/// resets the slab in place instead of reallocating, and the arena counts
+/// the replays run to the end, slab reuses and events for the
+/// `--sim-stats` report.
 #[derive(Debug, Default)]
 pub struct SimArena {
     slab: Vec<SlabEntry>,
+    /// Whether any replay has started on this arena (the first start is
+    /// never a reuse).
+    started: bool,
     runs: u64,
     reuses: u64,
     events: u64,
@@ -265,27 +271,29 @@ impl SimArena {
         SimArena::default()
     }
 
-    /// Runs replayed through this arena.
+    /// Replays run to the end ([`ReplayState::finish`]) through this
+    /// arena. A replay dropped before its end is not counted.
     pub fn runs(&self) -> u64 {
         self.runs
     }
 
-    /// Runs that reused the existing slab allocation instead of growing
-    /// it — the arena's whole point; the first run is never a reuse.
+    /// Replays that reused the existing slab allocation instead of growing
+    /// it — the arena's whole point; the first replay is never a reuse.
     pub fn reuses(&self) -> u64 {
         self.reuses
     }
 
-    /// Total logical trace events replayed through this arena.
+    /// Total logical trace events of the replays counted by
+    /// [`Self::runs`].
     pub fn events_replayed(&self) -> u64 {
         self.events
     }
 
-    /// Readies the slab for a run needing `slots` entries, reusing the
+    /// Readies the slab for a replay needing `slots` entries, reusing the
     /// existing allocation when it is big enough.
-    fn prepare(&mut self, slots: usize) -> &mut [SlabEntry] {
+    fn prepare(&mut self, slots: usize) {
         if self.slab.len() >= slots {
-            if self.runs > 0 {
+            if self.started {
                 self.reuses += 1;
             }
             self.slab[..slots].fill(None);
@@ -293,18 +301,156 @@ impl SimArena {
             self.slab.clear();
             self.slab.resize(slots, None);
         }
-        self.runs += 1;
-        &mut self.slab[..slots]
+        self.started = true;
     }
 }
 
-/// Scalar tallies a replay hands to [`Simulator::finish`].
+/// Scalar tallies a replay folds into [`SimMetrics`].
 struct OpTallies {
     allocs: u64,
     frees: u64,
     failures: u64,
     tick_cycles: u64,
     peak_internal_frag: u64,
+}
+
+/// One kernel replay of a compiled trace, paused between pool ops.
+///
+/// [`Simulator::start`] builds the allocator and readies the arena;
+/// [`Self::advance`] replays pool ops up to a cursor; [`Self::snapshot`]
+/// reads the metrics as if the trace ended at the cursor; and
+/// [`Self::finish`] replays the rest and returns the final metrics.
+/// [`Simulator::run_in_arena`] is `start` then `finish`, so a replay
+/// advanced in steps and one run straight through walk the same op loop
+/// and end with byte-identical metrics.
+///
+/// Footprint (a peak), accesses, contention stalls, cycles and energy
+/// only grow as the cursor moves, and a snapshot charges the whole
+/// trace's compute ticks, so every snapshot is a lower bound on the
+/// final value of each of them. The tail latency is a p99 and has no
+/// such bound.
+pub struct ReplayState<'a> {
+    sim: Simulator<'a>,
+    allocator: CompositeAllocator,
+    trace: &'a CompiledTrace,
+    arena: &'a mut SimArena,
+    ctx: AllocCtx,
+    tallies: OpTallies,
+    live_internal_frag: u64,
+    contention: Option<ContentionState>,
+    /// Allocations replayed so far (the index into the per-alloc
+    /// streams).
+    ordinal: usize,
+    /// Pool ops replayed so far.
+    cursor: usize,
+    _span: dmx_obs::SpanGuard,
+}
+
+impl ReplayState<'_> {
+    /// Pool ops replayed so far.
+    pub fn position(&self) -> usize {
+        self.cursor
+    }
+
+    /// Replays pool ops up to (not including) op `to_op`, clamped to the
+    /// trace's op count; a cursor already past `to_op` stays put.
+    ///
+    /// The loop walks only the allocator-visible pool-op stream
+    /// ([`CompiledTrace::pool_ops`]); every op costs a slab index, never
+    /// a hash lookup. Work that does not depend on allocator state is
+    /// hoisted out of it: a block's lifetime application accesses
+    /// ([`CompiledTrace::alloc_reads`] / [`CompiledTrace::alloc_writes`])
+    /// are charged when it is placed, and the trace's compute ticks
+    /// ([`CompiledTrace::total_tick_cycles`]) once per replay. Both are
+    /// pure additive sums, so the metrics are byte-identical to charging
+    /// each event in order. A block whose allocation failed leaves its
+    /// slot empty, so its accesses are never charged and its free falls
+    /// through, exactly as in the reference interpreter.
+    pub fn advance(&mut self, to_op: usize) {
+        let trace = self.trace;
+        let end = to_op.min(trace.pool_ops().len());
+        if end <= self.cursor {
+            return;
+        }
+        let sizes = trace.alloc_sizes();
+        let reads = trace.alloc_reads();
+        let writes = trace.alloc_writes();
+        let ranks = trace.op_thread_ranks();
+        let slab = &mut self.arena.slab[..];
+        let allocator = &mut self.allocator;
+        let ctx = &mut self.ctx;
+        let contention = &mut self.contention;
+        let OpTallies {
+            mut allocs,
+            mut frees,
+            mut failures,
+            mut peak_internal_frag,
+            ..
+        } = self.tallies;
+        let mut live_internal_frag = self.live_internal_frag;
+        let mut ordinal = self.ordinal;
+
+        for (op_idx, &op) in trace.pool_ops()[..end].iter().enumerate().skip(self.cursor) {
+            let slot = op.slot() as usize;
+            if op.is_free() {
+                if let Some((info, pool)) = slab[slot].take() {
+                    live_internal_frag -= u64::from(info.internal_fragmentation());
+                    allocator.free(info.addr, pool, ctx);
+                    if let Some(c) = contention.as_mut() {
+                        c.charge(pool, ranks[op_idx]);
+                    }
+                    frees += 1;
+                }
+                continue;
+            }
+            let size = sizes[ordinal];
+            let (block_reads, block_writes) = (reads[ordinal], writes[ordinal]);
+            ordinal += 1;
+            match allocator.alloc(size, ctx) {
+                Ok((info, pool)) => {
+                    allocs += 1;
+                    live_internal_frag += u64::from(info.internal_fragmentation());
+                    peak_internal_frag = peak_internal_frag.max(live_internal_frag);
+                    ctx.app_access(info.level, block_reads, block_writes);
+                    if let Some(c) = contention.as_mut() {
+                        c.charge(pool, ranks[op_idx]);
+                    }
+                    debug_assert!(slab[slot].is_none(), "slot already live");
+                    slab[slot] = Some((info, pool));
+                }
+                // The block never materializes, and no pool was touched,
+                // so no contention is charged.
+                Err(_) => failures += 1,
+            }
+        }
+
+        self.tallies.allocs = allocs;
+        self.tallies.frees = frees;
+        self.tallies.failures = failures;
+        self.tallies.peak_internal_frag = peak_internal_frag;
+        self.live_internal_frag = live_internal_frag;
+        self.ordinal = ordinal;
+        self.cursor = end;
+    }
+
+    /// The metrics as if the trace ended at the cursor, with the whole
+    /// trace's compute ticks charged: a lower bound on the final value of
+    /// every metric except [`SimMetrics::tail_latency`].
+    pub fn snapshot(&self) -> SimMetrics {
+        self.sim
+            .metrics(&self.ctx, &self.tallies, self.contention.as_ref())
+    }
+
+    /// Replays the rest of the trace and returns the final metrics,
+    /// counting the replay and its events on the arena.
+    pub fn finish(mut self) -> SimMetrics {
+        self.advance(usize::MAX);
+        let events = self.trace.len() as u64;
+        self.arena.runs += 1;
+        self.arena.events += events;
+        dmx_obs::metrics().kernel_events.add(events);
+        self.snapshot()
+    }
 }
 
 /// Replays traces against allocator configurations over a fixed platform.
@@ -378,92 +524,47 @@ impl<'h> Simulator<'h> {
         trace: &CompiledTrace,
         arena: &mut SimArena,
     ) -> Result<SimMetrics, BuildError> {
-        let mut allocator = config.build(self.hierarchy)?;
-        Ok(self.replay(&mut allocator, trace, arena))
+        Ok(self.start(config, trace, arena)?.finish())
     }
 
-    /// The replay kernel. It walks only the allocator-visible pool-op
-    /// stream ([`CompiledTrace::pool_ops`]); every op costs a slab index,
-    /// never a hash lookup. Work that does not depend on allocator state
-    /// is hoisted out of the loop: a block's lifetime application
-    /// accesses ([`CompiledTrace::alloc_reads`] /
-    /// [`CompiledTrace::alloc_writes`]) are charged when it is placed,
-    /// and the trace's compute ticks
-    /// ([`CompiledTrace::total_tick_cycles`]) once per run. Both are pure
-    /// additive sums, so the metrics are byte-identical to charging each
-    /// event in order. A block whose allocation failed leaves its slot
-    /// empty, so its accesses are never charged and its free falls
-    /// through, exactly as in the reference interpreter.
-    fn replay(
+    /// Builds `config` and readies a replay of the compiled `trace`
+    /// through `arena`, with the cursor before the first pool op.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::run`].
+    pub fn start<'a>(
         &self,
-        allocator: &mut CompositeAllocator,
-        trace: &CompiledTrace,
-        arena: &mut SimArena,
-    ) -> SimMetrics {
-        let _span = dmx_obs::span(dmx_obs::names::KERNEL_REPLAY, trace.len() as u64);
+        config: &AllocatorConfig,
+        trace: &'a CompiledTrace,
+        arena: &'a mut SimArena,
+    ) -> Result<ReplayState<'a>, BuildError>
+    where
+        'h: 'a,
+    {
+        let allocator = config.build(self.hierarchy)?;
+        let span = dmx_obs::span(dmx_obs::names::KERNEL_REPLAY, trace.len() as u64);
         dmx_obs::metrics().kernel_replays.incr();
-        dmx_obs::metrics().kernel_events.add(trace.len() as u64);
-        let mut ctx = AllocCtx::new(self.hierarchy.len());
-        let mut allocs = 0u64;
-        let mut frees = 0u64;
-        let mut failures = 0u64;
-        let mut live_internal_frag = 0u64;
-        let mut peak_internal_frag = 0u64;
-        let mut contention =
-            self.contention_state(trace.distinct_op_tids(), allocator.pool_count());
-        let sizes = trace.alloc_sizes();
-        let reads = trace.alloc_reads();
-        let writes = trace.alloc_writes();
-        let ranks = trace.op_thread_ranks();
-        let mut ordinal = 0usize;
-        let slab = arena.prepare(trace.max_live_slots() as usize);
-
-        for (op_idx, &op) in trace.pool_ops().iter().enumerate() {
-            let slot = op.slot() as usize;
-            if op.is_free() {
-                if let Some((info, pool)) = slab[slot].take() {
-                    live_internal_frag -= u64::from(info.internal_fragmentation());
-                    allocator.free(info.addr, pool, &mut ctx);
-                    if let Some(c) = contention.as_mut() {
-                        c.charge(pool, ranks[op_idx]);
-                    }
-                    frees += 1;
-                }
-                continue;
-            }
-            let size = sizes[ordinal];
-            let (block_reads, block_writes) = (reads[ordinal], writes[ordinal]);
-            ordinal += 1;
-            match allocator.alloc(size, &mut ctx) {
-                Ok((info, pool)) => {
-                    allocs += 1;
-                    live_internal_frag += u64::from(info.internal_fragmentation());
-                    peak_internal_frag = peak_internal_frag.max(live_internal_frag);
-                    ctx.app_access(info.level, block_reads, block_writes);
-                    if let Some(c) = contention.as_mut() {
-                        c.charge(pool, ranks[op_idx]);
-                    }
-                    debug_assert!(slab[slot].is_none(), "slot already live");
-                    slab[slot] = Some((info, pool));
-                }
-                // The block never materializes, and no pool was touched,
-                // so no contention is charged.
-                Err(_) => failures += 1,
-            }
-        }
-        arena.events += trace.len() as u64;
-
-        self.finish(
-            ctx,
-            OpTallies {
-                allocs,
-                frees,
-                failures,
+        arena.prepare(trace.max_live_slots() as usize);
+        Ok(ReplayState {
+            sim: *self,
+            contention: self.contention_state(trace.distinct_op_tids(), allocator.pool_count()),
+            allocator,
+            trace,
+            arena,
+            ctx: AllocCtx::new(self.hierarchy.len()),
+            tallies: OpTallies {
+                allocs: 0,
+                frees: 0,
+                failures: 0,
                 tick_cycles: trace.total_tick_cycles(),
-                peak_internal_frag,
+                peak_internal_frag: 0,
             },
-            contention,
-        )
+            live_internal_frag: 0,
+            ordinal: 0,
+            cursor: 0,
+            _span: span,
+        })
     }
 
     /// The original hash-map interpreter over the uncompiled trace, kept
@@ -542,32 +643,32 @@ impl<'h> Simulator<'h> {
             }
         }
 
-        Ok(self.finish(
-            ctx,
-            OpTallies {
+        Ok(self.metrics(
+            &ctx,
+            &OpTallies {
                 allocs,
                 frees,
                 failures,
                 tick_cycles,
                 peak_internal_frag,
             },
-            contention,
+            contention.as_ref(),
         ))
     }
 
-    /// Folds the accounting context into the final metrics (shared by
-    /// the kernel and the reference interpreter). `contention` is
-    /// `None` for single-threaded replays, which therefore report zero
+    /// Folds the accounting context into metrics (shared by the kernel
+    /// and the reference interpreter). `contention` is `None` for
+    /// single-threaded replays, which therefore report zero
     /// stalls/tail-latency and the exact pre-threading cycle count.
-    fn finish(
+    fn metrics(
         &self,
-        ctx: AllocCtx,
-        tallies: OpTallies,
-        contention: Option<ContentionState>,
+        ctx: &AllocCtx,
+        tallies: &OpTallies,
+        contention: Option<&ContentionState>,
     ) -> SimMetrics {
         let params = CostParams::default();
         let cost = CostModel::with_params(self.hierarchy, params);
-        let (contention_stalls, tail_latency) = match &contention {
+        let (contention_stalls, tail_latency) = match contention {
             Some(c) => (c.stalls(), c.tail_latency(params.cpu_cycles_per_op)),
             None => (0, 0),
         };
@@ -584,8 +685,8 @@ impl<'h> Simulator<'h> {
             failures: tallies.failures,
             peak_internal_frag: tallies.peak_internal_frag,
             ops: ctx.ops,
-            counters: ctx.counters,
-            meta_counters: ctx.meta_counters,
+            counters: ctx.counters.clone(),
+            meta_counters: ctx.meta_counters.clone(),
             contention_stalls,
             tail_latency,
         }
@@ -1156,6 +1257,80 @@ mod tests {
         assert_eq!(c.tail_latency(12), 12 + 40, "p99 op saw 1 other");
         c.dist = vec![];
         assert_eq!(c.tail_latency(12), 0, "no ops observed");
+    }
+
+    /// Every metric a snapshot bounds: all but the p99 tail latency.
+    fn bounded(m: &SimMetrics) -> [u64; 5] {
+        [
+            m.footprint,
+            m.total_accesses(),
+            m.cycles,
+            m.energy_pj,
+            m.contention_stalls,
+        ]
+    }
+
+    #[test]
+    fn stepped_replay_matches_straight_run_and_snapshots_bound_it() {
+        let hier = presets::sp64k_dram4m();
+        let sim = Simulator::new(&hier);
+        let server = dmx_trace::gen::ServerMixConfig::small().generate(5);
+        for (trace, cfg) in [
+            (EasyportConfig::small().generate(3), baseline(&hier)),
+            (
+                EasyportConfig::small().generate(4),
+                AllocatorConfig::paper_example(&hier),
+            ),
+            (cross_thread_trace(), segregated_tier(&hier)),
+            (server, baseline(&hier)),
+        ] {
+            let compiled = CompiledTrace::compile(&trace);
+            let want = sim.run_reference(&cfg, &trace).unwrap();
+            let ops = compiled.pool_ops().len();
+            let mut arena = SimArena::new();
+            let mut replay = sim.start(&cfg, &compiled, &mut arena).unwrap();
+            let mut prev = [0u64; 5];
+            for to_op in [1, 7, 7, 3, 250, ops / 2, ops + 9] {
+                let was_at = replay.position();
+                replay.advance(to_op);
+                assert_eq!(replay.position(), to_op.min(ops).max(was_at));
+                let now = bounded(&replay.snapshot());
+                for (k, ((&p, &n), &end)) in prev.iter().zip(&now).zip(&bounded(&want)).enumerate()
+                {
+                    assert!(p <= n, "{}: metric {k} fell from {p} to {n}", cfg.label());
+                    assert!(
+                        n <= end,
+                        "{}: metric {k} snapshot above its final value",
+                        cfg.label()
+                    );
+                }
+                prev = now;
+            }
+            assert_eq!(replay.finish(), want, "stepped replay of {}", cfg.label());
+            assert_eq!(arena.runs(), 1);
+            assert_eq!(arena.events_replayed(), compiled.len() as u64);
+        }
+    }
+
+    #[test]
+    fn abandoned_replays_count_as_started_not_run() {
+        let hier = presets::sp64k_dram4m();
+        let sim = Simulator::new(&hier);
+        let compiled = CompiledTrace::compile(&EasyportConfig::small().generate(9));
+        let cfg = baseline(&hier);
+        let mut arena = SimArena::new();
+        let mut replay = sim.start(&cfg, &compiled, &mut arena).unwrap();
+        replay.advance(100);
+        drop(replay);
+        let full = sim.run_in_arena(&cfg, &compiled, &mut arena).unwrap();
+        assert_eq!(
+            full,
+            sim.run_in_arena(&cfg, &compiled, &mut SimArena::new())
+                .unwrap()
+        );
+        assert_eq!(arena.runs(), 1, "only the replay run to the end counts");
+        assert_eq!(arena.reuses(), 1, "the second start reused the slab");
+        assert_eq!(arena.events_replayed(), compiled.len() as u64);
     }
 
     #[test]

@@ -12,13 +12,14 @@
 //! * **front quality** — the 4-island front recovers ≥ 99 % of the
 //!   single-GA front's 2-D hypervolume (migration + cache sharing must
 //!   not cost quality at equal budget);
-//! * **determinism** — the island run is byte-identical at 1 and
-//!   `max(4, cpus)` evaluation workers (merge by island id, never by
-//!   completion order);
-//! * **speedup** — wall clock of the threaded run over the 1-worker run,
-//!   ≥ 1.5× when the machine actually has ≥ 4 CPUs (on smaller machines
-//!   the number is recorded but cannot be a gate: there is no parallelism
-//!   to buy).
+//! * **determinism** — the island run is byte-identical at every worker
+//!   count from 1 to the machine's CPUs and at `max(4, cpus)` (merge by
+//!   island id, never by completion order);
+//! * **scaling** — island throughput (simulations per second) at each
+//!   worker count from 1 to the machine's CPUs; the speedup at all CPUs
+//!   over 1 worker must reach half the CPU count (the floor scales with
+//!   the machine, so a 1-CPU box records a flat curve instead of
+//!   skipping the check).
 //!
 //! The headline numbers land in `BENCH_island_scaling.json`; CI validates
 //! them against `crates/bench/floors/island_scaling.json`.
@@ -88,11 +89,11 @@ fn bench_island_scaling(c: &mut Criterion) {
         &Objective::FIG1,
     );
 
-    // Wall-clock: the same island search at 1 worker and at the threaded
-    // worker count. Both runs must produce byte-identical output, so the
-    // comparison times exactly the same work. Each configuration is timed
-    // twice and the best run kept — one stall on a noisy shared CI runner
-    // must not decide a pass/fail gate.
+    // Wall-clock curve: the same island search at every worker count from
+    // 1 to the machine's CPUs. Every run must produce byte-identical
+    // output, so the curve times exactly the same work. Each point is
+    // timed twice and the best run kept — one stall on a noisy shared CI
+    // runner must not decide a pass/fail gate.
     let time_run = |threads: usize| -> (Duration, SearchOutcome) {
         let mut best: Option<(Duration, SearchOutcome)> = None;
         for _ in 0..2 {
@@ -110,23 +111,44 @@ fn bench_island_scaling(c: &mut Criterion) {
         }
         best.expect("two timed runs")
     };
-    let (t1, island_seq) = time_run(1);
-    let (tn, island_par) = time_run(threads_hi);
-
-    assert_eq!(
-        fingerprint(&island_seq),
-        fingerprint(&island_par),
-        "island output must be byte-identical across worker counts"
+    let curve: Vec<(usize, Duration, SearchOutcome)> = (1..=cpus)
+        .map(|threads| {
+            let (t, outcome) = time_run(threads);
+            (threads, t, outcome)
+        })
+        .collect();
+    let (_, t1, island_seq) = &curve[0];
+    let (_, tn, island_par) = curve.last().expect("at least one worker count");
+    // Determinism also holds with more workers than CPUs.
+    let oversubscribed = Explorer::new(&hierarchy).with_threads(threads_hi).search(
+        &island,
+        &space,
+        &trace,
+        &Objective::FIG1,
     );
-    assert_eq!(island_seq.front.points, island_par.front.points);
-    assert_eq!(island_seq.islands, island_par.islands);
+    for (threads, _, outcome) in curve.iter().skip(1) {
+        assert_eq!(
+            fingerprint(island_seq),
+            fingerprint(outcome),
+            "island output at {threads} workers differs from 1 worker"
+        );
+        assert_eq!(island_seq.front.points, outcome.front.points);
+        assert_eq!(island_seq.islands, outcome.islands);
+    }
+    assert_eq!(fingerprint(island_seq), fingerprint(&oversubscribed));
+    assert_eq!(island_seq.islands, oversubscribed.islands);
     assert_eq!(
         island_seq.simulations, island_seq.evaluations,
         "cache sharing: one simulation per distinct genome across all islands"
     );
 
-    let coverage = front_coverage_pct(&front_2d(&island_par), &front_2d(&single_outcome));
+    let coverage = front_coverage_pct(&front_2d(island_par), &front_2d(&single_outcome));
     let speedup = t1.as_secs_f64() / tn.as_secs_f64().max(1e-9);
+    // Island throughput in simulations per second at each worker count.
+    let throughput: Vec<f64> = curve
+        .iter()
+        .map(|(_, t, o)| o.simulations as f64 / t.as_secs_f64().max(1e-9))
+        .collect();
 
     println!("\n==== island scaling: {} configurations ====", space.len());
     println!(
@@ -151,15 +173,16 @@ fn bench_island_scaling(c: &mut Criterion) {
             s.last_improved_generation
         );
     }
-    println!(
-        "wall clock: {:.2}s at 1 worker, {:.2}s at {} workers -> {speedup:.2}x ({cpus} cpus)",
-        t1.as_secs_f64(),
-        tn.as_secs_f64(),
-        threads_hi
-    );
+    for ((threads, t, _), rate) in curve.iter().zip(&throughput) {
+        println!(
+            "wall clock at {threads:>2} workers: {:.3}s, {rate:.0} simulations/sec",
+            t.as_secs_f64()
+        );
+    }
+    println!("speedup at {cpus} workers over 1: {speedup:.2}x");
 
     // Acceptance bars. Quality and budget parity always hold; the
-    // parallel-speedup bar needs parallel hardware to be meaningful.
+    // speedup floor scales with the CPU count (see the floor file).
     assert!(
         island_par.evaluations <= single_outcome.evaluations * 11 / 10,
         "island budget ({}) must stay within 10% of the single GA ({})",
@@ -170,26 +193,15 @@ fn bench_island_scaling(c: &mut Criterion) {
         coverage >= 99.0,
         "4-island front covers only {coverage:.1}% of the single-GA front"
     );
-    // The speedup gate is explicit about whether it ran: on < 4 CPUs the
-    // record says so instead of silently passing, and the floor check
-    // reads this field to decide whether the speedup floor applies.
-    let speedup_check = if cpus >= 4 {
-        assert!(
-            speedup >= 1.5,
-            "4 islands on {cpus} cpus reached only {speedup:.2}x over 1 worker"
-        );
-        "ok"
-    } else {
-        "skipped: cpus < 4"
-    };
 
+    let list = |values: Vec<String>| format!("[{}]", values.join(", "));
     dmx_bench::write_bench_json(
         "island_scaling",
         &[
             ("bench", dmx_bench::json_str("island_scaling")),
             ("space", space.len().to_string()),
             ("islands", "4".to_owned()),
-            ("workers", threads_hi.to_string()),
+            ("workers", cpus.to_string()),
             (
                 "single_ga_evaluations",
                 single_outcome.evaluations.to_string(),
@@ -200,15 +212,23 @@ fn bench_island_scaling(c: &mut Criterion) {
                 dmx_bench::json_num(coverage),
             ),
             (
-                "wallclock_1_worker_sec",
-                dmx_bench::json_num(t1.as_secs_f64()),
+                "curve_workers",
+                list(curve.iter().map(|(w, _, _)| w.to_string()).collect()),
             ),
             (
-                "wallclock_threaded_sec",
-                dmx_bench::json_num(tn.as_secs_f64()),
+                "curve_wallclock_sec",
+                list(
+                    curve
+                        .iter()
+                        .map(|(_, t, _)| dmx_bench::json_num(t.as_secs_f64()))
+                        .collect(),
+                ),
+            ),
+            (
+                "curve_simulations_per_sec",
+                list(throughput.iter().map(|&r| dmx_bench::json_num(r)).collect()),
             ),
             ("speedup", dmx_bench::json_num(speedup)),
-            ("speedup_check", dmx_bench::json_str(speedup_check)),
             ("deterministic_across_workers", "true".to_owned()),
         ],
     );

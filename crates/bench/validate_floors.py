@@ -27,6 +27,9 @@ where a check is one of
 ``{"max_ratio_of": ["<other_field>", r]}``
     the record field must be ``<= record[other_field] * r`` (budget
     parity);
+``{"min_ratio_of": ["<other_field>", r]}``
+    the record field must be ``>= record[other_field] * r`` (a speedup
+    floor that scales with the worker count);
 ``..., "gate": "<field>"``
     the check applies only when ``record[<field>]`` is ``"ok"``; a value
     starting with ``"skipped"`` skips the check and reports why (e.g. a
@@ -86,6 +89,15 @@ def check_field(errors, name, doc, field, spec):
         limit = doc[other] * ratio
         if got > limit:
             fail(errors, f"{name}: {field} = {got!r} exceeds {ratio} x {other} ({limit:g})")
+            return
+    if "min_ratio_of" in spec:
+        other, ratio = spec["min_ratio_of"]
+        if other not in doc:
+            fail(errors, f"{name}: ratio base field {other!r} missing from record")
+            return
+        limit = doc[other] * ratio
+        if not isinstance(got, (int, float)) or isinstance(got, bool) or got < limit:
+            fail(errors, f"{name}: {field} = {got!r} below {ratio} x {other} ({limit:g})")
             return
     print(f"  ok   {field} = {got!r}")
 

@@ -588,7 +588,14 @@ fn explore(rest: &[&String]) -> Result<(), String> {
     if let Some(plan) = &fidelity {
         explorer = explorer.with_fidelity(plan);
     }
-    let outcome = explorer.search(strategy.as_ref(), &*space, &trace, &objectives);
+    // The default sweep lists every configuration with exact metrics: the
+    // records, the CSV and the summary's range factors cover the whole
+    // space, so it never prunes.
+    let outcome = if strategy.name() == ExhaustiveSearch.name() && fidelity.is_none() {
+        explorer.sweep(&*space, &trace, &objectives)
+    } else {
+        explorer.search(strategy.as_ref(), &*space, &trace, &objectives)
+    };
     obs.finish()?;
     eprintln!(
         "strategy `{}`: {} simulations for a space of {} ({} cache hits), {} Pareto points",

@@ -779,6 +779,11 @@ fn default_exhaustive_explore_reproduces_pinned_outputs() {
         runs.push(digests);
     }
     assert_eq!(runs[0], runs[1], "worker count changed the outputs");
-    assert_eq!(runs[0], (RECORDS_FNV, CSV_FNV, SUMMARY_FNV), "{:#x?}", runs[0]);
+    assert_eq!(
+        runs[0],
+        (RECORDS_FNV, CSV_FNV, SUMMARY_FNV),
+        "{:#x?}",
+        runs[0]
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -267,9 +267,11 @@ fn fidelity_json(stats: &crate::search::FidelityStats, indent: &str) -> String {
 
 /// Serializes a single-workload [`SearchOutcome`] as one JSON object:
 /// the workload, strategy, evaluation/cache statistics, the Pareto
-/// front (with genomes), and — for island runs — the per-island
-/// convergence statistics that previously only went to stderr. This is
-/// the `--json` export for classic (non-suite) exploration.
+/// front (with genomes), the configurations a pruned exhaustive sweep
+/// stopped early (when it stopped any), and — for island runs — the
+/// per-island convergence statistics that previously only went to
+/// stderr. This is the `--json` export for classic (non-suite)
+/// exploration.
 ///
 /// [`SearchOutcome`]: crate::search::SearchOutcome
 pub fn search_to_json(outcome: &crate::search::SearchOutcome, objectives: &[Objective]) -> String {
@@ -302,8 +304,40 @@ pub fn search_to_json(outcome: &crate::search::SearchOutcome, objectives: &[Obje
             "  ",
         )
     );
+    if !outcome.pruned.is_empty() {
+        let _ = writeln!(s, "  \"pruned\": {},", pruned_json(&outcome.pruned, "  "));
+    }
     let _ = writeln!(s, "  \"islands\": {}", islands_json(&outcome.islands, "  "));
     s.push_str("}\n");
+    s
+}
+
+/// Serializes the configurations a pruned exhaustive sweep stopped
+/// early as a JSON array: label, genome, the pool op and trace fraction
+/// where the replay stopped, and the label of the front point that
+/// dominated it. Only emitted when the sweep pruned something, so every
+/// other export stays byte-identical.
+fn pruned_json(pruned: &[crate::search::PrunedConfig], indent: &str) -> String {
+    let mut s = String::from("[");
+    for (k, p) in pruned.iter().enumerate() {
+        if k > 0 {
+            s.push(',');
+        }
+        let _ = write!(
+            s,
+            "\n{indent}  {{\"label\": \"{}\", \"genome\": {:?}, \"stopped_at_op\": {}, \
+             \"trace_fraction\": {}, \"dominated_by\": \"{}\"}}",
+            json_escape(&p.label),
+            p.genome,
+            p.stopped_at_op,
+            p.trace_fraction,
+            json_escape(&p.dominated_by)
+        );
+    }
+    if !pruned.is_empty() {
+        let _ = write!(s, "\n{indent}");
+    }
+    s.push(']');
     s
 }
 
@@ -510,6 +544,45 @@ mod tests {
         // Balanced braces, one object per front point.
         assert_eq!(json.matches('{').count(), front.len());
         assert_eq!(json.matches('}').count(), front.len());
+    }
+
+    #[test]
+    fn search_json_explains_each_pruned_config() {
+        use crate::study::{easyport_space, easyport_trace, StudyScale};
+        let hier = presets::sp64k_dram4m();
+        let space = easyport_space(&hier, StudyScale::Quick);
+        let trace = easyport_trace(StudyScale::Quick, 42);
+        let explorer = Explorer::new(&hier);
+        let outcome = explorer.search(&crate::ExhaustiveSearch, &space, &trace, &Objective::FIG1);
+        assert!(!outcome.pruned.is_empty(), "the fixture must prune");
+        let json = search_to_json(&outcome, &Objective::FIG1);
+        assert!(json.contains("\"pruned\": ["), "{json}");
+        assert_eq!(
+            json.matches("\"stopped_at_op\"").count(),
+            outcome.pruned.len()
+        );
+        for p in &outcome.pruned {
+            assert!(json.contains(&format!(
+                "\"label\": \"{}\", \"genome\": {:?}, \"stopped_at_op\": {}, \
+                 \"trace_fraction\": {}, \"dominated_by\": \"{}\"",
+                p.label, p.genome, p.stopped_at_op, p.trace_fraction, p.dominated_by
+            )));
+            // Exact results only: a pruned config never shows up with
+            // partial metrics.
+            assert!(outcome
+                .exploration
+                .results
+                .iter()
+                .all(|r| r.label != p.label));
+        }
+        // Strategies that never prune export no list at all.
+        let sampled = explorer.search(
+            &crate::SubsampleSearch { n: 8, seed: 1 },
+            &space,
+            &trace,
+            &Objective::FIG1,
+        );
+        assert!(!search_to_json(&sampled, &Objective::FIG1).contains("\"pruned\""));
     }
 
     #[test]

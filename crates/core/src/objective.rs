@@ -41,6 +41,16 @@ impl Objective {
         }
     }
 
+    /// `true` if this objective can only grow while a trace is replayed,
+    /// so a mid-replay [`dmx_alloc::ReplayState::snapshot`] is a lower
+    /// bound on its final value. Footprint is a peak, accesses and
+    /// contention stalls are running sums, and cycles and energy are
+    /// increasing functions of those sums. The tail latency is a p99 of
+    /// per-op charges and can fall as more ops are observed.
+    pub fn monotone(self) -> bool {
+        !matches!(self, Objective::TailLatency)
+    }
+
     /// Column/axis name for exports.
     pub fn name(self) -> &'static str {
         match self {
@@ -119,6 +129,20 @@ mod tests {
         assert_eq!(Objective::Cycles.extract(&m), 999);
         assert_eq!(Objective::TailLatency.extract(&m), 52);
         assert_eq!(Objective::ContentionStalls.extract(&m), 123);
+    }
+
+    #[test]
+    fn only_the_tail_latency_can_fall_during_a_replay() {
+        let all = [
+            Objective::Accesses,
+            Objective::Footprint,
+            Objective::EnergyPj,
+            Objective::Cycles,
+            Objective::TailLatency,
+            Objective::ContentionStalls,
+        ];
+        let falling: Vec<Objective> = all.into_iter().filter(|o| !o.monotone()).collect();
+        assert_eq!(falling, [Objective::TailLatency]);
     }
 
     #[test]

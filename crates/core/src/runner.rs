@@ -7,11 +7,10 @@ use dmx_profile::ProfileRecord;
 use dmx_trace::{CompiledTrace, Trace};
 
 use crate::objective::Objective;
-use crate::param::ParamSpace;
 use crate::pareto::{pareto_front, ParetoSet};
 use crate::search::{
     simulate_jobs, EvalInstance, FidelityPlan, RunKind, SearchContext, SearchOutcome,
-    SearchStrategy,
+    SearchStrategy, SimStats,
 };
 use crate::space::GenomeSpace;
 
@@ -149,15 +148,52 @@ impl<'h> Explorer<'h> {
         self
     }
 
-    /// Enumerates `space` and simulates every configuration against
-    /// `trace`.
-    pub fn run(&self, space: &ParamSpace, trace: &Trace) -> Exploration {
-        let configs: Vec<AllocatorConfig> = space.iter_configs(self.hierarchy).collect();
-        self.run_configs(configs, trace)
+    /// Enumerates `space` — the odometer [`crate::ParamSpace`], the
+    /// [`crate::GrammarSpace`], … — and simulates every configuration to
+    /// the end of `trace`: exact metrics for every configuration, in
+    /// enumeration order. [`crate::ExhaustiveSearch`] finds the same
+    /// front faster, but stops replaying configurations it proves
+    /// dominated.
+    pub fn run(&self, space: &dyn GenomeSpace, trace: &Trace) -> Exploration {
+        self.simulate(self.space_configs(space), trace).0
+    }
+
+    /// [`Self::run`] as a [`SearchOutcome`] under the strategy name
+    /// `exhaustive`: every configuration of `space` in `exploration`
+    /// (none pruned), its genome, and the front on `objectives`.
+    pub fn sweep(
+        &self,
+        space: &dyn GenomeSpace,
+        trace: &Trace,
+        objectives: &[Objective],
+    ) -> SearchOutcome {
+        let (exploration, sim_stats) = self.simulate(self.space_configs(space), trace);
+        let front = exploration.pareto(objectives);
+        SearchOutcome {
+            strategy: crate::ExhaustiveSearch.name().to_owned(),
+            genomes: (0..space.len()).map(|i| space.genome_at(i)).collect(),
+            evaluations: exploration.results.len(),
+            simulations: exploration.results.len(),
+            cache_hits: 0,
+            exploration,
+            front,
+            scenario_explorations: Vec::new(),
+            sim_stats,
+            islands: Vec::new(),
+            fidelity: None,
+            pruned: Vec::new(),
+        }
+    }
+
+    /// Every configuration of `space`, in enumeration order.
+    fn space_configs(&self, space: &dyn GenomeSpace) -> Vec<AllocatorConfig> {
+        (0..space.len())
+            .map(|i| space.config_at(self.hierarchy, &space.genome_at(i)))
+            .collect()
     }
 
     /// Explores `space` — any [`GenomeSpace`]: the odometer
-    /// [`ParamSpace`], the [`crate::GrammarSpace`], … — with a guided
+    /// [`crate::ParamSpace`], the [`crate::GrammarSpace`], … — with a guided
     /// [`SearchStrategy`] (genetic, hill-climbing, subsampled, or the
     /// exhaustive baseline), minimizing `objectives`. The strategy
     /// evaluates through a memoized cache and this explorer's
@@ -193,32 +229,40 @@ impl<'h> Explorer<'h> {
     /// always produce valid configurations, and hand-built lists should be
     /// validated by the caller first.
     pub fn run_configs(&self, configs: Vec<AllocatorConfig>, trace: &Trace) -> Exploration {
+        self.simulate(configs, trace).0
+    }
+
+    /// Simulates `configs` against `trace` in parallel, with the fan-out's
+    /// kernel counters.
+    fn simulate(&self, configs: Vec<AllocatorConfig>, trace: &Trace) -> (Exploration, SimStats) {
         let sim = Simulator::new(self.hierarchy);
         // Compile once; every worker replays the same lowered stream
         // through its own reusable arena.
         let compiled = CompiledTrace::compile(trace);
-        let (results, _) = simulate_jobs(RunKind::Full, configs.len(), self.threads, |i, arena| {
-            let config = configs[i].clone();
-            let metrics = sim
-                .run_in_arena(&config, &compiled, arena)
-                .expect("explored configurations must be valid");
-            RunResult {
-                label: config.label(),
-                config,
-                metrics,
-            }
-        });
-        Exploration {
+        let (results, stats) =
+            simulate_jobs(RunKind::Full, configs.len(), self.threads, |i, arena| {
+                let config = configs[i].clone();
+                let metrics = sim
+                    .run_in_arena(&config, &compiled, arena)
+                    .expect("explored configurations must be valid");
+                RunResult {
+                    label: config.label(),
+                    config,
+                    metrics,
+                }
+            });
+        let exploration = Exploration {
             workload: trace.name().to_owned(),
             results,
-        }
+        };
+        (exploration, stats)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::param::PlacementStrategy;
+    use crate::param::{ParamSpace, PlacementStrategy};
     use dmx_alloc::{CoalescePolicy, FitPolicy, FreeOrder, SplitPolicy};
     use dmx_memhier::presets;
     use dmx_trace::gen::{EasyportConfig, TraceGenerator};

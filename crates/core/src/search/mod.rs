@@ -87,7 +87,7 @@ use dmx_trace::{CompiledTrace, Trace};
 use crate::constraint::ConstraintSet;
 use crate::objective::Objective;
 use crate::param::Genome;
-use crate::pareto::ParetoSet;
+use crate::pareto::{dominates, ParetoSet};
 use crate::runner::{Exploration, RunResult};
 use crate::sample::sample_indices;
 use crate::scenario::{aggregate_metrics, Aggregate, ScenarioMetrics};
@@ -259,6 +259,15 @@ pub struct SimStats {
     /// Full simulations: one per genome × instance simulated on the
     /// whole trace (equals [`SearchOutcome::simulations`]).
     pub runs: u64,
+    /// Trace events replayed by pruned replays before they stopped.
+    pub pruned_events: u64,
+    /// Pruned replays: one per configuration the pruned
+    /// [`ExhaustiveSearch`] stopped once a front point dominated it (one
+    /// per [`SearchOutcome::pruned`] entry).
+    pub pruned_runs: u64,
+    /// Trace events pruned replays skipped: each one's events after the
+    /// point where it stopped.
+    pub skipped_events: u64,
     /// Trace events replayed by screening runs.
     pub screen_events: u64,
     /// Screening runs: one per genome × prefix instance replayed by a
@@ -276,6 +285,9 @@ impl AddAssign for SimStats {
     fn add_assign(&mut self, other: SimStats) {
         self.events += other.events;
         self.runs += other.runs;
+        self.pruned_events += other.pruned_events;
+        self.pruned_runs += other.pruned_runs;
+        self.skipped_events += other.skipped_events;
         self.screen_events += other.screen_events;
         self.screen_runs += other.screen_runs;
         self.arena_reuses += other.arena_reuses;
@@ -284,13 +296,13 @@ impl AddAssign for SimStats {
 }
 
 impl SimStats {
-    /// Replay throughput in events per second over runs of both kinds
+    /// Replay throughput in events per second over replays of every kind
     /// (0 when nothing ran).
     pub fn events_per_sec(&self) -> f64 {
         if self.nanos == 0 {
             0.0
         } else {
-            (self.events + self.screen_events) as f64 * 1e9 / self.nanos as f64
+            (self.events + self.pruned_events + self.screen_events) as f64 * 1e9 / self.nanos as f64
         }
     }
 
@@ -302,10 +314,14 @@ impl SimStats {
     pub fn render(&self, cache_hits: usize) -> String {
         format!(
             "sim stats: {} events replayed in {} full simulations, \
+             {} events in {} pruned replays ({} events skipped), \
              {} events in {} screening runs, {:.0} events/sec, \
              {} arena reuses, {} cache hits",
             self.events,
             self.runs,
+            self.pruned_events,
+            self.pruned_runs,
+            self.skipped_events,
             self.screen_events,
             self.screen_runs,
             self.events_per_sec(),
@@ -357,10 +373,13 @@ pub struct SearchOutcome {
     /// the same order — the cross-scenario identity of a configuration
     /// (labels are per-platform and may differ between scenarios).
     pub genomes: Vec<Genome>,
-    /// Distinct configurations evaluated (the search's real cost unit).
+    /// Distinct configurations the search settled: those simulated to
+    /// the end plus those [`Self::pruned`] proved dominated. An
+    /// exhaustive search therefore reports the whole space.
     pub evaluations: usize,
-    /// Total simulator runs (= `evaluations` × instances in
-    /// multi-instance contexts).
+    /// Simulator runs to the end of the trace: one per
+    /// `exploration.results` entry and instance (pruned replays are not
+    /// counted).
     pub simulations: usize,
     /// Evaluation requests served from the evaluator's memo table instead
     /// of the simulator.
@@ -383,6 +402,54 @@ pub struct SearchOutcome {
     /// What the multi-fidelity layer did, when the context carried a
     /// [`FidelityPlan`]. `None` for full-fidelity searches.
     pub fidelity: Option<FidelityStats>,
+    /// The configurations the pruned [`ExhaustiveSearch`] stopped
+    /// replaying because a finished front point already dominated them,
+    /// in genome order. None of them is in `exploration.results`. Empty
+    /// for every other strategy.
+    pub pruned: Vec<PrunedConfig>,
+}
+
+/// A configuration whose replay the pruned [`ExhaustiveSearch`] stopped
+/// early: its running objective vector was strictly dominated by a
+/// feasible front point of an earlier wave. The running vector bounds
+/// the final one from below, so the final metrics are dominated too and
+/// the configuration cannot be on the front.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PrunedConfig {
+    /// The configuration's canonical genome.
+    pub genome: Genome,
+    /// Its label.
+    pub label: String,
+    /// Pool ops replayed when the replay stopped.
+    pub stopped_at_op: usize,
+    /// Fraction of the trace's events replayed when the replay stopped.
+    pub trace_fraction: f64,
+    /// Label of the front point that dominated it.
+    pub dominated_by: String,
+}
+
+/// Pool ops a pruned replay runs between two dominance checks.
+const PRUNE_CHECK_OPS: usize = 1024;
+
+/// Configurations per wave of the pruned exhaustive sweep. A constant,
+/// not a function of the worker count, so the bound every wave sees —
+/// and with it the pruned set — is the same at any `DMX_THREADS`.
+const PRUNE_WAVE: usize = 64;
+
+/// A feasible result on the pruning bound: its objective vector and the
+/// label a pruned configuration names as its dominator.
+#[derive(Debug)]
+struct BoundPoint {
+    point: Vec<u64>,
+    label: String,
+}
+
+/// How one replay of the pruned sweep ended.
+enum Settled {
+    /// Ran to the end of the trace.
+    Full(RunResult),
+    /// Stopped early, with the events it had replayed.
+    Pruned(PrunedConfig, usize),
 }
 
 /// Why a strategy's parameters cannot run, as reported by
@@ -584,6 +651,11 @@ pub struct Evaluator<'a> {
     /// full-trace rung; its prefix rungs keep their own tables, so
     /// fronts stay full-fidelity-only.
     screener: Option<MultiFidelityEvaluator>,
+    /// Configurations the pruned sweep stopped early, in settle order.
+    pruned: Vec<PrunedConfig>,
+    /// The pruned sweep's bound: the feasible non-dominated points among
+    /// the results of the waves settled so far, in settle order.
+    bound: Vec<BoundPoint>,
 }
 
 impl<'a> Evaluator<'a> {
@@ -609,6 +681,8 @@ impl<'a> Evaluator<'a> {
             screener: ctx
                 .fidelity
                 .map(|plan| MultiFidelityEvaluator::new(plan, ctx)),
+            pruned: Vec::new(),
+            bound: Vec::new(),
         }
     }
 
@@ -622,9 +696,122 @@ impl<'a> Evaluator<'a> {
         self.cache_hits
     }
 
-    /// Distinct configurations evaluated so far.
+    /// Distinct configurations settled so far: simulated to the end or
+    /// pruned.
     pub fn evaluations(&self) -> usize {
-        self.table.len()
+        self.table.len() + self.pruned.len()
+    }
+
+    /// Whether [`ExhaustiveSearch`] may prune under this context: classic
+    /// mode (one instance, no aggregate), full fidelity, and only
+    /// objectives a mid-replay snapshot bounds from below
+    /// ([`Objective::monotone`]).
+    fn can_prune(&self) -> bool {
+        let ctx = &self.ctx;
+        ctx.aggregate.is_none()
+            && ctx.fidelity.is_none()
+            && !ctx.objectives.is_empty()
+            && ctx.objectives.iter().all(|o| o.monotone())
+    }
+
+    /// Settles one wave of the pruned exhaustive sweep: `genomes` are
+    /// canonical, distinct and fresh. Every replay checks after each
+    /// [`PRUNE_CHECK_OPS`] pool ops (`checkpoints` holds the events
+    /// consumed at each check) whether its snapshot's objective vector is
+    /// strictly dominated by a point of the bound the earlier waves left,
+    /// and stops if it is. The bound only grows between waves, so the
+    /// outcome does not depend on which worker ran which replay.
+    fn eval_wave(&mut self, genomes: &[Genome], checkpoints: &[usize]) {
+        let _span = dmx_obs::span(dmx_obs::names::EVAL_BATCH, genomes.len() as u64);
+        dmx_obs::metrics().eval_batches.incr();
+        dmx_obs::metrics().eval_fresh.add(genomes.len() as u64);
+        let ctx = self.ctx;
+        let hierarchy = ctx.instances[0].hierarchy;
+        let trace: &CompiledTrace = &ctx.instances[0].trace;
+        let sim = Simulator::new(hierarchy);
+        let bound = &self.bound;
+        // With nothing to compare against, checking would be wasted work.
+        let checkpoints = if bound.is_empty() {
+            &[][..]
+        } else {
+            checkpoints
+        };
+        let (settled, mut stats) =
+            simulate_jobs(RunKind::Full, genomes.len(), ctx.threads, |j, arena| {
+                let config = ctx.space.config_at(hierarchy, &genomes[j]);
+                let mut replay = sim
+                    .start(&config, trace, arena)
+                    .expect("space genomes materialize to valid configurations");
+                for (m, &events) in checkpoints.iter().enumerate() {
+                    replay.advance((m + 1) * PRUNE_CHECK_OPS);
+                    let snapshot = replay.snapshot();
+                    let point: Vec<u64> = ctx
+                        .objectives
+                        .iter()
+                        .map(|o| o.extract(&snapshot))
+                        .collect();
+                    if let Some(dominator) = bound.iter().find(|b| dominates(&b.point, &point)) {
+                        let pruned = PrunedConfig {
+                            genome: genomes[j].clone(),
+                            label: config.label(),
+                            stopped_at_op: replay.position(),
+                            trace_fraction: events as f64 / trace.len() as f64,
+                            dominated_by: dominator.label.clone(),
+                        };
+                        return Settled::Pruned(pruned, events);
+                    }
+                }
+                Settled::Full(RunResult {
+                    label: config.label(),
+                    metrics: replay.finish(),
+                    config,
+                })
+            });
+        for (genome, settled) in genomes.iter().zip(settled) {
+            match settled {
+                Settled::Full(result) => {
+                    let result = Arc::new(result);
+                    if result.metrics.feasible() {
+                        self.raise_bound(&result);
+                    }
+                    let entry = Entry {
+                        parts: vec![Arc::clone(&result)],
+                        folded: result,
+                    };
+                    self.table.insert(genome.clone(), entry);
+                }
+                Settled::Pruned(pruned, events) => {
+                    stats.pruned_runs += 1;
+                    stats.pruned_events += events as u64;
+                    stats.skipped_events += (trace.len() - events) as u64;
+                    self.pruned.push(pruned);
+                }
+            }
+        }
+        self.sim_stats += stats;
+    }
+
+    /// Adds a feasible full result to the pruning bound, unless a bound
+    /// point dominates or equals it, and drops the points it dominates.
+    fn raise_bound(&mut self, result: &RunResult) {
+        let point: Vec<u64> = self
+            .ctx
+            .objectives
+            .iter()
+            .map(|o| o.extract(&result.metrics))
+            .collect();
+        if self
+            .bound
+            .iter()
+            .any(|b| b.point == point || dominates(&b.point, &point))
+        {
+            return;
+        }
+        self.bound.retain(|b| !dominates(&point, &b.point));
+        self.bound.push(BoundPoint {
+            point,
+            label: result.label.clone(),
+        });
     }
 
     /// Evaluates a batch of genomes, returning one shared result per
@@ -740,7 +927,9 @@ impl<'a> Evaluator<'a> {
                 results,
             })
             .collect();
-        let evaluations = results.len();
+        let mut pruned = self.pruned;
+        pruned.sort_unstable_by(|a, b| a.genome.cmp(&b.genome));
+        let evaluations = results.len() + pruned.len();
         let exploration = Exploration { workload, results };
         let front = exploration.pareto(ctx.objectives);
         SearchOutcome {
@@ -755,15 +944,26 @@ impl<'a> Evaluator<'a> {
             sim_stats: self.sim_stats,
             islands: Vec::new(),
             fidelity,
+            pruned,
         }
     }
 }
 
 /// The exhaustive baseline behind the [`SearchStrategy`] interface: every
-/// configuration of the space, evaluated once. Equivalent to
-/// [`crate::Explorer::run`] plus a Pareto pass, and useful as the
+/// configuration of the space is settled once, and the front is exactly
+/// the front of [`crate::Explorer::run`] plus a Pareto pass — the
 /// reference when measuring how much of the front a guided strategy
 /// recovers.
+///
+/// In classic mode, at full fidelity and on objectives that only grow
+/// during a replay ([`Objective::monotone`]), the sweep prunes: it runs
+/// the space in order, in waves of a fixed size, and each replay stops
+/// as soon as its running objective vector is strictly dominated by a
+/// feasible front point of an earlier wave. Such a configuration cannot
+/// reach the front; it is listed in [`SearchOutcome::pruned`] instead of
+/// in the results, which hold exact metrics only. Use
+/// [`crate::Explorer::run`] when every configuration's metrics are
+/// needed.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExhaustiveSearch;
 
@@ -777,7 +977,14 @@ impl SearchStrategy for ExhaustiveSearch {
         let genomes: Vec<Genome> = (0..ctx.space.len())
             .map(|i| ctx.space.genome_at(i))
             .collect();
-        evaluator.eval_batch(&genomes);
+        if evaluator.can_prune() {
+            let checkpoints = ctx.instances[0].trace.events_at_op_strides(PRUNE_CHECK_OPS);
+            for wave in genomes.chunks(PRUNE_WAVE) {
+                evaluator.eval_wave(wave, &checkpoints);
+            }
+        } else {
+            evaluator.eval_batch(&genomes);
+        }
         evaluator.into_outcome(self.name())
     }
 }
@@ -845,27 +1052,99 @@ mod tests {
         assert_eq!(parse_thread_budget(Some("")), (cores, Some("")));
     }
 
+    /// The pruning contract: the pruned sweep settles every
+    /// configuration once, finds the front of the every-config
+    /// [`Explorer::run`] sweep, reports exact metrics for every
+    /// configuration it ran to the end, and prunes only configurations
+    /// whose final metrics the named front point strictly dominates —
+    /// the same set at any worker count.
     #[test]
     fn exhaustive_search_matches_explorer_run() {
         let hier = presets::sp64k_dram4m();
         let space = easyport_space(&hier, StudyScale::Quick);
         let trace = easyport_trace(StudyScale::Quick, 42);
         let inst = EvalInstance::single(&hier, &trace);
-        let ctx = quick_ctx(&space, &inst);
+        let classic = Explorer::new(&hier).run(&space, &trace);
+        let metrics: HashMap<&str, &SimMetrics> = classic
+            .results
+            .iter()
+            .map(|r| (r.label.as_str(), &r.metrics))
+            .collect();
+        let point =
+            |m: &SimMetrics| -> Vec<u64> { Objective::FIG1.iter().map(|o| o.extract(m)).collect() };
+        let all: Vec<Genome> = (0..space.len()).map(|i| space.genome_at(i)).collect();
+        let events = inst.trace.len() as u64;
+
+        let mut pruned_sets = Vec::new();
+        for threads in [1, 4] {
+            let ctx = SearchContext {
+                threads,
+                ..quick_ctx(&space, &inst)
+            };
+            let outcome = ExhaustiveSearch.search(&ctx);
+            let results = &outcome.exploration.results;
+            assert_eq!(outcome.evaluations, space.len());
+            assert_eq!(outcome.simulations, results.len());
+            assert_eq!(outcome.genomes.len(), results.len());
+            assert_eq!(outcome.simulations + outcome.pruned.len(), space.len());
+            assert!(outcome.scenario_explorations.is_empty());
+            let mut settled: Vec<Genome> = outcome.genomes.clone();
+            settled.extend(outcome.pruned.iter().map(|p| p.genome.clone()));
+            settled.sort();
+            assert_eq!(settled, all, "every configuration settled exactly once");
+
+            // Same front as the classic exhaustive runner (indices may
+            // differ, the point sets must not), exact results throughout.
+            assert_eq!(
+                outcome.front.points,
+                classic.pareto(&Objective::FIG1).points
+            );
+            for r in results {
+                assert_eq!(&r.metrics, metrics[r.label.as_str()], "{}", r.label);
+            }
+            for p in &outcome.pruned {
+                let dominator = metrics[p.dominated_by.as_str()];
+                assert!(
+                    dominator.feasible(),
+                    "{} names an infeasible point",
+                    p.label
+                );
+                assert!(
+                    crate::pareto::dominates(&point(dominator), &point(metrics[p.label.as_str()])),
+                    "{} is not dominated by {}",
+                    p.label,
+                    p.dominated_by
+                );
+                assert!(p.trace_fraction > 0.0 && p.trace_fraction < 1.0);
+                assert!(p.stopped_at_op > 0 && p.stopped_at_op % PRUNE_CHECK_OPS == 0);
+            }
+
+            let stats = outcome.sim_stats;
+            assert_eq!(stats.runs as usize, outcome.simulations);
+            assert_eq!(stats.events, stats.runs * events, "only full replays");
+            assert_eq!(stats.pruned_runs as usize, outcome.pruned.len());
+            assert_eq!(
+                stats.pruned_events + stats.skipped_events,
+                stats.pruned_runs * events
+            );
+            pruned_sets.push(outcome.pruned);
+        }
+        assert!(!pruned_sets[0].is_empty(), "the fixture must prune");
+        assert_eq!(
+            pruned_sets[0], pruned_sets[1],
+            "worker count changed the pruned set"
+        );
+
+        // A p99 objective can fall during a replay: nothing is pruned.
+        let objectives = [Objective::Footprint, Objective::TailLatency];
+        let ctx = SearchContext {
+            objectives: &objectives,
+            ..quick_ctx(&space, &inst)
+        };
         let outcome = ExhaustiveSearch.search(&ctx);
-        assert_eq!(outcome.evaluations, space.len());
+        assert!(outcome.pruned.is_empty());
         assert_eq!(outcome.simulations, space.len());
         assert_eq!(outcome.exploration.results.len(), space.len());
-        assert_eq!(outcome.genomes.len(), space.len());
-        assert!(outcome.scenario_explorations.is_empty());
-
-        // Same front as the classic exhaustive runner (indices may differ,
-        // the point sets must not).
-        let classic = Explorer::new(&hier).run(&space, &trace);
-        assert_eq!(
-            outcome.front.points,
-            classic.pareto(&Objective::FIG1).points
-        );
     }
 
     #[test]

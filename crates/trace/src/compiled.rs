@@ -372,6 +372,34 @@ impl CompiledTrace {
         &self.pool_ops
     }
 
+    /// Events consumed at each `stride`-th pool-op boundary inside the
+    /// op stream: entry `m` is the number of events up to and including
+    /// pool op `(m + 1) * stride - 1`, which is where a replay that has
+    /// run `(m + 1) * stride` pool ops stands in the event stream. Only
+    /// boundaries before the last pool op are listed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stride` is zero.
+    pub fn events_at_op_strides(&self, stride: usize) -> Vec<usize> {
+        assert!(stride > 0, "stride must be positive");
+        let total = self.pool_ops.len();
+        let mut out = Vec::with_capacity(total.saturating_sub(1) / stride);
+        let mut ops = 0usize;
+        for (at, kind) in self.kinds.iter().enumerate() {
+            if matches!(kind, OpCode::Alloc | OpCode::Free) {
+                ops += 1;
+                if ops == total {
+                    break;
+                }
+                if ops.is_multiple_of(stride) {
+                    out.push(at + 1);
+                }
+            }
+        }
+        out
+    }
+
     /// Dense rank of each pool op's issuing thread, parallel to
     /// [`Self::pool_ops`] — the stream the contention model consumes. A
     /// thread's rank is the order in which it first issues a pool op, so
@@ -599,6 +627,44 @@ mod tests {
         assert_eq!(c.alloc_reads(), [7, 1], "3+4 reads on #1, 1 on leaked #2");
         assert_eq!(c.alloc_writes(), [2, 1]);
         assert_eq!(c.total_tick_cycles(), 11);
+    }
+
+    #[test]
+    fn op_stride_boundaries_count_the_events_consumed() {
+        let t = Trace::from_events(
+            "t",
+            vec![
+                alloc(1, 64),
+                TraceEvent::access(BlockId(1), 3, 2),
+                alloc(2, 128),
+                TraceEvent::tick(9),
+                free(1),
+                TraceEvent::access(BlockId(2), 1, 1),
+                alloc(3, 8),
+                free(2),
+                TraceEvent::tick(2),
+            ],
+        )
+        .unwrap();
+        let c = CompiledTrace::compile(&t);
+        assert_eq!(c.pool_ops().len(), 5);
+        assert_eq!(c.events_at_op_strides(1), [1, 3, 5, 7]);
+        assert_eq!(c.events_at_op_strides(2), [3, 7]);
+        assert_eq!(c.events_at_op_strides(4), [7]);
+        assert!(c.events_at_op_strides(5).is_empty(), "op 5 is the last one");
+        // Each boundary is where the prefix holding that many ops ends.
+        let big = CompiledTrace::compile(&EasyportConfig::small().generate(2));
+        for (m, &events) in big.events_at_op_strides(100).iter().enumerate() {
+            let ops = big.kinds[..events]
+                .iter()
+                .filter(|k| matches!(k, OpCode::Alloc | OpCode::Free))
+                .count();
+            assert_eq!(ops, (m + 1) * 100);
+            assert!(matches!(
+                big.kinds[events - 1],
+                OpCode::Alloc | OpCode::Free
+            ));
+        }
     }
 
     #[test]

@@ -243,3 +243,113 @@ proptest! {
         prop_assert_eq!(a.sim_stats.runs, a.simulations as u64, "one run per simulation");
     }
 }
+
+/// A small space of each kind over `trace`: the odometer space derived
+/// from the trace, cut to 120 configurations, or the grammar covering a
+/// one-policy odometer (its structural nodes give 176 configurations).
+/// Either holds more than one pruning wave.
+fn pruning_space(
+    trace: &Trace,
+    hierarchy: &MemoryHierarchy,
+    grammar: bool,
+) -> Box<dyn GenomeSpace> {
+    let mut space = ParamSpace::suggest(&dmx_trace::TraceStats::compute(trace), hierarchy);
+    space.dedicated_size_sets.truncate(3);
+    space.orders.truncate(3);
+    space.coalesces.truncate(2);
+    space.splits.truncate(1);
+    if !grammar {
+        return Box::new(space);
+    }
+    space.dedicated_size_sets.truncate(1);
+    space.fits.truncate(1);
+    space.orders.truncate(1);
+    space.coalesces.truncate(1);
+    Box::new(GrammarSpace::covering(&space))
+}
+
+proptest! {
+    // Each case runs four sweeps of a 120- or 176-config space plus a
+    // reference replay of every pruned configuration.
+    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
+
+    /// The pruning contract of the exhaustive sweep, over random small
+    /// traces, both genome spaces and three objective sets: the pruned
+    /// sweep finds the front of the every-config sweep, reports exact
+    /// results for every configuration it ran to the end, prunes only
+    /// configurations whose reference metrics the named front point
+    /// strictly dominates, and prunes the same set at 1 and 3 workers.
+    /// With a p99 objective in the set it prunes nothing.
+    #[test]
+    fn pruned_sweep_keeps_the_exact_front(
+        seed in 0u64..1000,
+        easyport in proptest::bool::ANY,
+        grammar in proptest::bool::ANY,
+        set in 0usize..3,
+    ) {
+        use dmx_alloc::Simulator;
+        use dmx_core::{dominates, ExhaustiveSearch};
+        use dmx_trace::gen::{EasyportConfig, SyntheticConfig, TraceGenerator};
+
+        let hierarchy = dmx_memhier::presets::sp64k_dram4m();
+        let trace = if easyport {
+            EasyportConfig { packets: 500, ..EasyportConfig::paper() }.generate(seed)
+        } else {
+            SyntheticConfig::bimodal(1500).generate(seed)
+        };
+        let space = pruning_space(&trace, &hierarchy, grammar);
+        let objectives = [
+            Objective::FIG1.to_vec(),
+            vec![Objective::EnergyPj, Objective::Cycles],
+            vec![Objective::Footprint, Objective::ContentionStalls],
+        ][set].clone();
+        let point = |m: &dmx_alloc::SimMetrics| -> Vec<u64> {
+            objectives.iter().map(|o| o.extract(m)).collect()
+        };
+
+        let every = Explorer::new(&hierarchy).run(space.as_ref(), &trace);
+        let exact: std::collections::HashMap<&str, &dmx_alloc::SimMetrics> = every
+            .results
+            .iter()
+            .map(|r| (r.label.as_str(), &r.metrics))
+            .collect();
+        let mut pruned_sets = Vec::new();
+        for threads in [1, 3] {
+            let outcome = Explorer::new(&hierarchy).with_threads(threads).search(
+                &ExhaustiveSearch,
+                space.as_ref(),
+                &trace,
+                &objectives,
+            );
+            prop_assert_eq!(outcome.evaluations, space.len());
+            prop_assert_eq!(outcome.simulations + outcome.pruned.len(), space.len());
+            prop_assert_eq!(&outcome.front.points, &every.pareto(&objectives).points);
+            for r in &outcome.exploration.results {
+                prop_assert_eq!(&r.metrics, exact[r.label.as_str()], "{}", &r.label);
+            }
+            for p in &outcome.pruned {
+                let config = space.config_at(&hierarchy, &p.genome);
+                prop_assert_eq!(&config.label(), &p.label);
+                let reference = Simulator::new(&hierarchy).run_reference(&config, &trace).unwrap();
+                prop_assert!(
+                    dominates(&point(exact[p.dominated_by.as_str()]), &point(&reference)),
+                    "{} is not dominated by {}",
+                    &p.label,
+                    &p.dominated_by
+                );
+            }
+            pruned_sets.push(outcome.pruned);
+        }
+        prop_assert_eq!(&pruned_sets[0], &pruned_sets[1]);
+
+        let with_tail = [objectives[0], Objective::TailLatency];
+        let outcome = Explorer::new(&hierarchy).search(
+            &ExhaustiveSearch,
+            space.as_ref(),
+            &trace,
+            &with_tail,
+        );
+        prop_assert!(outcome.pruned.is_empty());
+        prop_assert_eq!(outcome.simulations, space.len());
+    }
+}
