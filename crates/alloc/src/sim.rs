@@ -336,11 +336,8 @@ pub struct ReplayState<'a> {
     arena: &'a mut SimArena,
     ctx: AllocCtx,
     tallies: OpTallies,
-    live_internal_frag: u64,
+    live: LiveState,
     contention: Option<ContentionState>,
-    /// Allocations replayed so far (the index into the per-alloc
-    /// streams).
-    ordinal: usize,
     /// Pool ops replayed so far.
     cursor: usize,
     _span: dmx_obs::SpanGuard,
@@ -367,70 +364,21 @@ impl ReplayState<'_> {
     /// slot empty, so its accesses are never charged and its free falls
     /// through, exactly as in the reference interpreter.
     pub fn advance(&mut self, to_op: usize) {
-        let trace = self.trace;
-        let end = to_op.min(trace.pool_ops().len());
-        if end <= self.cursor {
-            return;
+        let end = to_op.min(self.trace.pool_ops().len());
+        if end > self.cursor {
+            let slots = self.trace.max_live_slots() as usize;
+            replay_ops(
+                self.trace,
+                self.cursor..end,
+                &mut self.allocator,
+                &mut self.ctx,
+                &mut self.arena.slab[..slots],
+                self.contention.as_mut(),
+                &mut self.tallies,
+                &mut self.live,
+            );
+            self.cursor = end;
         }
-        let sizes = trace.alloc_sizes();
-        let reads = trace.alloc_reads();
-        let writes = trace.alloc_writes();
-        let ranks = trace.op_thread_ranks();
-        let slab = &mut self.arena.slab[..];
-        let allocator = &mut self.allocator;
-        let ctx = &mut self.ctx;
-        let contention = &mut self.contention;
-        let OpTallies {
-            mut allocs,
-            mut frees,
-            mut failures,
-            mut peak_internal_frag,
-            ..
-        } = self.tallies;
-        let mut live_internal_frag = self.live_internal_frag;
-        let mut ordinal = self.ordinal;
-
-        for (op_idx, &op) in trace.pool_ops()[..end].iter().enumerate().skip(self.cursor) {
-            let slot = op.slot() as usize;
-            if op.is_free() {
-                if let Some((info, pool)) = slab[slot].take() {
-                    live_internal_frag -= u64::from(info.internal_fragmentation());
-                    allocator.free(info.addr, pool, ctx);
-                    if let Some(c) = contention.as_mut() {
-                        c.charge(pool, ranks[op_idx]);
-                    }
-                    frees += 1;
-                }
-                continue;
-            }
-            let size = sizes[ordinal];
-            let (block_reads, block_writes) = (reads[ordinal], writes[ordinal]);
-            ordinal += 1;
-            match allocator.alloc(size, ctx) {
-                Ok((info, pool)) => {
-                    allocs += 1;
-                    live_internal_frag += u64::from(info.internal_fragmentation());
-                    peak_internal_frag = peak_internal_frag.max(live_internal_frag);
-                    ctx.app_access(info.level, block_reads, block_writes);
-                    if let Some(c) = contention.as_mut() {
-                        c.charge(pool, ranks[op_idx]);
-                    }
-                    debug_assert!(slab[slot].is_none(), "slot already live");
-                    slab[slot] = Some((info, pool));
-                }
-                // The block never materializes, and no pool was touched,
-                // so no contention is charged.
-                Err(_) => failures += 1,
-            }
-        }
-
-        self.tallies.allocs = allocs;
-        self.tallies.frees = frees;
-        self.tallies.failures = failures;
-        self.tallies.peak_internal_frag = peak_internal_frag;
-        self.live_internal_frag = live_internal_frag;
-        self.ordinal = ordinal;
-        self.cursor = end;
     }
 
     /// The metrics as if the trace ended at the cursor, with the whole
@@ -450,6 +398,69 @@ impl ReplayState<'_> {
         self.arena.events += events;
         dmx_obs::metrics().kernel_events.add(events);
         self.snapshot()
+    }
+}
+
+/// Where a replay stands between two [`ReplayState::advance`] calls.
+#[derive(Default)]
+struct LiveState {
+    /// Allocations replayed so far (the index into the per-alloc
+    /// streams).
+    ordinal: usize,
+    /// Internal fragmentation of the blocks live now.
+    internal_frag: u64,
+}
+
+/// The kernel loop: replays pool ops `ops` of `trace`. Every piece of
+/// state it mutates arrives as its own `&mut`, so the compiler knows
+/// none of them aliases another across the allocator calls.
+#[allow(clippy::too_many_arguments)]
+fn replay_ops(
+    trace: &CompiledTrace,
+    ops: std::ops::Range<usize>,
+    allocator: &mut CompositeAllocator,
+    ctx: &mut AllocCtx,
+    slab: &mut [SlabEntry],
+    mut contention: Option<&mut ContentionState>,
+    tallies: &mut OpTallies,
+    live: &mut LiveState,
+) {
+    let sizes = trace.alloc_sizes();
+    let reads = trace.alloc_reads();
+    let writes = trace.alloc_writes();
+    let ranks = trace.op_thread_ranks();
+    let pool_ops = &trace.pool_ops()[ops.clone()];
+    for (op_idx, &op) in ops.zip(pool_ops) {
+        let slot = op.slot() as usize;
+        if op.is_free() {
+            if let Some((info, pool)) = slab[slot].take() {
+                live.internal_frag -= u64::from(info.internal_fragmentation());
+                allocator.free(info.addr, pool, ctx);
+                if let Some(c) = contention.as_deref_mut() {
+                    c.charge(pool, ranks[op_idx]);
+                }
+                tallies.frees += 1;
+            }
+            continue;
+        }
+        let ordinal = live.ordinal;
+        live.ordinal += 1;
+        match allocator.alloc(sizes[ordinal], ctx) {
+            Ok((info, pool)) => {
+                tallies.allocs += 1;
+                live.internal_frag += u64::from(info.internal_fragmentation());
+                tallies.peak_internal_frag = tallies.peak_internal_frag.max(live.internal_frag);
+                ctx.app_access(info.level, reads[ordinal], writes[ordinal]);
+                if let Some(c) = contention.as_deref_mut() {
+                    c.charge(pool, ranks[op_idx]);
+                }
+                debug_assert!(slab[slot].is_none(), "slot already live");
+                slab[slot] = Some((info, pool));
+            }
+            // The block never materializes, and no pool was touched, so
+            // no contention is charged.
+            Err(_) => tallies.failures += 1,
+        }
     }
 }
 
@@ -560,8 +571,7 @@ impl<'h> Simulator<'h> {
                 tick_cycles: trace.total_tick_cycles(),
                 peak_internal_frag: 0,
             },
-            live_internal_frag: 0,
-            ordinal: 0,
+            live: LiveState::default(),
             cursor: 0,
             _span: span,
         })
