@@ -58,8 +58,8 @@ fn report_row(name: &str, outcome: &SearchOutcome, space_len: usize, full: &[(u6
 /// (`Explorer::run`) and pruned (`ExhaustiveSearch`). The long trace
 /// grows the free lists that make the worst- and next-fit
 /// configurations slow, and those are the replays pruning stops. The
-/// two sweeps alternate and each keeps its best time, so one stall on a
-/// shared runner cannot decide the speedup. Returns the speedup, the
+/// two sweeps alternate three times and each keeps its best time, so a
+/// stall on a shared runner cannot decide the speedup. Returns the speedup, the
 /// replays stopped early, and whether both sweeps found the same front.
 fn paper_sweep_speedup(hierarchy: &MemoryHierarchy) -> (f64, usize, bool) {
     let explorer = Explorer::new(hierarchy);
@@ -67,7 +67,7 @@ fn paper_sweep_speedup(hierarchy: &MemoryHierarchy) -> (f64, usize, bool) {
     let space = ParamSpace::suggest(&TraceStats::compute(&trace), hierarchy);
     let mut best = [f64::INFINITY; 2];
     let mut last = None;
-    for _ in 0..2 {
+    for _ in 0..3 {
         let start = Instant::now();
         let every = explorer.run(&space, &trace);
         best[0] = best[0].min(start.elapsed().as_secs_f64());
@@ -76,7 +76,7 @@ fn paper_sweep_speedup(hierarchy: &MemoryHierarchy) -> (f64, usize, bool) {
         best[1] = best[1].min(start.elapsed().as_secs_f64());
         last = Some((every, pruned));
     }
-    let (every, pruned) = last.expect("two timed sweeps");
+    let (every, pruned) = last.expect("three timed sweeps");
     let identical = pruned.front.points == every.pareto(&Objective::FIG1).points;
     (best[0] / best[1].max(1e-9), pruned.pruned.len(), identical)
 }

@@ -155,7 +155,7 @@ impl<'h> Explorer<'h> {
     /// front faster, but stops replaying configurations it proves
     /// dominated.
     pub fn run(&self, space: &dyn GenomeSpace, trace: &Trace) -> Exploration {
-        self.simulate(self.space_configs(space), trace).0
+        self.run_configs(self.space_configs(space), trace)
     }
 
     /// [`Self::run`] as a [`SearchOutcome`] under the strategy name
@@ -300,6 +300,34 @@ mod tests {
         labels.sort();
         labels.dedup();
         assert_eq!(labels.len(), space.len());
+    }
+
+    #[test]
+    fn sweep_is_run_with_genomes_front_and_counts() {
+        let hier = presets::sp64k_dram4m();
+        let trace = EasyportConfig {
+            packets: 200,
+            ..EasyportConfig::paper()
+        }
+        .generate(6);
+        let space = crate::GrammarSpace::covering(&small_space(&hier));
+        let every = Explorer::new(&hier).run(&space, &trace);
+        let outcome = Explorer::new(&hier).sweep(&space, &trace, &Objective::FIG1);
+        assert_eq!(outcome.strategy, "exhaustive");
+        assert_eq!(outcome.evaluations, space.len());
+        assert_eq!(outcome.simulations, space.len());
+        assert_eq!(outcome.sim_stats.runs as usize, space.len());
+        assert!(outcome.pruned.is_empty());
+        for (i, (a, b)) in every
+            .results
+            .iter()
+            .zip(&outcome.exploration.results)
+            .enumerate()
+        {
+            assert_eq!((&a.label, &a.metrics), (&b.label, &b.metrics));
+            assert_eq!(outcome.genomes[i], space.genome_at(i));
+        }
+        assert_eq!(outcome.front, every.pareto(&Objective::FIG1));
     }
 
     #[test]
