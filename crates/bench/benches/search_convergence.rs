@@ -59,8 +59,9 @@ fn report_row(name: &str, outcome: &SearchOutcome, space_len: usize, full: &[(u6
 /// grows the free lists that make the worst- and next-fit
 /// configurations slow, and those are the replays pruning stops. The
 /// two sweeps alternate three times and each keeps its best time, so a
-/// stall on a shared runner cannot decide the speedup. Returns the speedup, the
-/// replays stopped early, and whether both sweeps found the same front.
+/// stall on a shared runner cannot decide the speedup. Returns the
+/// speedup, the replays stopped early, and whether both sweeps found the
+/// same front.
 fn paper_sweep_speedup(hierarchy: &MemoryHierarchy) -> (f64, usize, bool) {
     let explorer = Explorer::new(hierarchy);
     let trace = EasyportConfig::paper().generate(42);

@@ -334,10 +334,7 @@ fn pruned_json(pruned: &[crate::search::PrunedConfig], indent: &str) -> String {
             json_escape(&p.dominated_by)
         );
     }
-    if !pruned.is_empty() {
-        let _ = write!(s, "\n{indent}");
-    }
-    s.push(']');
+    let _ = write!(s, "\n{indent}]");
     s
 }
 

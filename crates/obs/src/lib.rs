@@ -130,7 +130,7 @@ metrics! {
         pub migrants_installed: Counter = "island.migrants",
         /// Kernel replay passes.
         pub kernel_replays: Counter = "kernel.replays",
-        /// Logical trace events replayed.
+        /// Logical trace events of kernel replays run to the end.
         pub kernel_events: Counter = "kernel.events",
         /// Candidates that entered a multi-fidelity screening rung.
         pub fidelity_screened: Counter = "fidelity.screened",
