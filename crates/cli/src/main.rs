@@ -347,7 +347,7 @@ fn objective_pair(objectives: &[Objective]) -> [Objective; 2] {
 /// `--progress` reporter thread during the search, and the Perfetto
 /// trace / flat metrics snapshots written afterwards. Observability
 /// artifacts are deliberately *separate files* from the result exports:
-/// obs values are timing-dependent (steal counts, nanoseconds), and the
+/// obs values are timing-dependent (nanoseconds, span lanes), and the
 /// result exports are byte-compared across runs and thread counts in CI.
 struct ObsSession {
     trace_path: Option<String>,
@@ -598,10 +598,10 @@ fn explore(rest: &[&String]) -> Result<(), String> {
     };
     obs.finish()?;
     eprintln!(
-        "strategy `{}`: {} simulations for a space of {} ({} cache hits), {} Pareto points",
+        "strategy `{}`: {} configurations evaluated ({} simulations, {} cache hits), {} Pareto points",
         outcome.strategy,
         outcome.evaluations,
-        space.len(),
+        outcome.simulations,
         outcome.cache_hits,
         outcome.front.len(),
     );

@@ -4,6 +4,8 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use proptest::prelude::*;
+
 fn dmx() -> Command {
     Command::new(env!("CARGO_BIN_EXE_dmx"))
 }
@@ -145,6 +147,20 @@ fn explore_guided_strategies() {
         assert!(
             exported.contains("\"label\"") && exported.contains("\"footprint_bytes\""),
             "{strategy} front must be non-empty: {exported}"
+        );
+
+        // The stderr summary counts configurations and simulations apart,
+        // with the same numbers as the export.
+        let summary = format!(
+            "strategy `{strategy}`: {} configurations evaluated ({} simulations, {} cache hits), {} Pareto points",
+            number_after(&exported, "\"evaluations\": "),
+            number_after(&exported, "\"simulations\": "),
+            number_after(&exported, "\"cache_hits\": "),
+            exported.matches("{\"label\"").count(),
+        );
+        assert!(
+            err.lines().any(|l| l == summary),
+            "{strategy}: no `{summary}` in {err}"
         );
 
         // Guided runs write valid record files the rest of the pipeline
@@ -728,6 +744,87 @@ fn edge_case_flags_exit_0_or_1_never_panic() {
         out.status.code()
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The numeric and list flags the generated edge test feeds.
+const EDGE_FLAGS: [&str; 10] = [
+    "--islands",
+    "--migrants",
+    "--migrate-every",
+    "--population",
+    "--generations",
+    "--restarts",
+    "--sample-n",
+    "--keep",
+    "--knn-k",
+    "--rungs",
+];
+
+/// Values at and past the edge of every flag's type (the third is 2^64,
+/// one past `u64::MAX`).
+const EDGE_VALUES: [&str; 8] = [
+    "0",
+    "1",
+    "18446744073709551616",
+    "-1",
+    "NaN",
+    "",
+    "1,,2",
+    "x",
+];
+
+proptest! {
+    // Each case is one process run on a 300-event trace; a few dozen
+    // keep `cargo test` quick.
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// Generated mixes of edge values on the numeric flags, under every
+    /// strategy that reads them, exit 0 or 1 and never panic.
+    #[test]
+    fn generated_edge_flags_exit_0_or_1_never_panic(
+        strategy in 0usize..4,
+        halving in any::<bool>(),
+        picks in prop::collection::vec((0..EDGE_FLAGS.len(), 0..EDGE_VALUES.len()), 1..4),
+    ) {
+        use dmx_trace::gen::{SyntheticConfig, TraceGenerator};
+        use dmx_trace::textfmt;
+
+        let dir = tmpdir("edge-generated");
+        let trace = dir.join("t.trace");
+        let records = dir.join("t.prof");
+        let trace_text = textfmt::to_string(&SyntheticConfig::uniform_churn(300).generate(3));
+        std::fs::write(&trace, trace_text).unwrap();
+
+        let mut cmd = dmx();
+        cmd.arg("explore")
+            .arg("--trace")
+            .arg(&trace)
+            .arg("--out-records")
+            .arg(&records)
+            .args(["--strategy", ["genetic", "island", "hillclimb", "sample"][strategy]]);
+        if halving {
+            cmd.args(["--fidelity", "halving"]);
+        }
+        // The first occurrence of a flag wins, so the generated values
+        // go before the small defaults that keep valid runs short.
+        for &(flag, value) in &picks {
+            cmd.args([EDGE_FLAGS[flag], EDGE_VALUES[value]]);
+        }
+        cmd.args([
+            "--population", "4", "--generations", "1", "--islands", "2",
+            "--restarts", "2", "--sample-n", "4",
+        ]);
+        let out = cmd.output().expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        prop_assert!(
+            matches!(out.status.code(), Some(0 | 1)) && !err.contains("panicked"),
+            "explore {:?} exited {:?}: {}",
+            cmd.get_args().collect::<Vec<_>>(),
+            out.status.code(),
+            err
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// FNV-1a over `bytes`, for pinning exported files.

@@ -82,7 +82,7 @@ pub use scenario::{
 };
 pub use search::{
     thread_budget, ExhaustiveSearch, FidelityPlan, FidelityStats, GeneticSearch, HillClimbSearch,
-    IslandKind, IslandSearch, IslandStats, Migration, PrunedConfig, RungStats, SearchOutcome,
-    SearchStrategy, SimStats, StrategyError, SubsampleSearch, SurrogateKind,
+    IslandSearch, IslandStats, Migration, PrunedConfig, RungStats, SearchOutcome, SearchStrategy,
+    SimStats, StrategyError, SubsampleSearch, SurrogateKind,
 };
 pub use space::{GenomeSpace, GrammarSpace};

@@ -76,7 +76,7 @@ impl Exploration {
 }
 
 /// Builds the profile record for one run result.
-pub fn record_from_result(result: &RunResult) -> ProfileRecord {
+fn record_from_result(result: &RunResult) -> ProfileRecord {
     let m = &result.metrics;
     let mut rec = ProfileRecord::new(result.label.clone());
     rec.allocs = m.allocs;

@@ -134,15 +134,9 @@ impl<'a> MultiScenarioEvaluator<'a> {
         self
     }
 
-    /// Overrides the suite-derived space with any [`GenomeSpace`] (the
-    /// odometer [`crate::ParamSpace`], the [`crate::GrammarSpace`], …).
-    #[must_use]
-    pub fn with_space(self, space: impl GenomeSpace + 'static) -> Self {
-        self.with_space_arc(Arc::new(space))
-    }
-
-    /// [`Self::with_space`] for an already-shared space handle (e.g. the
-    /// one [`Self::space`] returned).
+    /// Overrides the suite-derived space with any shared [`GenomeSpace`]
+    /// handle (the odometer [`crate::ParamSpace`], the
+    /// [`crate::GrammarSpace`], …, or the one [`Self::space`] returned).
     #[must_use]
     pub fn with_space_arc(mut self, space: Arc<dyn GenomeSpace>) -> Self {
         self.space = Some(space);
@@ -150,7 +144,7 @@ impl<'a> MultiScenarioEvaluator<'a> {
     }
 
     /// The suite-derived odometer [`ParamSpace`], ignoring any
-    /// [`Self::with_space`] override — the base other spaces (e.g.
+    /// [`Self::with_space_arc`] override — the base other spaces (e.g.
     /// [`crate::GrammarSpace::covering`]) are built from.
     pub fn odometer_space(&self) -> ParamSpace {
         self.suite.suggest_space(self.materialized())

@@ -63,7 +63,7 @@ impl GeneticSearch {
 /// front, rank 1 the front after removing rank 0, and so on. Infeasible
 /// individuals (`None`) get `usize::MAX`. Shared with the island-model
 /// steppers in [`super::island`].
-pub(crate) fn non_dominated_ranks(points: &[Option<Vec<u64>>]) -> Vec<usize> {
+fn non_dominated_ranks(points: &[Option<Vec<u64>>]) -> Vec<usize> {
     let mut ranks = vec![usize::MAX; points.len()];
     let mut assigned = points.iter().filter(|p| p.is_none()).count();
     let mut rank = 0;
@@ -94,7 +94,7 @@ pub(crate) fn non_dominated_ranks(points: &[Option<Vec<u64>>]) -> Vec<usize> {
 /// Crowding distance per individual, computed within each rank: boundary
 /// points of a front get `f64::INFINITY`, interior points the sum of
 /// normalized neighbor gaps per objective. Infeasible individuals get 0.
-pub(crate) fn crowding_distances(points: &[Option<Vec<u64>>], ranks: &[usize]) -> Vec<f64> {
+fn crowding_distances(points: &[Option<Vec<u64>>], ranks: &[usize]) -> Vec<f64> {
     let mut crowding = vec![0.0f64; points.len()];
     let max_rank = ranks
         .iter()
@@ -160,7 +160,7 @@ pub(crate) struct BreedOutcome {
 }
 
 impl GeneticSearch {
-    pub(crate) fn random_genome(rng: &mut StdRng, ctx: &SearchContext<'_>) -> Genome {
+    fn random_genome(rng: &mut StdRng, ctx: &SearchContext<'_>) -> Genome {
         ctx.space.genome_at(rng.gen_range(0..ctx.space.len()))
     }
 

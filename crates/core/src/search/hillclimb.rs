@@ -56,12 +56,7 @@ impl HillClimbSearch {
     /// Weighted sum of the objectives, each normalized by the restart's
     /// starting value so no objective's magnitude dominates the blend.
     /// Infeasible configurations score `+inf` and are never moved to.
-    pub(crate) fn score(
-        result: &RunResult,
-        ctx: &SearchContext<'_>,
-        weights: &[f64],
-        scales: &[f64],
-    ) -> f64 {
+    fn score(result: &RunResult, ctx: &SearchContext<'_>, weights: &[f64], scales: &[f64]) -> f64 {
         if !result.metrics.feasible() {
             return f64::INFINITY;
         }

@@ -1,8 +1,8 @@
 //! Island-model parallel search with elite migration.
 //!
 //! The exploration problem is embarrassingly parallel at the *population*
-//! level: N islands each run an independent guided search over the same
-//! space, and every K generations the islands exchange their best
+//! level: N islands each run an independent [`GeneticSearch`] over the
+//! same space, and every K generations the islands exchange their best
 //! individuals over a migration topology (ring / fully-connected / star),
 //! so a front region discovered on one island seeds the neighbors without
 //! collapsing the populations into one gene pool. All islands evaluate
@@ -28,9 +28,9 @@
 //!    replays a plain [`GeneticSearch`] with the same seed byte for byte —
 //!    the differential tests pin exactly that equivalence.
 //!
-//! Islands advance (selection, breeding, climbing — the cheap, CPU-only
-//! part) on real scoped threads between evaluation barriers; the
-//! expensive part, simulation, fans out through the work-stealing queue
+//! Islands advance (selection and breeding — the cheap, CPU-only part) in
+//! island order on the calling thread between evaluation barriers; the
+//! expensive part, simulation, fans out through the one job counter
 //! under [`Evaluator::eval_batch`].
 
 use std::collections::BTreeSet;
@@ -39,14 +39,12 @@ use std::str::FromStr;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::param::Genome;
 use crate::pareto::dominates;
 use crate::runner::RunResult;
 
-use super::genetic::{crowding_distances, non_dominated_ranks, GeneticSearch};
-use super::hillclimb::HillClimbSearch;
+use super::genetic::GeneticSearch;
 use super::{Evaluator, SearchContext, SearchOutcome, SearchStrategy, StrategyError};
 
 /// How migrating elites travel between islands.
@@ -106,33 +104,13 @@ impl FromStr for Migration {
     }
 }
 
-/// What kind of search one island runs. Islands may be heterogeneous —
-/// Risco-Martín et al. seed parallel DMM exploration with differently
-/// tuned islands so at least one matches the landscape.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum IslandKind {
-    /// An elitist NSGA-lite island (the [`GeneticSearch`] breeding step)
-    /// with its own mutation rate.
-    Genetic {
-        /// Per-axis mutation probability in `[0, 1]`.
-        mutation: f64,
-    },
-    /// A population of weighted-scalarization hill climbers: each climber
-    /// evaluates its ±1 neighborhood every generation and moves to the
-    /// best neighbor, restarting (new weights, new start) on convergence.
-    HillClimb {
-        /// Concurrent climbers on this island (≥ 1).
-        climbers: usize,
-    },
-}
-
 /// Per-island convergence and migration statistics, reported on
 /// [`SearchOutcome::islands`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct IslandStats {
     /// Island id (0-based; also its position in every merge order).
     pub island: usize,
-    /// The island's search kind ("genetic" / "hillclimb").
+    /// The island's search kind (always "genetic").
     pub kind: String,
     /// Distinct genomes this island requested (its share of the search;
     /// islands overlap, so these sum to ≥ the outcome's `evaluations`).
@@ -174,13 +152,10 @@ pub struct IslandSearch {
     pub population: usize,
     /// Breeding cycles; every island evaluates `generations + 1` batches.
     pub generations: usize,
-    /// Mutation probability for homogeneous genetic islands.
+    /// Per-axis mutation probability of every island, in `[0, 1]`.
     pub mutation: f64,
     /// RNG seed; island `i` runs the stream `seed + i·φ`.
     pub seed: u64,
-    /// Per-island search kinds, cycled over the islands. Empty means
-    /// every island is `Genetic { mutation: self.mutation }`.
-    pub kinds: Vec<IslandKind>,
 }
 
 impl Default for IslandSearch {
@@ -194,7 +169,6 @@ impl Default for IslandSearch {
             generations: 16,
             mutation: 0.2,
             seed: 42,
-            kinds: Vec::new(),
         }
     }
 }
@@ -207,37 +181,9 @@ fn island_seed(seed: u64, island: usize) -> u64 {
 }
 
 impl IslandSearch {
-    /// A heterogeneous N-island setup: genetic islands with mutation rates
-    /// spread over `[0.1, 0.4]`, plus a hill-climbing island (when `n ≥
-    /// 3`) for local refinement — one of the islands usually matches the
-    /// landscape.
-    pub fn heterogeneous(n: usize) -> Self {
-        let mut kinds = Vec::with_capacity(n);
-        for i in 0..n {
-            if n >= 3 && i == n - 1 {
-                kinds.push(IslandKind::HillClimb { climbers: 3 });
-            } else {
-                let spread = if n > 1 {
-                    i as f64 / (n - 1) as f64
-                } else {
-                    0.0
-                };
-                kinds.push(IslandKind::Genetic {
-                    mutation: 0.1 + 0.3 * spread,
-                });
-            }
-        }
-        IslandSearch {
-            islands: n,
-            kinds,
-            ..IslandSearch::default()
-        }
-    }
-
     /// Checks the parameters a run needs: at least one island, a
     /// migration interval of at least one generation, `population >= 2`,
-    /// and in-range per-island parameters (mutation in `[0, 1]`, at least
-    /// one climber).
+    /// and a mutation probability in `[0, 1]`.
     ///
     /// # Errors
     ///
@@ -255,95 +201,53 @@ impl IslandSearch {
         if !(0.0..=1.0).contains(&self.mutation) {
             return Err(StrategyError::MutationOutOfRange(self.mutation));
         }
-        for island in 0..self.islands {
-            match self.kind_of(island) {
-                IslandKind::Genetic { mutation } if !(0.0..=1.0).contains(&mutation) => {
-                    return Err(StrategyError::MutationOutOfRange(mutation));
-                }
-                IslandKind::HillClimb { climbers: 0 } => {
-                    return Err(StrategyError::NoClimbers { island });
-                }
-                _ => {}
-            }
-        }
         Ok(())
     }
-
-    /// The kind island `i` runs.
-    fn kind_of(&self, i: usize) -> IslandKind {
-        if self.kinds.is_empty() {
-            IslandKind::Genetic {
-                mutation: self.mutation,
-            }
-        } else {
-            self.kinds[i % self.kinds.len()]
-        }
-    }
 }
 
-/// One island's internal state: the population it wants evaluated this
-/// generation, and how it advances once the results are in. Implementors
-/// own their RNG stream, so islands advance concurrently without
-/// affecting each other.
-trait IslandState: Send {
-    /// Stable kind tag for the stats.
-    fn kind(&self) -> &'static str;
-
-    /// The genomes to evaluate this generation.
-    fn population(&self) -> &[Genome];
-
-    /// Consumes this generation's results (aligned with
-    /// [`Self::population`]) and prepares the next population and the
-    /// current elite list.
-    fn advance(&mut self, ctx: &SearchContext<'_>, results: &[Arc<RunResult>]);
-
-    /// The current non-dominated individuals, best-spread first (valid
-    /// after [`Self::advance`]).
-    fn elites(&self) -> &[Genome];
-
-    /// Installs migrants into the next population, skipping genomes the
-    /// island already carries. Returns how many were actually installed.
-    fn receive(&mut self, ctx: &SearchContext<'_>, migrants: &[Genome]) -> usize;
-}
-
-/// A genetic island: the exact [`GeneticSearch`] breeding step with a
-/// private RNG stream.
-struct GeneticIsland {
+/// One island: the exact [`GeneticSearch`] breeding step with a private
+/// RNG stream, plus the statistics it reports.
+struct Island {
     params: GeneticSearch,
     rng: StdRng,
     lens: Vec<usize>,
+    /// The genomes to evaluate this generation.
     population: Vec<Genome>,
+    /// The current non-dominated individuals, best-spread first (valid
+    /// after [`Self::advance`]).
     elites: Vec<Genome>,
     /// Next tail slot migrants overwrite (resets each generation;
     /// migrants only ever replace offspring, never carried elites).
     recv_cursor: usize,
+    evaluated: BTreeSet<Genome>,
+    front: Vec<Vec<u64>>,
+    last_improved: usize,
+    sent: usize,
+    received: usize,
 }
 
-impl GeneticIsland {
+impl Island {
     fn new(params: GeneticSearch, ctx: &SearchContext<'_>) -> Self {
         let mut rng = params.rng();
         let population = params.initial_population(&mut rng, ctx);
         let recv_cursor = population.len();
-        GeneticIsland {
+        Island {
             params,
             rng,
             lens: ctx.space.axis_lens(),
             population,
             elites: Vec::new(),
             recv_cursor,
+            evaluated: BTreeSet::new(),
+            front: Vec::new(),
+            last_improved: 0,
+            sent: 0,
+            received: 0,
         }
     }
-}
 
-impl IslandState for GeneticIsland {
-    fn kind(&self) -> &'static str {
-        "genetic"
-    }
-
-    fn population(&self) -> &[Genome] {
-        &self.population
-    }
-
+    /// Consumes this generation's results (aligned with `population`) and
+    /// breeds the next population and the current elite list.
     fn advance(&mut self, ctx: &SearchContext<'_>, results: &[Arc<RunResult>]) {
         let bred = self
             .params
@@ -353,11 +257,9 @@ impl IslandState for GeneticIsland {
         self.recv_cursor = self.population.len();
     }
 
-    fn elites(&self) -> &[Genome] {
-        &self.elites
-    }
-
-    fn receive(&mut self, _ctx: &SearchContext<'_>, migrants: &[Genome]) -> usize {
+    /// Installs migrants into the next population, skipping genomes the
+    /// island already carries. Returns how many were actually installed.
+    fn receive(&mut self, migrants: &[Genome]) -> usize {
         let protected = self.population.len() / 2;
         let mut installed = 0;
         for m in migrants {
@@ -373,224 +275,6 @@ impl IslandState for GeneticIsland {
         }
         installed
     }
-}
-
-/// One weighted-scalarization climber on a hill-climb island.
-struct Climber {
-    /// Objective weights of the current climb (redrawn on restart).
-    weights: Vec<f64>,
-    /// Per-objective normalization from the climb's starting point.
-    scales: Vec<f64>,
-    current: Genome,
-    score: f64,
-    /// `true` until `current` has been evaluated once (fresh start or
-    /// fresh migrant): the first evaluation sets the scales.
-    fresh: bool,
-}
-
-/// A hill-climb island: `climbers` independent weighted climbers; each
-/// generation every climber's ±1 neighborhood is evaluated and the
-/// climber moves to its best neighbor, restarting with fresh weights when
-/// no neighbor improves.
-struct HillClimbIsland {
-    rng: StdRng,
-    climbers: Vec<Climber>,
-    population: Vec<Genome>,
-    elites: Vec<Genome>,
-    /// Per-climber objective points of the evaluated currents (`None`
-    /// while fresh or infeasible); feeds the elite ranking.
-    points: Vec<Option<Vec<u64>>>,
-    /// Climbers already replaced by a migrant this round (reset each
-    /// generation).
-    replaced: Vec<bool>,
-}
-
-impl HillClimbIsland {
-    fn new(seed: u64, climbers_n: usize, ctx: &SearchContext<'_>) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x6863_5F64_6D78_2B31);
-        let climbers: Vec<Climber> = (0..climbers_n.max(1))
-            .map(|_| Self::fresh_climber(&mut rng, ctx))
-            .collect();
-        let n = climbers.len();
-        let mut island = HillClimbIsland {
-            rng,
-            climbers,
-            population: Vec::new(),
-            elites: Vec::new(),
-            points: vec![None; n],
-            replaced: vec![false; n],
-        };
-        island.rebuild_population(ctx);
-        island
-    }
-
-    fn fresh_climber(rng: &mut StdRng, ctx: &SearchContext<'_>) -> Climber {
-        let weights = ctx
-            .objectives
-            .iter()
-            .map(|_| rng.gen_range(0.1..1.0))
-            .collect();
-        Climber {
-            weights,
-            scales: vec![1.0; ctx.objectives.len()],
-            current: GeneticSearch::random_genome(rng, ctx),
-            score: f64::INFINITY,
-            fresh: true,
-        }
-    }
-
-    /// The population is every climber's current genome plus — once the
-    /// climber's scales are set — its full ±1 neighborhood.
-    fn rebuild_population(&mut self, ctx: &SearchContext<'_>) {
-        self.population.clear();
-        for c in &self.climbers {
-            self.population.push(c.current.clone());
-            if !c.fresh {
-                self.population.extend(ctx.space.neighbors(&c.current));
-            }
-        }
-    }
-}
-
-impl IslandState for HillClimbIsland {
-    fn kind(&self) -> &'static str {
-        "hillclimb"
-    }
-
-    fn population(&self) -> &[Genome] {
-        &self.population
-    }
-
-    fn advance(&mut self, ctx: &SearchContext<'_>, results: &[Arc<RunResult>]) {
-        // The result of any genome this island asked about this
-        // generation. Canonical keys: currents come from `genome_at` /
-        // prior canonicalization, neighborhoods canonicalize themselves.
-        let by_genome: std::collections::HashMap<&Genome, &Arc<RunResult>> =
-            self.population.iter().zip(results).collect();
-        for (i, climber) in self.climbers.iter_mut().enumerate() {
-            let res = by_genome[&climber.current];
-            if climber.fresh {
-                climber.scales = if res.metrics.feasible() {
-                    ctx.objectives
-                        .iter()
-                        .map(|o| (o.extract(&res.metrics) as f64).max(1.0))
-                        .collect()
-                } else {
-                    vec![1.0; ctx.objectives.len()]
-                };
-                climber.score = HillClimbSearch::score(res, ctx, &climber.weights, &climber.scales);
-                climber.fresh = false;
-            } else {
-                // Best neighbor; ties go to the lexicographically smallest
-                // genome, exactly like the sequential climber.
-                let mut best: Option<(f64, Genome)> = None;
-                for n in ctx.space.neighbors(&climber.current) {
-                    let s = HillClimbSearch::score(
-                        by_genome[&n],
-                        ctx,
-                        &climber.weights,
-                        &climber.scales,
-                    );
-                    let better = match &best {
-                        None => true,
-                        Some((bs, bg)) => s < *bs || (s == *bs && n < *bg),
-                    };
-                    if better {
-                        best = Some((s, n));
-                    }
-                }
-                match best {
-                    Some((s, g)) if s < climber.score => {
-                        climber.current = g;
-                        climber.score = s;
-                    }
-                    _ => {
-                        // Local optimum under this weight vector: restart.
-                        *climber = Self::fresh_climber(&mut self.rng, ctx);
-                    }
-                }
-            }
-            let settled = by_genome.get(&climber.current);
-            self.points[i] = settled.and_then(|r| {
-                r.metrics.feasible().then(|| {
-                    ctx.objectives
-                        .iter()
-                        .map(|o| o.extract(&r.metrics))
-                        .collect()
-                })
-            });
-        }
-
-        // Elites: the non-dominated climber positions, widest spread
-        // first (same ordering as the genetic islands).
-        let ranks = non_dominated_ranks(&self.points);
-        let crowding = crowding_distances(&self.points, &ranks);
-        let mut elite_idx: Vec<usize> = (0..self.climbers.len())
-            .filter(|&i| ranks[i] == 0)
-            .collect();
-        elite_idx.sort_by(|&a, &b| {
-            crowding[b]
-                .partial_cmp(&crowding[a])
-                .expect("crowding distances are never NaN")
-                .then(self.climbers[a].current.cmp(&self.climbers[b].current))
-        });
-        self.elites.clear();
-        for i in elite_idx {
-            if !self.elites.contains(&self.climbers[i].current) {
-                self.elites.push(self.climbers[i].current.clone());
-            }
-        }
-
-        self.replaced.iter_mut().for_each(|r| *r = false);
-        self.rebuild_population(ctx);
-    }
-
-    fn elites(&self) -> &[Genome] {
-        &self.elites
-    }
-
-    fn receive(&mut self, ctx: &SearchContext<'_>, migrants: &[Genome]) -> usize {
-        let mut installed = 0;
-        for m in migrants {
-            if self.climbers.iter().any(|c| c.current == *m) {
-                continue;
-            }
-            // Replace the worst not-yet-replaced climber (ties: the later
-            // one), keeping its weights: the migrant becomes a fresh climb
-            // start in a proven region.
-            let worst = (0..self.climbers.len())
-                .filter(|&i| !self.replaced[i])
-                .max_by(|&a, &b| {
-                    self.climbers[a]
-                        .score
-                        .partial_cmp(&self.climbers[b].score)
-                        .expect("scores are never NaN")
-                        .then(a.cmp(&b))
-                });
-            let Some(w) = worst else { break };
-            self.replaced[w] = true;
-            let climber = &mut self.climbers[w];
-            climber.current = m.clone();
-            climber.score = f64::INFINITY;
-            climber.fresh = true;
-            installed += 1;
-        }
-        if installed > 0 {
-            // The next batch must evaluate the new currents (their fresh
-            // flags keep neighborhoods out until the scales are known).
-            self.rebuild_population(ctx);
-        }
-        installed
-    }
-}
-
-/// Per-island bookkeeping the driver maintains outside the steppers.
-struct IslandTrack {
-    evaluated: BTreeSet<Genome>,
-    front: Vec<Vec<u64>>,
-    last_improved: usize,
-    sent: usize,
-    received: usize,
 }
 
 /// Inserts a point into a running non-dominated set. Returns `true` iff
@@ -610,7 +294,7 @@ impl SearchStrategy for IslandSearch {
     }
 
     fn search(&self, ctx: &SearchContext<'_>) -> SearchOutcome {
-        // Per-island parameters fail here, at the input barrier, not deep
+        // Out-of-range parameters fail here, at the input barrier, not deep
         // inside a breeding generation.
         if let Err(err) = self.validate() {
             panic!("invalid island search: {err}");
@@ -618,32 +302,15 @@ impl SearchStrategy for IslandSearch {
         assert!(!ctx.space.is_empty(), "cannot search an empty space");
 
         let mut evaluator = Evaluator::new(ctx);
-        let mut states: Vec<Box<dyn IslandState>> = (0..self.islands)
-            .map(|i| -> Box<dyn IslandState> {
-                let seed = island_seed(self.seed, i);
-                match self.kind_of(i) {
-                    IslandKind::Genetic { mutation } => Box::new(GeneticIsland::new(
-                        GeneticSearch {
-                            population: self.population,
-                            generations: self.generations,
-                            mutation,
-                            seed,
-                        },
-                        ctx,
-                    )),
-                    IslandKind::HillClimb { climbers } => {
-                        Box::new(HillClimbIsland::new(seed, climbers, ctx))
-                    }
-                }
-            })
-            .collect();
-        let mut tracks: Vec<IslandTrack> = (0..self.islands)
-            .map(|_| IslandTrack {
-                evaluated: BTreeSet::new(),
-                front: Vec::new(),
-                last_improved: 0,
-                sent: 0,
-                received: 0,
+        let mut islands: Vec<Island> = (0..self.islands)
+            .map(|i| {
+                let params = GeneticSearch {
+                    population: self.population,
+                    generations: self.generations,
+                    mutation: self.mutation,
+                    seed: island_seed(self.seed, i),
+                };
+                Island::new(params, ctx)
             })
             .collect();
         let edges = self.migration.edges(self.islands);
@@ -653,10 +320,9 @@ impl SearchStrategy for IslandSearch {
             // One lockstep batch: all island populations, in island order.
             let mut spans: Vec<(usize, usize)> = Vec::with_capacity(self.islands);
             let mut batch: Vec<Genome> = Vec::new();
-            for s in &states {
-                let pop = s.population();
-                spans.push((batch.len(), pop.len()));
-                batch.extend_from_slice(pop);
+            for island in &islands {
+                spans.push((batch.len(), island.population.len()));
+                batch.extend_from_slice(&island.population);
             }
             let results = evaluator.eval_batch(&batch);
             super::record_generation_obs(
@@ -667,18 +333,17 @@ impl SearchStrategy for IslandSearch {
             );
 
             // Sequential per-island tracking (deterministic).
-            for (i, &(start, len)) in spans.iter().enumerate() {
-                let track = &mut tracks[i];
+            for (island, &(start, len)) in islands.iter_mut().zip(&spans) {
                 for k in start..start + len {
                     let canonical = ctx.space.canonicalize(batch[k].clone());
-                    if !track.evaluated.insert(canonical) {
+                    if !island.evaluated.insert(canonical) {
                         continue;
                     }
                     let m = &results[k].metrics;
                     if m.feasible() {
                         let p: Vec<u64> = ctx.objectives.iter().map(|o| o.extract(m)).collect();
-                        if front_insert(&mut track.front, &p) {
-                            track.last_improved = generation;
+                        if front_insert(&mut island.front, &p) {
+                            island.last_improved = generation;
                         }
                     }
                 }
@@ -688,30 +353,25 @@ impl SearchStrategy for IslandSearch {
                 break; // final populations evaluated; no more breeding
             }
 
-            // Advance every island on its own thread: breeding/climbing is
-            // pure index arithmetic on a private RNG, so islands are
-            // independent and the merge below is by id, not completion
-            // order.
-            std::thread::scope(|scope| {
-                for (state, &(start, len)) in states.iter_mut().zip(&spans) {
-                    let slice = &results[start..start + len];
-                    scope.spawn(move || state.advance(ctx, slice));
-                }
-            });
+            // Breeding is cheap index arithmetic on a private RNG, so the
+            // islands advance in island order on this thread.
+            for (island, &(start, len)) in islands.iter_mut().zip(&spans) {
+                island.advance(ctx, &results[start..start + len]);
+            }
 
             // Barrier migration on the configured cadence.
             if self.migrants > 0 && (generation + 1) % self.migrate_every == 0 {
                 let mut total_installed = 0u64;
                 {
                     let _span = dmx_obs::span(dmx_obs::names::MIGRATION, generation as u64);
-                    let offers: Vec<Vec<Genome>> = states
+                    let offers: Vec<Vec<Genome>> = islands
                         .iter()
-                        .map(|s| s.elites().iter().take(self.migrants).cloned().collect())
+                        .map(|s| s.elites.iter().take(self.migrants).cloned().collect())
                         .collect();
                     for &(src, dst) in &edges {
-                        let installed = states[dst].receive(ctx, &offers[src]);
-                        tracks[src].sent += offers[src].len();
-                        tracks[dst].received += installed;
+                        let installed = islands[dst].receive(&offers[src]);
+                        islands[src].sent += offers[src].len();
+                        islands[dst].received += installed;
                         total_installed += installed as u64;
                     }
                 }
@@ -721,20 +381,19 @@ impl SearchStrategy for IslandSearch {
         }
 
         let mut outcome = evaluator.into_outcome(self.name());
-        outcome.islands = states
-            .iter()
-            .zip(tracks)
+        outcome.islands = islands
+            .into_iter()
             .enumerate()
-            .map(|(i, (state, mut track))| {
-                track.front.sort_unstable();
+            .map(|(i, mut island)| {
+                island.front.sort_unstable();
                 IslandStats {
                     island: i,
-                    kind: state.kind().to_owned(),
-                    genomes: track.evaluated.len(),
-                    front: track.front,
-                    migrants_sent: track.sent,
-                    migrants_received: track.received,
-                    last_improved_generation: track.last_improved,
+                    kind: "genetic".to_owned(),
+                    genomes: island.evaluated.len(),
+                    front: island.front,
+                    migrants_sent: island.sent,
+                    migrants_received: island.received,
+                    last_improved_generation: island.last_improved,
                     generations: self.generations,
                 }
             })
@@ -863,27 +522,11 @@ mod tests {
         let explorer = Explorer::new(&hier);
         let bad = IslandSearch {
             islands: 2,
-            kinds: vec![IslandKind::Genetic { mutation: 1.5 }],
+            mutation: 1.5,
             ..IslandSearch::default()
         };
         let result =
             std::panic::catch_unwind(|| explorer.search(&bad, &space, &trace, &Objective::FIG1));
-        assert!(result.is_err(), "per-island mutation must be validated");
-    }
-
-    #[test]
-    fn heterogeneous_islands_include_a_hillclimber() {
-        let hier = presets::sp64k_dram4m();
-        let space = easyport_space(&hier, StudyScale::Quick);
-        let trace = easyport_trace(StudyScale::Quick, 42);
-        let explorer = Explorer::new(&hier);
-        let island = IslandSearch {
-            generations: 4,
-            ..IslandSearch::heterogeneous(3)
-        };
-        let outcome = explorer.search(&island, &space, &trace, &Objective::FIG1);
-        let kinds: Vec<&str> = outcome.islands.iter().map(|s| s.kind.as_str()).collect();
-        assert!(kinds.contains(&"genetic") && kinds.contains(&"hillclimb"));
-        assert!(!outcome.front.is_empty());
+        assert!(result.is_err(), "the mutation rate must be validated");
     }
 }

@@ -71,7 +71,7 @@ mod queue;
 pub use fidelity::{FidelityPlan, FidelityStats, RungStats, SurrogateKind};
 pub use genetic::GeneticSearch;
 pub use hillclimb::HillClimbSearch;
-pub use island::{IslandKind, IslandSearch, IslandStats, Migration};
+pub use island::{IslandSearch, IslandStats, Migration};
 
 pub(crate) use queue::simulate_jobs;
 
@@ -469,11 +469,6 @@ pub enum StrategyError {
     NoIslands,
     /// A migration interval of zero generations.
     NoMigrationInterval,
-    /// A hill-climbing island with zero climbers.
-    NoClimbers {
-        /// The island's index.
-        island: usize,
-    },
 }
 
 impl fmt::Display for StrategyError {
@@ -489,9 +484,6 @@ impl fmt::Display for StrategyError {
             StrategyError::NoIslands => write!(f, "island search needs at least one island"),
             StrategyError::NoMigrationInterval => {
                 write!(f, "migration interval must be at least 1 generation")
-            }
-            StrategyError::NoClimbers { island } => {
-                write!(f, "island {island}: need at least one climber")
             }
         }
     }
@@ -1368,15 +1360,6 @@ mod tests {
             Err(StrategyError::PopulationTooSmall(1))
         );
         assert_eq!(island(2).validate(), Ok(()));
-        let climbless = IslandSearch {
-            kinds: vec![IslandKind::HillClimb { climbers: 0 }],
-            ..IslandSearch::default()
-        };
-        assert_eq!(
-            climbless.validate(),
-            Err(StrategyError::NoClimbers { island: 0 })
-        );
-        assert!(IslandSearch::heterogeneous(3).validate().is_ok());
     }
 
     #[test]

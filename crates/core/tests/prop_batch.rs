@@ -1,8 +1,8 @@
 //! Property tests for the evaluator's batched fan-out.
 //!
 //! Fresh genomes of a generation become one batch of (instance, genome)
-//! jobs that worker threads steal, each replaying through its own
-//! `SimArena`. Two invariants pin that design down:
+//! jobs that worker threads claim one by one, each replaying through its
+//! own `SimArena`. Two invariants pin that design down:
 //!
 //! 1. **Thread invariance** — a robust genetic search over two workload
 //!    instances produces byte-identical results (genomes, fronts, labels,
@@ -79,7 +79,7 @@ proptest! {
     }
 
     /// Every simulation is exactly one kernel run over the whole compiled
-    /// trace, and workers keep their arenas across the jobs they steal.
+    /// trace, and workers keep their arenas across the jobs they claim.
     #[test]
     fn fresh_genomes_flow_through_the_batch_kernel(seed in 0u64..1000) {
         let hierarchy = dmx_memhier::presets::sp64k_dram4m();

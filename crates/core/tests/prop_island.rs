@@ -3,8 +3,9 @@
 //! Four invariants, each a hard requirement of the design:
 //!
 //! 1. **Thread invariance** — the same seed produces identical output for
-//!    1, 2 and 8 evaluation workers (the determinism contract: merge by
-//!    island id, never by completion order).
+//!    1, 2 and 8 evaluation workers over every migration topology (the
+//!    determinism contract: merge by island id, never by completion
+//!    order).
 //! 2. **Migrant validity** — migration can only move *evaluated* genomes,
 //!    so everything the search ever touches is a canonical member of the
 //!    space.
@@ -17,7 +18,7 @@
 
 use proptest::prelude::*;
 
-use dmx_core::search::{EvalInstance, IslandKind, IslandSearch, Migration, SearchContext};
+use dmx_core::search::{EvalInstance, IslandSearch, Migration, SearchContext};
 use dmx_core::study::{easyport_space, easyport_trace, StudyScale};
 use dmx_core::{dominates, Objective, SearchOutcome, SearchStrategy};
 
@@ -53,29 +54,31 @@ fn strategy(seed: u64, islands: usize, migration: Migration) -> IslandSearch {
 }
 
 proptest! {
-    // 3 cases × up to 3 thread counts × multi-generation searches: enough
-    // to exercise every topology without dominating the tier-1 wall
-    // clock.
+    // 3 cases × 3 topologies × 3 thread counts × multi-generation
+    // searches: enough to exercise every topology without dominating the
+    // tier-1 wall clock.
     #![proptest_config(ProptestConfig { cases: 3, ..ProptestConfig::default() })]
 
     /// Same seed + same island count ⇒ identical output for 1, 2 and 8
-    /// evaluation workers — down to labels, fronts, per-island stats and
-    /// even the cache accounting.
+    /// evaluation workers under every migration topology — down to
+    /// labels, fronts, per-island stats and even the cache accounting.
     #[test]
     fn island_search_is_thread_invariant(seed in 0u64..1000) {
-        let s = strategy(seed, 3, Migration::Ring);
-        let baseline = run_with_threads(&s, 1);
-        for threads in [2usize, 8] {
-            let other = run_with_threads(&s, threads);
-            prop_assert_eq!(&baseline.genomes, &other.genomes, "threads={}", threads);
-            prop_assert_eq!(&baseline.front.points, &other.front.points);
-            prop_assert_eq!(baseline.evaluations, other.evaluations);
-            prop_assert_eq!(baseline.simulations, other.simulations);
-            prop_assert_eq!(baseline.cache_hits, other.cache_hits);
-            prop_assert_eq!(&baseline.islands, &other.islands, "island stats must merge by id");
-            let la: Vec<&str> = baseline.exploration.results.iter().map(|r| r.label.as_str()).collect();
-            let lb: Vec<&str> = other.exploration.results.iter().map(|r| r.label.as_str()).collect();
-            prop_assert_eq!(la, lb);
+        for topo in [Migration::Ring, Migration::Full, Migration::Star] {
+            let s = strategy(seed, 3, topo);
+            let baseline = run_with_threads(&s, 1);
+            for threads in [2usize, 8] {
+                let other = run_with_threads(&s, threads);
+                prop_assert_eq!(&baseline.genomes, &other.genomes, "{} threads={}", topo, threads);
+                prop_assert_eq!(&baseline.front.points, &other.front.points);
+                prop_assert_eq!(baseline.evaluations, other.evaluations);
+                prop_assert_eq!(baseline.simulations, other.simulations);
+                prop_assert_eq!(baseline.cache_hits, other.cache_hits);
+                prop_assert_eq!(&baseline.islands, &other.islands, "island stats must merge by id");
+                let la: Vec<&str> = baseline.exploration.results.iter().map(|r| r.label.as_str()).collect();
+                let lb: Vec<&str> = other.exploration.results.iter().map(|r| r.label.as_str()).collect();
+                prop_assert_eq!(la, lb);
+            }
         }
     }
 
@@ -146,27 +149,4 @@ proptest! {
         // (single instance), regardless of cross-island overlap.
         prop_assert_eq!(outcome.sim_stats.runs as usize, outcome.evaluations);
     }
-}
-
-/// Heterogeneous islands keep all invariants: a hill-climb island mixes
-/// with genetic islands and the merged outcome stays deterministic.
-#[test]
-fn heterogeneous_islands_are_deterministic_and_valid() {
-    let s = IslandSearch {
-        migrate_every: 2,
-        generations: 5,
-        kinds: vec![
-            IslandKind::Genetic { mutation: 0.1 },
-            IslandKind::Genetic { mutation: 0.35 },
-            IslandKind::HillClimb { climbers: 3 },
-        ],
-        ..IslandSearch::heterogeneous(3)
-    };
-    let a = run_with_threads(&s, 1);
-    let b = run_with_threads(&s, 8);
-    assert_eq!(a.genomes, b.genomes);
-    assert_eq!(a.islands, b.islands);
-    assert_eq!(a.front.points, b.front.points);
-    assert_eq!(a.islands[2].kind, "hillclimb");
-    assert_eq!(a.simulations, a.evaluations);
 }

@@ -22,7 +22,7 @@
 //!   span;
 //! - obs data is exported to *separate* artifacts (`--obs-trace`,
 //!   `--obs-metrics`), never merged into result exports, because
-//!   timing- and interleaving-dependent values (steal counts, nanos)
+//!   timing- and interleaving-dependent values (nanos, span lanes)
 //!   would break the byte-determinism CI asserts on results;
 //! - with the `enabled` feature off every API in this crate still
 //!   exists as a zero-sized no-op, so call sites compile unchanged and
@@ -122,8 +122,6 @@ metrics! {
         pub eval_fresh: Counter = "eval.fresh",
         /// Simulation jobs executed by workers.
         pub eval_jobs: Counter = "eval.jobs",
-        /// Work items taken from another worker's chunk.
-        pub queue_steals: Counter = "queue.steals",
         /// Island migration barriers crossed.
         pub migrations: Counter = "island.migrations",
         /// Migrants installed into destination islands.
@@ -196,7 +194,7 @@ mod tests {
     #[test]
     fn catalog_snapshot_has_every_metric() {
         let snap = metrics().snapshot();
-        assert_eq!(snap.len(), 20);
+        assert_eq!(snap.len(), 19);
         assert_eq!(snap[0].name, "search.generations");
         assert!(snap.iter().any(|s| s.name == "kernel.replays"));
         assert!(snap.iter().any(|s| s.name == "fidelity.prefix.events"));

@@ -134,7 +134,6 @@ fn one_island_is_byte_identical_to_plain_genetic_search() {
             migration: Migration::Full,
             migrate_every: 1,
             migrants: 4,
-            kinds: Vec::new(),
         };
         let a = explorer.search(&ga, &space, &trace, &Objective::FIG1);
         let b = explorer.search(&island, &space, &trace, &Objective::FIG1);

@@ -787,7 +787,6 @@ fn island_run_reproduces_the_pinned_merged_front() {
         generations: 3,
         mutation: 0.2,
         seed: 2006,
-        kinds: Vec::new(),
     };
     // Both extreme worker counts must reproduce the pinned run exactly.
     for threads in [1usize, 8] {
@@ -1085,7 +1084,6 @@ fn search_strategies_reproduce_pre_refactor_outcomes() {
                 generations: 3,
                 mutation: 0.2,
                 seed: 2006,
-                kinds: Vec::new(),
             }),
             other => panic!("unknown golden strategy `{other}`"),
         };

@@ -60,7 +60,6 @@ fn strategies() -> Vec<(&'static str, Box<dyn SearchStrategy>)> {
                 generations: 3,
                 mutation: 0.2,
                 seed: 2006,
-                kinds: Vec::new(),
             }),
         ),
     ]
