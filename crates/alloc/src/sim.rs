@@ -13,7 +13,8 @@
 //! reusable [`SimArena`] so the slab is allocated once per worker, not
 //! once per genome. [`Simulator::start`] exposes the same replay as a
 //! [`ReplayState`] that can pause between pool ops and report metrics
-//! so far, which the exhaustive sweep uses to stop dominated replays.
+//! so far and a lower bound on its final metrics, which the exhaustive
+//! sweep uses to stop dominated replays.
 //!
 //! [`Simulator::run_reference`] keeps the original hash-map interpreter
 //! (over the uncompiled [`Trace`]) as a correctness oracle and throughput
@@ -23,7 +24,7 @@
 
 use std::collections::HashMap;
 
-use dmx_memhier::{CostModel, CostParams, CounterSet, MemoryHierarchy};
+use dmx_memhier::{CostModel, CostParams, CounterSet, MemoryHierarchy, MemoryLevel};
 use dmx_trace::{BlockId, CompiledTrace, Trace, TraceEvent};
 
 use crate::block::BlockInfo;
@@ -318,7 +319,8 @@ struct OpTallies {
 ///
 /// [`Simulator::start`] builds the allocator and readies the arena;
 /// [`Self::advance`] replays pool ops up to a cursor; [`Self::snapshot`]
-/// reads the metrics as if the trace ended at the cursor; and
+/// reads the metrics as if the trace ended at the cursor;
+/// [`Self::bound`] adds the application accesses still to come; and
 /// [`Self::finish`] replays the rest and returns the final metrics.
 /// [`Simulator::run_in_arena`] is `start` then `finish`, so a replay
 /// advanced in steps and one run straight through walk the same op loop
@@ -327,7 +329,8 @@ struct OpTallies {
 /// Footprint (a peak), accesses, contention stalls, cycles and energy
 /// only grow as the cursor moves, and a snapshot charges the whole
 /// trace's compute ticks, so every snapshot is a lower bound on the
-/// final value of each of them. The tail latency is a p99 and has no
+/// final value of each of them. [`Self::bound`] is a tighter lower bound
+/// for replays that end feasible. The tail latency is a p99 and has no
 /// such bound.
 pub struct ReplayState<'a> {
     sim: Simulator<'a>,
@@ -387,6 +390,51 @@ impl ReplayState<'_> {
     pub fn snapshot(&self) -> SimMetrics {
         self.sim
             .metrics(&self.ctx, &self.tallies, self.contention.as_ref())
+    }
+
+    /// A lower bound on the final metrics of this replay if every
+    /// remaining allocation succeeds: the [`Self::snapshot`] plus the
+    /// application reads `R` and writes `W` that the allocations not yet
+    /// replayed will charge ([`CompiledTrace::reads_from`] /
+    /// [`CompiledTrace::writes_from`]), each at the cheapest figure any
+    /// level offers for it:
+    ///
+    /// * accesses: `+ R + W`, booked on the fastest level's counters (a
+    ///   bound's per-level split is not a placement);
+    /// * cycles: `+ R·min read latency + W·min write latency`;
+    /// * energy: dynamic energy `+ R·min read energy + W·min write
+    ///   energy`, with static energy recomputed over the bounded cycles.
+    ///
+    /// Every minimum is taken per figure over all levels, since a
+    /// hierarchy's first level need not be its cheapest. Footprint and
+    /// contention stalls are the snapshot's. A replay that later fails
+    /// an allocation charges nothing for that block, so its final
+    /// metrics can fall below this bound.
+    pub fn bound(&self) -> SimMetrics {
+        let hierarchy = self.sim.hierarchy;
+        let ordinal = self.live.ordinal;
+        let reads = self.trace.reads_from()[ordinal];
+        let writes = self.trace.writes_from()[ordinal];
+        let min = |figure: fn(&MemoryLevel) -> u64| {
+            hierarchy
+                .iter()
+                .map(|(_, level)| figure(level))
+                .min()
+                .unwrap_or(0)
+        };
+        let cycles = reads * min(|l| u64::from(l.read_latency()))
+            + writes * min(|l| u64::from(l.write_latency()));
+        let energy_pj =
+            reads * min(MemoryLevel::read_energy_pj) + writes * min(MemoryLevel::write_energy_pj);
+
+        let mut bound = self.snapshot();
+        let cost = CostModel::new(hierarchy);
+        let dynamic_pj = bound.energy_pj - cost.static_energy_pj(bound.cycles);
+        bound.cycles += cycles;
+        bound.energy_pj = dynamic_pj + energy_pj + cost.static_energy_pj(bound.cycles);
+        bound.counters.record_reads(hierarchy.fastest(), reads);
+        bound.counters.record_writes(hierarchy.fastest(), writes);
+        bound
     }
 
     /// Replays the rest of the trace and returns the final metrics,
@@ -1319,6 +1367,80 @@ mod tests {
             assert_eq!(replay.finish(), want, "stepped replay of {}", cfg.label());
             assert_eq!(arena.runs(), 1);
             assert_eq!(arena.events_replayed(), compiled.len() as u64);
+        }
+    }
+
+    /// Two levels where neither is cheapest at everything: `near` has
+    /// the lower read latency and write energy, `far` the lower write
+    /// latency and read energy.
+    fn crossed_costs() -> MemoryHierarchy {
+        use dmx_memhier::LevelKind;
+        MemoryHierarchy::new(vec![
+            MemoryLevel::builder("near", LevelKind::Sram)
+                .capacity(4 << 20)
+                .read_latency(1)
+                .write_latency(6)
+                .read_energy_pj(90)
+                .write_energy_pj(20)
+                .leakage_pj_per_kcycle(300)
+                .build(),
+            MemoryLevel::builder("far", LevelKind::Dram)
+                .capacity(4 << 20)
+                .read_latency(4)
+                .write_latency(2)
+                .read_energy_pj(30)
+                .write_energy_pj(80)
+                .leakage_pj_per_kcycle(700)
+                .build(),
+        ])
+        .unwrap()
+    }
+
+    #[test]
+    fn bound_stays_below_the_final_metrics_of_feasible_replays() {
+        let hier = crossed_costs();
+        let sim = Simulator::new(&hier);
+        let trace = CompiledTrace::compile(&EasyportConfig::small().generate(6));
+        let ops = trace.pool_ops().len();
+        assert!(ops > 2 * 1024, "the fixture must cross several strides");
+        let mut near_only = baseline(&hier);
+        near_only.pools[0].level = hier.fastest();
+        for cfg in [
+            baseline(&hier),
+            near_only,
+            AllocatorConfig::paper_example(&hier),
+        ] {
+            let mut arena = SimArena::new();
+            let want = sim.run_in_arena(&cfg, &trace, &mut arena).unwrap();
+            assert!(want.feasible(), "{}", cfg.label());
+            let mut replay = sim.start(&cfg, &trace, &mut arena).unwrap();
+            let mut tighter = false;
+            for to_op in (1024..ops).step_by(1024) {
+                replay.advance(to_op);
+                let (snapshot, bound) = (bounded(&replay.snapshot()), bounded(&replay.bound()));
+                for (k, ((&s, &b), &end)) in
+                    snapshot.iter().zip(&bound).zip(&bounded(&want)).enumerate()
+                {
+                    assert!(
+                        s <= b,
+                        "{}: metric {k} bound below the snapshot",
+                        cfg.label()
+                    );
+                    assert!(
+                        b <= end,
+                        "{}: metric {k} bound {b} above {end}",
+                        cfg.label()
+                    );
+                }
+                tighter |= bound[1] > snapshot[1];
+            }
+            assert!(tighter, "{}: the bound never added work", cfg.label());
+            replay.advance(ops);
+            assert_eq!(
+                bounded(&replay.bound()),
+                bounded(&want),
+                "with nothing left the bound is the final value"
+            );
         }
     }
 

@@ -315,7 +315,7 @@ pub fn search_to_json(outcome: &crate::search::SearchOutcome, objectives: &[Obje
 /// Serializes the configurations a pruned exhaustive sweep stopped
 /// early as a JSON array: label, genome, the pool op and trace fraction
 /// where the replay stopped, and the label of the front point that
-/// dominated it. Only emitted when the sweep pruned something, so every
+/// dominated its bound (see [`crate::search::PrunedConfig`]). Only emitted when the sweep pruned something, so every
 /// other export stays byte-identical.
 fn pruned_json(pruned: &[crate::search::PrunedConfig], indent: &str) -> String {
     let mut s = String::from("[");

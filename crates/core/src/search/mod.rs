@@ -374,7 +374,7 @@ pub struct SearchOutcome {
     /// (labels are per-platform and may differ between scenarios).
     pub genomes: Vec<Genome>,
     /// Distinct configurations the search settled: those simulated to
-    /// the end plus those [`Self::pruned`] proved dominated. An
+    /// the end plus those [`Self::pruned`] proved off the front. An
     /// exhaustive search therefore reports the whole space.
     pub evaluations: usize,
     /// Simulator runs to the end of the trace: one per
@@ -403,17 +403,24 @@ pub struct SearchOutcome {
     /// [`FidelityPlan`]. `None` for full-fidelity searches.
     pub fidelity: Option<FidelityStats>,
     /// The configurations the pruned [`ExhaustiveSearch`] stopped
-    /// replaying because a finished front point already dominated them,
-    /// in genome order. None of them is in `exploration.results`. Empty
-    /// for every other strategy.
+    /// replaying because a finished front point already dominated a
+    /// lower bound on their final metrics, in genome order. None of them
+    /// is in `exploration.results`. Empty for every other strategy.
     pub pruned: Vec<PrunedConfig>,
 }
 
 /// A configuration whose replay the pruned [`ExhaustiveSearch`] stopped
-/// early: its running objective vector was strictly dominated by a
-/// feasible front point of an earlier wave. The running vector bounds
-/// the final one from below, so the final metrics are dominated too and
-/// the configuration cannot be on the front.
+/// early: the lower bound on its final objective vector
+/// ([`dmx_alloc::ReplayState::bound`]: the metrics so far plus the
+/// application accesses still to come, at the cheapest level's figures)
+/// was strictly dominated by a feasible front point of an earlier wave.
+///
+/// The bound holds for every replay that ends feasible, so if this
+/// configuration's full replay is feasible, [`Self::dominated_by`]
+/// strictly dominates its final metrics. A replay that would later have
+/// failed an allocation charges no accesses for that block and can end
+/// below the bound; such a configuration is infeasible and cannot be on
+/// the front either, but it need not be dominated by the named point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PrunedConfig {
     /// The configuration's canonical genome.
@@ -424,22 +431,45 @@ pub struct PrunedConfig {
     pub stopped_at_op: usize,
     /// Fraction of the trace's events replayed when the replay stopped.
     pub trace_fraction: f64,
-    /// Label of the front point that dominated it.
+    /// Label of the front point that dominated its bound — and its
+    /// final metrics, if its full replay is feasible.
     pub dominated_by: String,
 }
 
 /// Pool ops a pruned replay runs between two dominance checks.
 const PRUNE_CHECK_OPS: usize = 1024;
 
-/// Configurations per wave of the pruned exhaustive sweep. A constant,
-/// not a function of the worker count, so the bound every wave sees —
-/// and with it the pruned set — is the same at any `DMX_THREADS`.
-const PRUNE_WAVE: usize = 64;
+/// Configurations per wave of the pruned exhaustive sweep: the first
+/// waves double in size, and every later wave is as large as the last
+/// entry. Small first waves give the sweep front points to prune
+/// against sooner; full-size waves leave the fan-out work to balance. A
+/// constant, not a function of the worker count, so the incumbents every
+/// wave is checked against — and with them the pruned set — are the
+/// same at any `DMX_THREADS`.
+const PRUNE_WAVES: [usize; 4] = [8, 16, 32, 64];
 
-/// A feasible result on the pruning bound: its objective vector and the
-/// label a pruned configuration names as its dominator.
+/// Splits `len` configurations into the consecutive index ranges of the
+/// [`PRUNE_WAVES`] schedule.
+fn prune_waves(len: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
+    let sizes = PRUNE_WAVES
+        .iter()
+        .copied()
+        .chain(std::iter::repeat(PRUNE_WAVES[PRUNE_WAVES.len() - 1]));
+    let mut start = 0;
+    sizes.map_while(move |size| {
+        (start < len).then(|| {
+            let wave = start..(start + size).min(len);
+            start = wave.end;
+            wave
+        })
+    })
+}
+
+/// An incumbent of the pruned sweep: a feasible non-dominated result of
+/// an earlier wave, with its objective vector and the label a pruned
+/// configuration names as its dominator.
 #[derive(Debug)]
-struct BoundPoint {
+struct Incumbent {
     point: Vec<u64>,
     label: String,
 }
@@ -645,9 +675,9 @@ pub struct Evaluator<'a> {
     screener: Option<MultiFidelityEvaluator>,
     /// Configurations the pruned sweep stopped early, in settle order.
     pruned: Vec<PrunedConfig>,
-    /// The pruned sweep's bound: the feasible non-dominated points among
-    /// the results of the waves settled so far, in settle order.
-    bound: Vec<BoundPoint>,
+    /// The pruned sweep's incumbents: the feasible non-dominated points
+    /// among the results of the waves settled so far, in settle order.
+    incumbents: Vec<Incumbent>,
 }
 
 impl<'a> Evaluator<'a> {
@@ -674,7 +704,7 @@ impl<'a> Evaluator<'a> {
                 .fidelity
                 .map(|plan| MultiFidelityEvaluator::new(plan, ctx)),
             pruned: Vec::new(),
-            bound: Vec::new(),
+            incumbents: Vec::new(),
         }
     }
 
@@ -709,10 +739,11 @@ impl<'a> Evaluator<'a> {
     /// Settles one wave of the pruned exhaustive sweep: `genomes` are
     /// canonical, distinct and fresh. Every replay checks after each
     /// [`PRUNE_CHECK_OPS`] pool ops (`checkpoints` holds the events
-    /// consumed at each check) whether its snapshot's objective vector is
-    /// strictly dominated by a point of the bound the earlier waves left,
-    /// and stops if it is. The bound only grows between waves, so the
-    /// outcome does not depend on which worker ran which replay.
+    /// consumed at each check) whether the objective vector of its
+    /// [`dmx_alloc::ReplayState::bound`] is strictly dominated by a point
+    /// of the incumbents the earlier waves left, and stops if it is. The
+    /// incumbents change only between waves, so the outcome does not
+    /// depend on which worker ran which replay.
     fn eval_wave(&mut self, genomes: &[Genome], checkpoints: &[usize]) {
         let _span = dmx_obs::span(dmx_obs::names::EVAL_BATCH, genomes.len() as u64);
         dmx_obs::metrics().eval_batches.incr();
@@ -721,9 +752,9 @@ impl<'a> Evaluator<'a> {
         let hierarchy = ctx.instances[0].hierarchy;
         let trace: &CompiledTrace = &ctx.instances[0].trace;
         let sim = Simulator::new(hierarchy);
-        let bound = &self.bound;
+        let incumbents = &self.incumbents;
         // With nothing to compare against, checking would be wasted work.
-        let checkpoints = if bound.is_empty() {
+        let checkpoints = if incumbents.is_empty() {
             &[][..]
         } else {
             checkpoints
@@ -736,13 +767,11 @@ impl<'a> Evaluator<'a> {
                     .expect("space genomes materialize to valid configurations");
                 for (m, &events) in checkpoints.iter().enumerate() {
                     replay.advance((m + 1) * PRUNE_CHECK_OPS);
-                    let snapshot = replay.snapshot();
-                    let point: Vec<u64> = ctx
-                        .objectives
-                        .iter()
-                        .map(|o| o.extract(&snapshot))
-                        .collect();
-                    if let Some(dominator) = bound.iter().find(|b| dominates(&b.point, &point)) {
+                    let bound = replay.bound();
+                    let point: Vec<u64> =
+                        ctx.objectives.iter().map(|o| o.extract(&bound)).collect();
+                    if let Some(dominator) = incumbents.iter().find(|b| dominates(&b.point, &point))
+                    {
                         let pruned = PrunedConfig {
                             genome: genomes[j].clone(),
                             label: config.label(),
@@ -764,7 +793,7 @@ impl<'a> Evaluator<'a> {
                 Settled::Full(result) => {
                     let result = Arc::new(result);
                     if result.metrics.feasible() {
-                        self.raise_bound(&result);
+                        self.add_incumbent(&result);
                     }
                     let entry = Entry {
                         parts: vec![Arc::clone(&result)],
@@ -783,9 +812,9 @@ impl<'a> Evaluator<'a> {
         self.sim_stats += stats;
     }
 
-    /// Adds a feasible full result to the pruning bound, unless a bound
-    /// point dominates or equals it, and drops the points it dominates.
-    fn raise_bound(&mut self, result: &RunResult) {
+    /// Adds a feasible full result to the incumbents, unless one
+    /// dominates or equals it, and drops the incumbents it dominates.
+    fn add_incumbent(&mut self, result: &RunResult) {
         let point: Vec<u64> = self
             .ctx
             .objectives
@@ -793,14 +822,14 @@ impl<'a> Evaluator<'a> {
             .map(|o| o.extract(&result.metrics))
             .collect();
         if self
-            .bound
+            .incumbents
             .iter()
             .any(|b| b.point == point || dominates(&b.point, &point))
         {
             return;
         }
-        self.bound.retain(|b| !dominates(&point, &b.point));
-        self.bound.push(BoundPoint {
+        self.incumbents.retain(|b| !dominates(&point, &b.point));
+        self.incumbents.push(Incumbent {
             point,
             label: result.label.clone(),
         });
@@ -949,11 +978,14 @@ impl<'a> Evaluator<'a> {
 ///
 /// In classic mode, at full fidelity and on objectives that only grow
 /// during a replay ([`Objective::monotone`]), the sweep prunes: it runs
-/// the space in order, in waves of a fixed size, and each replay stops
-/// as soon as its running objective vector is strictly dominated by a
-/// feasible front point of an earlier wave. Such a configuration cannot
-/// reach the front; it is listed in [`SearchOutcome::pruned`] instead of
-/// in the results, which hold exact metrics only. Use
+/// the space in order, in waves of 8, 16, 32 and then 64
+/// configurations, and each replay stops as soon as a lower bound on
+/// its final objective vector (its metrics so far plus the application
+/// accesses still to come) is strictly dominated by a feasible front
+/// point of an earlier wave. Such a configuration cannot reach the
+/// front: it is dominated if it ends feasible, and excluded if it does
+/// not. It is listed in [`SearchOutcome::pruned`] instead of in the
+/// results, which hold exact metrics only. Use
 /// [`crate::Explorer::run`] when every configuration's metrics are
 /// needed.
 #[derive(Debug, Clone, Copy, Default)]
@@ -971,8 +1003,8 @@ impl SearchStrategy for ExhaustiveSearch {
             .collect();
         if evaluator.can_prune() {
             let checkpoints = ctx.instances[0].trace.events_at_op_strides(PRUNE_CHECK_OPS);
-            for wave in genomes.chunks(PRUNE_WAVE) {
-                evaluator.eval_wave(wave, &checkpoints);
+            for wave in prune_waves(genomes.len()) {
+                evaluator.eval_wave(&genomes[wave], &checkpoints);
             }
         } else {
             evaluator.eval_batch(&genomes);
@@ -1014,8 +1046,8 @@ mod tests {
     use crate::param::ParamSpace;
     use crate::study::{easyport_space, easyport_trace, StudyScale};
     use crate::Explorer;
-    use dmx_alloc::SimMetrics;
-    use dmx_memhier::presets;
+    use dmx_alloc::{SimArena, SimMetrics};
+    use dmx_memhier::{presets, LevelKind, MemoryLevel};
     use dmx_trace::gen::{SyntheticConfig, TraceGenerator};
 
     fn quick_ctx<'a>(space: &'a ParamSpace, inst: &'a EvalInstance<'a>) -> SearchContext<'a> {
@@ -1044,19 +1076,18 @@ mod tests {
         assert_eq!(parse_thread_budget(Some("")), (cores, Some("")));
     }
 
-    /// The pruning contract: the pruned sweep settles every
-    /// configuration once, finds the front of the every-config
+    /// The pruning contract on one fixture: the pruned sweep settles
+    /// every configuration once, finds the front of the every-config
     /// [`Explorer::run`] sweep, reports exact metrics for every
-    /// configuration it ran to the end, and prunes only configurations
-    /// whose final metrics the named front point strictly dominates —
-    /// the same set at any worker count.
-    #[test]
-    fn exhaustive_search_matches_explorer_run() {
-        let hier = presets::sp64k_dram4m();
-        let space = easyport_space(&hier, StudyScale::Quick);
-        let trace = easyport_trace(StudyScale::Quick, 42);
-        let inst = EvalInstance::single(&hier, &trace);
-        let classic = Explorer::new(&hier).run(&space, &trace);
+    /// configuration it ran to the end, and prunes the same set at any
+    /// worker count. A pruned configuration whose full replay is
+    /// feasible is strictly dominated by the front point it names; every
+    /// other pruned configuration is infeasible. Returns how many pruned
+    /// configurations had failed no allocation where they stopped but
+    /// fail one later.
+    fn check_pruning_contract(hier: &MemoryHierarchy, space: &ParamSpace, trace: &Trace) -> usize {
+        let inst = EvalInstance::single(hier, trace);
+        let classic = Explorer::new(hier).run(space, trace);
         let metrics: HashMap<&str, &SimMetrics> = classic
             .results
             .iter()
@@ -1066,12 +1097,14 @@ mod tests {
             |m: &SimMetrics| -> Vec<u64> { Objective::FIG1.iter().map(|o| o.extract(m)).collect() };
         let all: Vec<Genome> = (0..space.len()).map(|i| space.genome_at(i)).collect();
         let events = inst.trace.len() as u64;
+        let sim = Simulator::new(hier);
 
         let mut pruned_sets = Vec::new();
+        let mut fail_later = 0;
         for threads in [1, 4] {
             let ctx = SearchContext {
                 threads,
-                ..quick_ctx(&space, &inst)
+                ..quick_ctx(space, &inst)
             };
             let outcome = ExhaustiveSearch.search(&ctx);
             let results = &outcome.exploration.results;
@@ -1094,6 +1127,7 @@ mod tests {
             for r in results {
                 assert_eq!(&r.metrics, metrics[r.label.as_str()], "{}", r.label);
             }
+            fail_later = 0;
             for p in &outcome.pruned {
                 let dominator = metrics[p.dominated_by.as_str()];
                 assert!(
@@ -1101,12 +1135,23 @@ mod tests {
                     "{} names an infeasible point",
                     p.label
                 );
-                assert!(
-                    crate::pareto::dominates(&point(dominator), &point(metrics[p.label.as_str()])),
-                    "{} is not dominated by {}",
-                    p.label,
-                    p.dominated_by
-                );
+                let config = space.config_at(hier, &p.genome);
+                let reference = sim.run_reference(&config, trace).unwrap();
+                if reference.feasible() {
+                    assert!(
+                        crate::pareto::dominates(&point(dominator), &point(&reference)),
+                        "{} is not dominated by {}",
+                        p.label,
+                        p.dominated_by
+                    );
+                } else {
+                    let mut arena = SimArena::new();
+                    let mut replay = sim.start(&config, &inst.trace, &mut arena).unwrap();
+                    replay.advance(p.stopped_at_op);
+                    if replay.snapshot().feasible() {
+                        fail_later += 1;
+                    }
+                }
                 assert!(p.trace_fraction > 0.0 && p.trace_fraction < 1.0);
                 assert!(p.stopped_at_op > 0 && p.stopped_at_op % PRUNE_CHECK_OPS == 0);
             }
@@ -1126,7 +1171,38 @@ mod tests {
             pruned_sets[0], pruned_sets[1],
             "worker count changed the pruned set"
         );
+        fail_later
+    }
 
+    #[test]
+    fn exhaustive_search_matches_explorer_run() {
+        let hier = presets::sp64k_dram4m();
+        let space = easyport_space(&hier, StudyScale::Quick);
+        let trace = easyport_trace(StudyScale::Quick, 42);
+        check_pruning_contract(&hier, &space, &trace);
+
+        // Main memory cut to 3/2 of the trace's peak live bytes: the
+        // configurations that fragment past it fail allocations, some of
+        // them after the sweep has already pruned them.
+        let tight = MemoryHierarchy::new(vec![
+            hier.level(hier.fastest()).clone(),
+            MemoryLevel::builder("main-dram", LevelKind::Dram)
+                .capacity(trace.peak_live_bytes() * 3 / 2)
+                .read_energy_pj(1480)
+                .write_energy_pj(1620)
+                .read_latency(18)
+                .write_latency(20)
+                .leakage_pj_per_kcycle(24)
+                .build(),
+        ])
+        .unwrap();
+        let fail_later = check_pruning_contract(&tight, &space, &trace);
+        assert!(
+            fail_later > 0,
+            "the tight fixture must prune a configuration before it fails"
+        );
+
+        let inst = EvalInstance::single(&hier, &trace);
         // A p99 objective can fall during a replay: nothing is pruned.
         let objectives = [Objective::Footprint, Objective::TailLatency];
         let ctx = SearchContext {
@@ -1137,6 +1213,29 @@ mod tests {
         assert!(outcome.pruned.is_empty());
         assert_eq!(outcome.simulations, space.len());
         assert_eq!(outcome.exploration.results.len(), space.len());
+    }
+
+    /// The wave schedule doubles from 8 to 64 and then repeats 64,
+    /// covering the space once in order. It reads no worker count, so a
+    /// sweep runs the same waves at any `DMX_THREADS`;
+    /// `exhaustive_search_matches_explorer_run` checks that 1 and 4
+    /// workers prune the same configurations at the same ops.
+    #[test]
+    fn prune_waves_double_then_cover_the_space_once() {
+        let sizes = |len| prune_waves(len).map(|w| w.len()).collect::<Vec<_>>();
+        assert_eq!(sizes(0), Vec::<usize>::new());
+        assert_eq!(sizes(5), [5]);
+        assert_eq!(sizes(24), [8, 16]);
+        assert_eq!(sizes(200), [8, 16, 32, 64, 64, 16]);
+        for len in [1, 7, 8, 9, 120, 864, 6912] {
+            let mut next = 0;
+            for wave in prune_waves(len) {
+                assert_eq!(wave.start, next, "waves are consecutive");
+                assert!(!wave.is_empty() && wave.len() <= 64);
+                next = wave.end;
+            }
+            assert_eq!(next, len, "waves cover all {len} configurations");
+        }
     }
 
     #[test]

@@ -21,7 +21,10 @@
 //!   ([`CompiledTrace::alloc_sizes`]), lifetime application-access
 //!   totals ([`CompiledTrace::alloc_reads`] /
 //!   [`CompiledTrace::alloc_writes`] — applied once at placement time,
-//!   since access charging is a pure per-level sum) and the trace's
+//!   since access charging is a pure per-level sum), their suffix sums
+//!   ([`CompiledTrace::reads_from`] / [`CompiledTrace::writes_from`] —
+//!   the application accesses still to come after any allocation,
+//!   which bound a paused replay's remaining work) and the trace's
 //!   total compute ticks ([`CompiledTrace::total_tick_cycles`]). This
 //!   is the stream the replay kernel walks;
 //! * the issuing thread of each pool op is lowered to a dense
@@ -130,6 +133,11 @@ pub struct CompiledTrace {
     alloc_reads: Vec<u64>,
     /// Lifetime application writes, in allocation order.
     alloc_writes: Vec<u64>,
+    /// Suffix sums of `alloc_reads`: entry `n` is the reads of
+    /// allocations `n..`, so it has `allocs + 1` entries and ends in 0.
+    reads_from: Vec<u64>,
+    /// Suffix sums of `alloc_writes`, laid out like `reads_from`.
+    writes_from: Vec<u64>,
     /// Sum of all `Tick` cycles (allocator-independent, charged once).
     total_tick_cycles: u64,
     max_live_slots: u32,
@@ -141,8 +149,8 @@ pub struct CompiledTrace {
 impl CompiledTrace {
     /// Lowers `trace` into the compiled form: one O(events) pass that
     /// renames ids to dense recycled slots, splits the stream into SoA
-    /// arrays, and precomputes sizes, per-allocation access totals,
-    /// total tick cycles and the peak live-slot count.
+    /// arrays, and precomputes sizes, per-allocation access totals and
+    /// their suffix sums, total tick cycles and the peak live-slot count.
     pub fn compile(trace: &Trace) -> CompiledTrace {
         let len = trace.len();
         let mut kinds = Vec::with_capacity(len);
@@ -239,6 +247,8 @@ impl CompiledTrace {
             pool_ops,
             op_thread_ranks,
             distinct_op_tids,
+            reads_from: suffix_sums(&alloc_reads),
+            writes_from: suffix_sums(&alloc_writes),
             alloc_sizes,
             alloc_reads,
             alloc_writes,
@@ -266,7 +276,8 @@ impl CompiledTrace {
     /// per-allocation data is rebuilt over the window: access totals are
     /// re-accumulated from in-window `Access` events only (a lifetime
     /// total would charge accesses that happen after the cut), and the
-    /// tick/peak/slot summaries are recomputed. Because the dense-slot
+    /// tick/peak/slot summaries and the access suffix sums are
+    /// recomputed. Because the dense-slot
     /// and thread-rank assignments of a compile depend only on the event
     /// prefix already consumed, the result is **identical** to compiling
     /// the truncated source trace; `prefix(1.0)` returns a clone of
@@ -348,6 +359,8 @@ impl CompiledTrace {
             pool_ops,
             op_thread_ranks,
             distinct_op_tids,
+            reads_from: suffix_sums(&alloc_reads),
+            writes_from: suffix_sums(&alloc_writes),
             alloc_sizes,
             alloc_reads,
             alloc_writes,
@@ -440,6 +453,21 @@ impl CompiledTrace {
         &self.alloc_writes
     }
 
+    /// Application reads of allocations `ordinal..`: entry `n` is the sum
+    /// of [`Self::alloc_reads`] from the n-th allocation on, so entry 0
+    /// is the trace's total and entry [`Self::allocs`] is 0. A replay
+    /// paused before allocation `n` has exactly these reads still to
+    /// charge if every remaining allocation succeeds.
+    pub fn reads_from(&self) -> &[u64] {
+        &self.reads_from
+    }
+
+    /// Application writes of allocations `ordinal..`, laid out like
+    /// [`Self::reads_from`].
+    pub fn writes_from(&self) -> &[u64] {
+        &self.writes_from
+    }
+
     /// Total `Tick` cycles in the trace — allocator-independent, so the
     /// replay kernel charges them once per run instead of per event.
     pub fn total_tick_cycles(&self) -> u64 {
@@ -477,6 +505,16 @@ impl CompiledTrace {
     pub fn peak_live_bytes(&self) -> u64 {
         self.peak_live_bytes
     }
+}
+
+/// Suffix sums of `values`, with a trailing 0: entry `n` is the sum of
+/// `values[n..]`.
+fn suffix_sums(values: &[u64]) -> Vec<u64> {
+    let mut sums = vec![0; values.len() + 1];
+    for (n, &v) in values.iter().enumerate().rev() {
+        sums[n] = sums[n + 1] + v;
+    }
+    sums
 }
 
 impl fmt::Display for CompiledTrace {
@@ -627,6 +665,32 @@ mod tests {
         assert_eq!(c.alloc_reads(), [7, 1], "3+4 reads on #1, 1 on leaked #2");
         assert_eq!(c.alloc_writes(), [2, 1]);
         assert_eq!(c.total_tick_cycles(), 11);
+    }
+
+    #[test]
+    fn access_suffix_sums_cover_the_allocations_still_to_come() {
+        let c = CompiledTrace::compile(&EasyportConfig::small().generate(3));
+        let allocs = c.allocs() as usize;
+        assert_eq!(c.reads_from().len(), allocs + 1);
+        assert_eq!(c.writes_from().len(), allocs + 1);
+        let total: u64 = c.alloc_reads().iter().chain(c.alloc_writes()).sum();
+        assert_eq!(c.reads_from()[0] + c.writes_from()[0], total);
+        assert_eq!(c.reads_from()[0], c.alloc_reads().iter().sum::<u64>());
+        assert_eq!((c.reads_from()[allocs], c.writes_from()[allocs]), (0, 0));
+        for n in [1, allocs / 3, allocs - 1] {
+            assert_eq!(c.reads_from()[n], c.alloc_reads()[n..].iter().sum::<u64>());
+            assert_eq!(
+                c.writes_from()[n],
+                c.alloc_writes()[n..].iter().sum::<u64>()
+            );
+        }
+        // A prefix sums its own in-window accesses, not the full trace's.
+        let p = c.prefix(0.4).unwrap();
+        let window: u64 = p.alloc_reads().iter().chain(p.alloc_writes()).sum();
+        assert_eq!(p.reads_from().len(), p.allocs() as usize + 1);
+        assert_eq!(p.reads_from()[0] + p.writes_from()[0], window);
+        assert!(window < total);
+        assert_eq!(p.reads_from().last(), Some(&0));
     }
 
     #[test]

@@ -732,10 +732,10 @@ fn golden_suite_covers_every_pool_kind() {
 
 /// Golden island-model run: a pinned-seed 2-island ring search must keep
 /// reproducing this exact merged front — labels, points, order and
-/// accounting. The island scheduler is free to change *how* it overlaps
-/// work (worker counts, stealing, breeding threads), but any change that
-/// reorders results, perturbs an RNG stream or double-counts a shared
-/// cache entry lands here. Captured from the initial island-model
+/// accounting. The island scheduler is free to change *how* it spreads
+/// work (worker counts, how the evaluation fan-out hands out jobs), but
+/// any change that reorders results, perturbs an RNG stream or
+/// double-counts a shared cache entry lands here. Captured from the initial island-model
 /// implementation (2 islands, ring topology, migrate every generation,
 /// population 10, 3 generations, seed 2006, quick Easyport fixture).
 #[test]
