@@ -2,9 +2,9 @@
 //! switched on versus off, in the same process.
 //!
 //! The `dmx-obs` contract is *zero perturbation, near-zero cost*: the
-//! metric counters are always live in an obs-enabled build, and turning
-//! span recording on must not slow the hot replay path measurably. This
-//! bench is the regression gate for that promise:
+//! metric counters are always live, and turning span recording on must
+//! not slow the hot replay path measurably. This bench is the
+//! regression gate for that promise:
 //!
 //! * the same compiled trace is replayed through the slab kernel in
 //!   interleaved timed windows — alternating which of recording-off /
@@ -37,11 +37,6 @@ const WINDOW: Duration = Duration::from_millis(60);
 const ROUNDS: usize = 16;
 
 fn bench_obs_overhead(c: &mut Criterion) {
-    assert!(
-        dmx_obs::compiled(),
-        "the bench crate pins the obs feature on; a compiled-out build has nothing to measure"
-    );
-
     let suite = ScenarioSuite::builtin("embedded-mix").expect("built-in suite");
     let mats = suite.materialize(42);
     let space = suite.suggest_space(&mats);

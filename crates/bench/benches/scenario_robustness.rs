@@ -155,10 +155,6 @@ fn bench_scenario_robustness(c: &mut Criterion) {
                 dmx_bench::json_num(robust.outcome.sim_stats.events_per_sec()),
             ),
             (
-                "arena_reuses",
-                robust.outcome.sim_stats.arena_reuses.to_string(),
-            ),
-            (
                 "server_scenarios",
                 server_robust.scenarios.len().to_string(),
             ),

@@ -230,10 +230,6 @@ fn bench_search_convergence(c: &mut Criterion) {
                 "genetic_events_per_sec",
                 dmx_bench::json_num(ga_outcome.sim_stats.events_per_sec()),
             ),
-            (
-                "genetic_arena_reuses",
-                ga_outcome.sim_stats.arena_reuses.to_string(),
-            ),
             ("sweep_front_identical", sweep_front_identical.to_string()),
             ("sweep_pruned_configs", pruned.pruned.len().to_string()),
             ("sweep_6912_speedup", dmx_bench::json_num(sweeps.speedup)),

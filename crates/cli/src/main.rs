@@ -362,12 +362,6 @@ impl ObsSession {
         let trace_path = opt(rest, "--obs-trace").map(str::to_owned);
         let metrics_path = opt(rest, "--obs-metrics").map(str::to_owned);
         let progress = has_flag(rest, "--progress");
-        if (trace_path.is_some() || metrics_path.is_some() || progress) && !dmx_obs::compiled() {
-            eprintln!(
-                "note: this build has observability compiled out; \
-                 --obs-trace/--obs-metrics/--progress will report nothing"
-            );
-        }
         if trace_path.is_some() {
             dmx_obs::set_recording(true);
         }

@@ -295,6 +295,74 @@ fn explore_island_json_carries_island_stats_and_obs_exports() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Zero perturbation on the shipped binary: a genetic run with span
+/// recording, both obs exporters and the progress reporter on writes
+/// result files byte-identical to the same run with none of them.
+#[test]
+fn explore_results_are_byte_identical_with_obs_flags_on_vs_off() {
+    let dir = tmpdir("obs-bytes");
+    let trace = dir.join("t.trace");
+    run_ok(
+        dmx()
+            .args(["gen-trace", "synthetic", "--seed", "3", "--out"])
+            .arg(&trace),
+    );
+    let explore = |tag: &str| {
+        let mut cmd = dmx();
+        cmd.arg("explore")
+            .arg("--trace")
+            .arg(&trace)
+            .arg("--json")
+            .arg(dir.join(format!("{tag}.json")))
+            .arg("--out-records")
+            .arg(dir.join(format!("{tag}.prof")))
+            .args([
+                "--strategy",
+                "genetic",
+                "--generations",
+                "3",
+                "--population",
+                "16",
+                "--seed",
+                "7",
+            ]);
+        cmd
+    };
+
+    run_ok(&mut explore("plain"));
+    let obs_trace = dir.join("obs-trace.json");
+    let obs_metrics = dir.join("obs-metrics.json");
+    run_ok(
+        explore("obs")
+            .arg("--obs-trace")
+            .arg(&obs_trace)
+            .arg("--obs-metrics")
+            .arg(&obs_metrics)
+            .arg("--progress"),
+    );
+
+    // The recording run must actually have observed the search —
+    // otherwise the byte compare below would pass vacuously.
+    let perfetto = std::fs::read_to_string(&obs_trace).unwrap();
+    for name in ["search.generation", "eval.batch", "kernel.replay"] {
+        assert!(perfetto.contains(name), "trace missing span {name}");
+    }
+    let metrics = std::fs::read_to_string(&obs_metrics).unwrap();
+    assert!(metrics.contains("\"search.generations\": "), "{metrics}");
+    assert!(
+        !metrics.contains("\"search.generations\": 0,"),
+        "generation counter never moved: {metrics}"
+    );
+
+    for ext in ["json", "prof"] {
+        let plain = std::fs::read(dir.join(format!("plain.{ext}"))).unwrap();
+        let obs = std::fs::read(dir.join(format!("obs.{ext}"))).unwrap();
+        assert!(!plain.is_empty(), "empty .{ext} export");
+        assert!(plain == obs, "obs flags changed the .{ext} export");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn scenarios_list_shows_builtin_suites() {
     let out = run_ok(dmx().args(["scenarios", "list"]));

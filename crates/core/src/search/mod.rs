@@ -87,7 +87,7 @@ use dmx_trace::{CompiledTrace, Trace};
 use crate::constraint::ConstraintSet;
 use crate::objective::Objective;
 use crate::param::Genome;
-use crate::pareto::{dominates, ParetoSet};
+use crate::pareto::{dominates, pareto_front_2d, ParetoSet};
 use crate::runner::{Exploration, RunResult};
 use crate::sample::sample_indices;
 use crate::scenario::{aggregate_metrics, Aggregate, ScenarioMetrics};
@@ -107,10 +107,6 @@ pub(crate) fn record_generation_obs(
     results: &[Arc<RunResult>],
     objectives: &[Objective],
 ) {
-    // `compiled()` is const: the whole body folds away in obs-out builds.
-    if !dmx_obs::compiled() {
-        return;
-    }
     let m = dmx_obs::metrics();
     m.search_generations.incr();
     m.generation.set(generation as i64);
@@ -127,14 +123,10 @@ pub(crate) fn record_generation_obs(
             )
         })
         .collect();
-    let front: Vec<(u64, u64)> = points
-        .iter()
-        .filter(|&&(x, y)| {
-            !points
-                .iter()
-                .any(|&(ox, oy)| (ox <= x && oy <= y) && (ox < x || oy < y))
-        })
-        .copied()
+    let front: Vec<(u64, u64)> = pareto_front_2d(&points)
+        .indices
+        .into_iter()
+        .map(|i| points[i])
         .collect();
     m.front_size.set(front.len() as i64);
     let reference = (

@@ -2,10 +2,10 @@
 //!
 //! Three pieces:
 //!
-//! 1. **Metric registry** ([`registry`]) — lock-free sharded
-//!    [`Counter`]s, [`Gauge`]s and log₂-bucketed [`Histogram`]s,
-//!    declared in groups via the [`metrics!`] macro and readable as a
-//!    point-in-time snapshot at any moment.
+//! 1. **Metric registry** ([`registry`]) — lock-free [`Counter`]s,
+//!    [`Gauge`]s and log₂-bucketed [`Histogram`]s, declared in groups
+//!    via the [`metrics!`] macro and readable as a point-in-time
+//!    snapshot at any moment.
 //! 2. **Span timeline** ([`span`](mod@span)) — cheap begin/end
 //!    instrumentation recorded into per-thread ring buffers with
 //!    monotonic timestamps, gated at runtime by [`set_recording`].
@@ -14,8 +14,10 @@
 //!
 //! # Zero perturbation
 //!
-//! Instrumented code must behave identically whether observability is
-//! compiled in, compiled out, or recording. The rules:
+//! Instrumented code must behave identically whether span recording is
+//! on or off. There is one build: metrics are always live, and spans
+//! cost one relaxed load each until [`set_recording`] switches them
+//! on. The rules:
 //!
 //! - obs state never feeds back into search decisions: no RNG draws, no
 //!   genome ordering, no charged `SimMetrics` may depend on a metric or
@@ -23,15 +25,12 @@
 //! - obs data is exported to *separate* artifacts (`--obs-trace`,
 //!   `--obs-metrics`), never merged into result exports, because
 //!   timing- and interleaving-dependent values (nanos, span lanes)
-//!   would break the byte-determinism CI asserts on results;
-//! - with the `enabled` feature off every API in this crate still
-//!   exists as a zero-sized no-op, so call sites compile unchanged and
-//!   an obs-out build is a pure subtraction.
+//!   would break the byte-determinism CI asserts on results.
 //!
 //! The golden tests in `tests/golden_obs.rs` (workspace root) pin the
 //! guarantee: `SearchOutcome` exports are byte-identical with recording
-//! on vs. off, at 1 and 8 evaluation workers, and CI byte-compares a
-//! fully compiled-out CLI build against the default one.
+//! on vs. off, at 1 and 8 evaluation workers, and the CLI integration
+//! tests and CI byte-compare a recording `dmx` run against a plain one.
 
 pub mod export;
 pub mod registry;
@@ -46,39 +45,20 @@ pub use span::{
     clear_timelines, drain_timelines, instant, span, SpanEvent, SpanGuard, SpanKind, ThreadEvents,
 };
 
-/// Whether the observability layer is compiled in (`enabled` feature).
-pub const fn compiled() -> bool {
-    cfg!(feature = "enabled")
-}
-
-#[cfg(feature = "enabled")]
 static RECORDING: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 
 /// Switches span recording on or off at runtime. Metrics (counters,
-/// gauges, histograms) are always live when compiled in — only the
-/// timeline rings are gated, since they are the part with a per-event
+/// gauges, histograms) are always live — only the timeline rings are
+/// gated, since they are the part with a per-event
 /// allocation-free-but-nonzero cost.
-#[cfg(feature = "enabled")]
 pub fn set_recording(on: bool) {
     RECORDING.store(on, std::sync::atomic::Ordering::Relaxed);
 }
 
 /// Whether span recording is currently on.
-#[cfg(feature = "enabled")]
 #[inline]
 pub fn recording() -> bool {
     RECORDING.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Switches span recording on or off (compiled-out no-op).
-#[cfg(not(feature = "enabled"))]
-pub fn set_recording(_on: bool) {}
-
-/// Whether span recording is currently on (compiled-out: never).
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-pub fn recording() -> bool {
-    false
 }
 
 /// Span names used across the workspace, so exporters and tests can
@@ -152,19 +132,10 @@ metrics! {
     }
 }
 
-#[cfg(feature = "enabled")]
 static METRICS: DmxMetrics = DmxMetrics::new();
 
 /// The workspace-wide metric catalog.
-#[cfg(feature = "enabled")]
 pub fn metrics() -> &'static DmxMetrics {
-    &METRICS
-}
-
-/// The workspace-wide metric catalog (compiled-out: zero-sized no-ops).
-#[cfg(not(feature = "enabled"))]
-pub fn metrics() -> &'static DmxMetrics {
-    static METRICS: DmxMetrics = DmxMetrics::new();
     &METRICS
 }
 
@@ -200,7 +171,6 @@ mod tests {
         assert!(snap.iter().any(|s| s.name == "fidelity.prefix.events"));
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn catalog_counters_accumulate() {
         // Other tests share the static catalog, so assert on deltas of
@@ -208,10 +178,5 @@ mod tests {
         let before = metrics().migrants_installed.value();
         metrics().migrants_installed.add(5);
         assert_eq!(metrics().migrants_installed.value() - before, 5);
-    }
-
-    #[test]
-    fn compiled_matches_feature() {
-        assert_eq!(compiled(), cfg!(feature = "enabled"));
     }
 }

@@ -1,79 +1,41 @@
-//! The lock-free metric registry: sharded counters, gauges and
-//! log₂-bucketed histograms.
+//! The lock-free metric registry: counters, gauges and log₂-bucketed
+//! histograms.
 //!
 //! All metric types are plain atomics with relaxed ordering — an update
-//! is one `fetch_add` on a cache-line-padded shard picked by a
-//! thread-local index, so concurrent workers never contend on one line.
-//! A snapshot ([`Counter::value`], [`Histogram::read`], …) folds the
-//! shards/buckets at read time; it is a *point-in-time* view: concurrent
-//! updates may or may not be included, but once all writers are quiescent
-//! the snapshot equals the exact sum of every update ever made (the
-//! property the registry proptests pin under 8 threads).
-//!
-//! With the `enabled` feature off, every type in this module is a
-//! zero-sized no-op with the same API, so instrumented code compiles
-//! unchanged and costs nothing.
+//! is one `fetch_add` (or `store`/`fetch_max`). Every instrumented site
+//! moves a metric at most once per replay, job, genome or batch, never
+//! once per pool op, so one atomic per counter sees no contention worth
+//! sharding. A snapshot ([`Counter::value`], [`Histogram::read`], …) is
+//! a *point-in-time* view: concurrent updates may or may not be
+//! included, but once all writers are quiescent the snapshot equals the
+//! exact sum of every update ever made (the property the registry
+//! proptests pin under 8 threads).
 
-#[cfg(feature = "enabled")]
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
-
-/// Number of counter shards. Enough for a machine's worth of evaluation
-/// workers (CI runs up to `DMX_THREADS=8`) to land on distinct lines.
-#[cfg(feature = "enabled")]
-const SHARDS: usize = 16;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// Histogram bucket count: bucket 0 holds exact zeros, bucket `k ≥ 1`
 /// holds values in `[2^(k-1), 2^k - 1]`, up to bucket 64 for the top of
 /// the `u64` range.
 pub const HIST_BUCKETS: usize = 65;
 
-/// One cache line per shard so concurrent `fetch_add`s never false-share.
-#[cfg(feature = "enabled")]
-#[repr(align(64))]
-#[derive(Debug)]
-struct Shard(AtomicU64);
-
-/// The shard a thread's counter updates land on: assigned once per
-/// thread, round-robin over the shard space.
-#[cfg(feature = "enabled")]
-fn thread_shard() -> usize {
-    thread_local! {
-        static SHARD: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
-    }
-    SHARD.with(|s| {
-        let v = s.get();
-        if v != usize::MAX {
-            return v;
-        }
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        let v = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS;
-        s.set(v);
-        v
-    })
-}
-
-/// A monotone event counter, sharded per thread.
-#[cfg(feature = "enabled")]
+/// A monotone event counter.
 #[derive(Debug)]
 pub struct Counter {
-    shards: [Shard; SHARDS],
+    value: AtomicU64,
 }
 
-#[cfg(feature = "enabled")]
 impl Counter {
     /// A zeroed counter (usable in `static` position).
     pub const fn new() -> Self {
         Counter {
-            shards: [const { Shard(AtomicU64::new(0)) }; SHARDS],
+            value: AtomicU64::new(0),
         }
     }
 
-    /// Adds `n` to the calling thread's shard.
+    /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.shards[thread_shard()]
-            .0
-            .fetch_add(n, Ordering::Relaxed);
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds one.
@@ -82,19 +44,14 @@ impl Counter {
         self.add(1);
     }
 
-    /// Point-in-time sum over all shards.
+    /// Point-in-time total.
     pub fn value(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
+        self.value.load(Ordering::Relaxed)
     }
 
-    /// Zeroes every shard.
+    /// Zeroes the counter.
     pub fn reset(&self) {
-        for s in &self.shards {
-            s.0.store(0, Ordering::Relaxed);
-        }
+        self.value.store(0, Ordering::Relaxed);
     }
 
     /// The metric's current value for snapshots.
@@ -104,14 +61,11 @@ impl Counter {
 }
 
 /// A signed instantaneous value (current generation, live front size).
-/// One atomic — gauges are set from one place at a time, not hammered.
-#[cfg(feature = "enabled")]
 #[derive(Debug)]
 pub struct Gauge {
     value: AtomicI64,
 }
 
-#[cfg(feature = "enabled")]
 impl Gauge {
     /// A zeroed gauge (usable in `static` position).
     pub const fn new() -> Self {
@@ -124,12 +78,6 @@ impl Gauge {
     #[inline]
     pub fn set(&self, v: i64) {
         self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Adjusts the gauge by `delta` (may be negative).
-    #[inline]
-    pub fn adjust(&self, delta: i64) {
-        self.value.fetch_add(delta, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -154,7 +102,6 @@ impl Gauge {
 /// `64 - v.leading_zeros()` otherwise, i.e. bucket `k ≥ 1` spans
 /// `[2^(k-1), 2^k - 1]`. Buckets are independent atomics, so concurrent
 /// recorders only contend when they hit the *same* power-of-two band.
-#[cfg(feature = "enabled")]
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; HIST_BUCKETS],
@@ -183,7 +130,6 @@ pub fn bucket_bounds(k: usize) -> (u64, u64) {
     }
 }
 
-#[cfg(feature = "enabled")]
 impl Histogram {
     /// An empty histogram (usable in `static` position).
     pub const fn new() -> Self {
@@ -235,77 +181,6 @@ impl Histogram {
     /// The metric's current value for snapshots.
     pub fn read(&self) -> MetricValue {
         MetricValue::Histogram(self.snapshot())
-    }
-}
-
-// ---------------------------------------------------------------------
-// Compiled-out no-op twins: same API, zero size, zero cost.
-// ---------------------------------------------------------------------
-
-/// A monotone event counter (compiled-out no-op).
-#[cfg(not(feature = "enabled"))]
-#[derive(Debug)]
-pub struct Counter;
-
-#[cfg(not(feature = "enabled"))]
-impl Counter {
-    pub const fn new() -> Self {
-        Counter
-    }
-    #[inline(always)]
-    pub fn add(&self, _n: u64) {}
-    #[inline(always)]
-    pub fn incr(&self) {}
-    pub fn value(&self) -> u64 {
-        0
-    }
-    pub fn reset(&self) {}
-    pub fn read(&self) -> MetricValue {
-        MetricValue::Counter(0)
-    }
-}
-
-/// A signed instantaneous value (compiled-out no-op).
-#[cfg(not(feature = "enabled"))]
-#[derive(Debug)]
-pub struct Gauge;
-
-#[cfg(not(feature = "enabled"))]
-impl Gauge {
-    pub const fn new() -> Self {
-        Gauge
-    }
-    #[inline(always)]
-    pub fn set(&self, _v: i64) {}
-    #[inline(always)]
-    pub fn adjust(&self, _delta: i64) {}
-    pub fn value(&self) -> i64 {
-        0
-    }
-    pub fn reset(&self) {}
-    pub fn read(&self) -> MetricValue {
-        MetricValue::Gauge(0)
-    }
-}
-
-/// A log₂-bucketed histogram (compiled-out no-op).
-#[cfg(not(feature = "enabled"))]
-#[derive(Debug)]
-pub struct Histogram;
-
-#[cfg(not(feature = "enabled"))]
-impl Histogram {
-    pub const fn new() -> Self {
-        Histogram
-    }
-    #[inline(always)]
-    pub fn record(&self, _v: u64) {}
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot::default()
-    }
-    pub fn reset(&self) {}
-    pub fn read(&self) -> MetricValue {
-        MetricValue::Histogram(HistogramSnapshot::default())
     }
 }
 
@@ -430,7 +305,7 @@ macro_rules! metrics {
     };
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -452,10 +327,10 @@ mod tests {
     }
 
     #[test]
-    fn gauge_set_and_adjust() {
+    fn gauge_set_and_reset() {
         let g = Gauge::new();
         g.set(5);
-        g.adjust(-8);
+        g.set(-3);
         assert_eq!(g.value(), -3);
         g.reset();
         assert_eq!(g.value(), 0);

@@ -9,22 +9,16 @@
 //!
 //! Span recording is gated at runtime by [`crate::set_recording`]: the
 //! CLI only switches it on when the user asked for a trace, so plain
-//! runs skip even the (cheap) ring push. With the `enabled` feature off
-//! the whole module is compiled out.
+//! runs skip even the (cheap) ring push.
 
-#[cfg(feature = "enabled")]
 use std::cell::RefCell;
-#[cfg(feature = "enabled")]
 use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(feature = "enabled")]
 use std::sync::{Arc, Mutex, OnceLock};
-#[cfg(feature = "enabled")]
 use std::time::Instant;
 
 /// Ring capacity per thread. At ~24 bytes/event this is well under a
 /// megabyte per worker; a long run overwrites nothing — events past the
 /// cap are counted in `dropped` instead, so the exporter can say so.
-#[cfg(feature = "enabled")]
 const RING_CAP: usize = 32 * 1024;
 
 /// What a timeline event marks.
@@ -62,7 +56,6 @@ pub struct ThreadEvents {
     pub dropped: u64,
 }
 
-#[cfg(feature = "enabled")]
 #[derive(Debug)]
 struct ThreadTimeline {
     tid: u64,
@@ -73,24 +66,20 @@ struct ThreadTimeline {
     dropped: AtomicU64,
 }
 
-#[cfg(feature = "enabled")]
 fn registry() -> &'static Mutex<Vec<Arc<ThreadTimeline>>> {
     static REGISTRY: OnceLock<Mutex<Vec<Arc<ThreadTimeline>>>> = OnceLock::new();
     REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-#[cfg(feature = "enabled")]
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
 }
 
-#[cfg(feature = "enabled")]
 fn now_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
 
-#[cfg(feature = "enabled")]
 fn with_local<R>(f: impl FnOnce(&ThreadTimeline) -> R) -> R {
     thread_local! {
         static LOCAL: RefCell<Option<Arc<ThreadTimeline>>> = const { RefCell::new(None) };
@@ -111,7 +100,6 @@ fn with_local<R>(f: impl FnOnce(&ThreadTimeline) -> R) -> R {
     })
 }
 
-#[cfg(feature = "enabled")]
 fn push(name: &'static str, kind: SpanKind, arg: u64) {
     let t_ns = now_ns();
     with_local(|tl| {
@@ -130,7 +118,6 @@ fn push(name: &'static str, kind: SpanKind, arg: u64) {
 }
 
 /// Records a zero-duration marker on the calling thread's timeline.
-#[cfg(feature = "enabled")]
 #[inline]
 pub fn instant(name: &'static str, arg: u64) {
     if crate::recording() {
@@ -141,7 +128,6 @@ pub fn instant(name: &'static str, arg: u64) {
 /// Opens a span; the returned guard closes it on drop. When recording
 /// is off (or the guard's begin raced recording being switched off) the
 /// guard is inert.
-#[cfg(feature = "enabled")]
 #[inline]
 pub fn span(name: &'static str, arg: u64) -> SpanGuard {
     if crate::recording() {
@@ -156,14 +142,12 @@ pub fn span(name: &'static str, arg: u64) -> SpanGuard {
 }
 
 /// RAII guard that records the matching `End` event when dropped.
-#[cfg(feature = "enabled")]
 #[derive(Debug)]
 pub struct SpanGuard {
     name: Option<&'static str>,
     arg: u64,
 }
 
-#[cfg(feature = "enabled")]
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(name) = self.name.take() {
@@ -174,7 +158,6 @@ impl Drop for SpanGuard {
 
 /// Snapshots every thread's recorded events, in thread-registration
 /// order. Events within a thread are already timestamp-ordered.
-#[cfg(feature = "enabled")]
 pub fn drain_timelines() -> Vec<ThreadEvents> {
     let reg = registry().lock().unwrap();
     reg.iter()
@@ -187,7 +170,6 @@ pub fn drain_timelines() -> Vec<ThreadEvents> {
 }
 
 /// Clears every thread's ring (timelines stay registered).
-#[cfg(feature = "enabled")]
 pub fn clear_timelines() {
     let reg = registry().lock().unwrap();
     for tl in reg.iter() {
@@ -196,38 +178,7 @@ pub fn clear_timelines() {
     }
 }
 
-// ---------------------------------------------------------------------
-// Compiled-out no-op twins.
-// ---------------------------------------------------------------------
-
-/// Records a zero-duration marker (compiled-out no-op).
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-pub fn instant(_name: &'static str, _arg: u64) {}
-
-/// Opens a span (compiled-out no-op).
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-pub fn span(_name: &'static str, _arg: u64) -> SpanGuard {
-    SpanGuard
-}
-
-/// RAII span guard (compiled-out no-op).
-#[cfg(not(feature = "enabled"))]
-#[derive(Debug)]
-pub struct SpanGuard;
-
-/// Snapshots every thread's events (compiled-out: always empty).
-#[cfg(not(feature = "enabled"))]
-pub fn drain_timelines() -> Vec<ThreadEvents> {
-    Vec::new()
-}
-
-/// Clears every thread's ring (compiled-out no-op).
-#[cfg(not(feature = "enabled"))]
-pub fn clear_timelines() {}
-
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

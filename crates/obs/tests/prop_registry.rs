@@ -3,8 +3,6 @@
 //! the writers are quiescent, and the log₂ bucket layout must place
 //! every value in the one bucket whose bounds contain it.
 
-#![cfg(feature = "enabled")]
-
 use dmx_obs::{bucket_bounds, bucket_index, Counter, Histogram, HIST_BUCKETS};
 use proptest::prelude::*;
 

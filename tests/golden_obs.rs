@@ -6,10 +6,8 @@
 //! the strongest observable boundary — the exported `SearchOutcome` and
 //! `RobustOutcome` JSON must be **byte-identical** with span recording
 //! on vs. off, for every search strategy, at both extreme worker
-//! counts. (CI additionally byte-compares a fully compiled-out
-//! `--no-default-features` CLI build against the default one; here we
-//! cover the runtime toggle, which exercises the same instrumented
-//! paths with the hooks live.)
+//! counts. (`crates/cli/tests/cli_integration.rs` and CI make the same
+//! comparison on the `dmx` binary itself.)
 //!
 //! The tests share the process-global recording flag, so they serialize
 //! on one gate mutex rather than trusting the harness scheduler.
@@ -97,23 +95,21 @@ fn search_export_is_byte_identical_with_recording_on_vs_off() {
 
             // The instrumented run must actually have observed work —
             // otherwise this test would pass vacuously.
-            if dmx_obs::compiled() {
-                let trace = dmx_obs::perfetto_json();
+            let trace = dmx_obs::perfetto_json();
+            assert!(
+                trace.contains("eval.batch"),
+                "{name} (threads={threads}): no spans recorded"
+            );
+            let snap = dmx_obs::metrics().snapshot();
+            let generations = snap
+                .iter()
+                .find(|s| s.name == "search.generations")
+                .expect("catalog metric");
+            if name != "sample" && name != "hillclimb" {
                 assert!(
-                    trace.contains("eval.batch"),
-                    "{name} (threads={threads}): no spans recorded"
+                    matches!(generations.value, dmx_obs::MetricValue::Counter(n) if n > 0),
+                    "{name} (threads={threads}): generation counter never moved"
                 );
-                let snap = dmx_obs::metrics().snapshot();
-                let generations = snap
-                    .iter()
-                    .find(|s| s.name == "search.generations")
-                    .expect("catalog metric");
-                if name != "sample" && name != "hillclimb" {
-                    assert!(
-                        matches!(generations.value, dmx_obs::MetricValue::Counter(n) if n > 0),
-                        "{name} (threads={threads}): generation counter never moved"
-                    );
-                }
             }
 
             assert_eq!(
@@ -163,9 +159,6 @@ fn robust_export_is_byte_identical_with_recording_on_vs_off() {
 /// a no-op (which would make the byte-compare tests vacuous).
 #[test]
 fn recording_flag_gates_span_capture() {
-    if !dmx_obs::compiled() {
-        return;
-    }
     let _gate = gate();
 
     dmx_obs::reset();
