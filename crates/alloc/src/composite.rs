@@ -12,7 +12,7 @@ use dmx_memhier::{MemoryHierarchy, RegionTable};
 use crate::block::BlockInfo;
 use crate::ctx::AllocCtx;
 use crate::error::AllocError;
-use crate::pool::Pool;
+use crate::pool::{MetaFloor, Pool};
 
 /// Identifies the pool that served an allocation: its index in the
 /// [`AllocatorConfig::pools`](crate::AllocatorConfig::pools) the composite
@@ -121,6 +121,20 @@ impl CompositeAllocator {
     /// Number of currently live blocks across all pools.
     pub fn live_blocks(&self) -> u64 {
         self.live
+    }
+
+    /// The fewest metadata accesses an alloc of `size` bytes that gets
+    /// served and a free of such a block can charge. A dedicated pool may
+    /// overflow to the fallback, so a served alloc's floor is the smaller
+    /// of the routed pool's and the fallback's; the block lands in one of
+    /// the two, so the same holds for its free.
+    pub fn meta_floor(&self, size: u32) -> MetaFloor {
+        let routed = self.pools[self.route(size)].meta_floor();
+        let fallback = self.pools[self.fallback].meta_floor();
+        MetaFloor {
+            alloc: routed.alloc.min(fallback.alloc),
+            free: routed.free.min(fallback.free),
+        }
     }
 
     /// The pool index a request of `size` bytes routes to first.

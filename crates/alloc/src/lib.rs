@@ -79,5 +79,5 @@ pub use error::{AllocError, BuildError};
 pub use freelist::FreeList;
 pub use freemap::FreeMap;
 pub use policy::{CoalescePolicy, FitPolicy, FreeOrder, SplitPolicy};
-pub use pool::PoolStats;
+pub use pool::{MetaFloor, PoolStats};
 pub use sim::{ContentionParams, ReplayState, SimArena, SimMetrics, Simulator};

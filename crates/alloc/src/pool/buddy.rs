@@ -5,7 +5,7 @@ use dmx_memhier::{LevelId, RegionTable};
 use crate::block::BlockInfo;
 use crate::ctx::AllocCtx;
 use crate::error::AllocError;
-use crate::pool::{Pool, PoolStats};
+use crate::pool::{MetaFloor, Pool, PoolStats};
 
 /// Simulated per-block header holding the order and status.
 const HEADER_BYTES: u32 = 8;
@@ -204,6 +204,13 @@ impl Pool for BuddyPool {
 
     fn level(&self) -> LevelId {
         self.level
+    }
+
+    fn meta_floor(&self) -> MetaFloor {
+        // Alloc: at least one order probe, the pop (read + write) and the
+        // allocated header. Free: own header read and the final 2 writes;
+        // a block below the top order also probes its buddy.
+        MetaFloor { alloc: 4, free: 3 }
     }
 
     fn live_blocks(&self) -> u64 {

@@ -9,7 +9,7 @@ use dmx_memhier::{LevelId, Region, RegionTable};
 use crate::block::{align_up, BlockInfo};
 use crate::ctx::AllocCtx;
 use crate::error::AllocError;
-use crate::pool::{Pool, PoolStats};
+use crate::pool::{MetaFloor, Pool, PoolStats};
 
 /// A dedicated pool serving a single block size in O(1).
 #[derive(Debug, Clone)]
@@ -125,6 +125,12 @@ impl Pool for FixedBlockPool {
 
     fn level(&self) -> LevelId {
         self.level
+    }
+
+    fn meta_floor(&self) -> MetaFloor {
+        // Alloc: head read, then a pop (read + write) or a bump (read +
+        // write, plus 2 writes on growth). Free: read + 2 writes.
+        MetaFloor { alloc: 3, free: 3 }
     }
 
     fn live_blocks(&self) -> u64 {

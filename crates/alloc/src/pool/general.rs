@@ -28,7 +28,7 @@ use crate::ctx::AllocCtx;
 use crate::error::AllocError;
 use crate::freelist::FreeList;
 use crate::policy::{CoalescePolicy, FitPolicy, FreeOrder, SplitPolicy};
-use crate::pool::{Pool, PoolStats};
+use crate::pool::{MetaFloor, Pool, PoolStats};
 
 /// Simulated per-block header: size, status bit, free-list link.
 pub const HEADER_BYTES: u32 = 8;
@@ -654,6 +654,22 @@ impl Pool for GeneralPool {
 
     fn level(&self) -> LevelId {
         self.level
+    }
+
+    fn meta_floor(&self) -> MetaFloor {
+        // Alloc: the search reads at least 1 (an empty list's head) or 2
+        // (one probe); a hit unlinks or rewrites its node (>= 1 write), a
+        // miss grows (2 writes); both then write the header (+ footer).
+        // Free: header read + write and a free-list insert (2 writes);
+        // immediate coalescing adds 2 neighbour reads.
+        let free = match self.coalesce {
+            CoalescePolicy::Immediate => 6,
+            CoalescePolicy::Never | CoalescePolicy::DeferredEvery(_) => 4,
+        };
+        MetaFloor {
+            alloc: 3 + self.writes_per_header(),
+            free,
+        }
     }
 
     fn live_blocks(&self) -> u64 {

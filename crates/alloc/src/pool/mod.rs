@@ -9,7 +9,17 @@
 //! | [`RegionPool`] | any size, arena lifetime | O(1) bump, bulk reset |
 //!
 //! Every pool lives on one memory level and charges its metadata traffic
-//! there through [`AllocCtx`].
+//! there through [`AllocCtx`]. Each also declares a [`MetaFloor`]: the
+//! fewest metadata accesses one served alloc and one free can charge on
+//! any of its code paths, which bounds the work a paused replay has left.
+//!
+//! | Pool | alloc floor | free floor |
+//! |------|-------------|------------|
+//! | fixed | 3 | 3 |
+//! | general | 3 + header writes (4, or 5 with a footer) | 4, or 6 under immediate coalescing |
+//! | segregated | 2 (large objects) | 3 |
+//! | buddy | 4 | 3 |
+//! | region | 2 | 2 |
 
 mod buddy;
 mod fixed;
@@ -30,6 +40,16 @@ use dmx_memhier::{LevelId, RegionTable};
 use crate::block::BlockInfo;
 use crate::ctx::AllocCtx;
 use crate::error::AllocError;
+
+/// The fewest metadata accesses (reads plus writes) a pool charges for
+/// one served allocation and for one free, on any of its code paths.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MetaFloor {
+    /// Floor of an allocation the pool serves.
+    pub alloc: u64,
+    /// Floor of a free.
+    pub free: u64,
+}
 
 /// A memory pool: the unit of placement and the unit of composition.
 ///
@@ -63,6 +83,11 @@ pub trait Pool {
 
     /// The memory level this pool is placed on.
     fn level(&self) -> LevelId;
+
+    /// The fewest metadata accesses a served [`Pool::alloc`] and a
+    /// [`Pool::free`] charge on this pool, on any code path. An alloc that
+    /// fails may charge less; it is not served.
+    fn meta_floor(&self) -> MetaFloor;
 
     /// Number of currently live blocks.
     fn live_blocks(&self) -> u64;

@@ -10,7 +10,7 @@ use dmx_memhier::{LevelId, Region, RegionTable};
 use crate::block::{align_up, BlockInfo};
 use crate::ctx::AllocCtx;
 use crate::error::AllocError;
-use crate::pool::{Pool, PoolStats};
+use crate::pool::{MetaFloor, Pool, PoolStats};
 
 /// A bump-pointer arena with whole-arena reset.
 #[derive(Debug, Clone)]
@@ -134,6 +134,12 @@ impl Pool for RegionPool {
 
     fn level(&self) -> LevelId {
         self.level
+    }
+
+    fn meta_floor(&self) -> MetaFloor {
+        // Alloc: bump read + bump write. Free: counter read + write (one
+        // more write on a reset).
+        MetaFloor { alloc: 2, free: 2 }
     }
 
     fn live_blocks(&self) -> u64 {

@@ -6,7 +6,7 @@ use crate::block::{align_up, BlockInfo};
 use crate::ctx::AllocCtx;
 use crate::error::AllocError;
 use crate::freemap::FreeMap;
-use crate::pool::{Pool, PoolStats};
+use crate::pool::{MetaFloor, Pool, PoolStats};
 
 /// Per-class state: a bitset free-map plus a bump chunk.
 ///
@@ -284,6 +284,13 @@ impl Pool for SegregatedPool {
 
     fn level(&self) -> LevelId {
         self.level
+    }
+
+    fn meta_floor(&self) -> MetaFloor {
+        // Alloc: a class slot costs 3 (head read, then pop or bump); a
+        // recycled large object costs 2 (table probe + write). Free: read
+        // + 2 writes on either path.
+        MetaFloor { alloc: 2, free: 3 }
     }
 
     fn live_blocks(&self) -> u64 {

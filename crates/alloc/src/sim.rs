@@ -13,7 +13,8 @@
 //! reusable [`SimArena`] so the slab is allocated once per worker, not
 //! once per genome. [`Simulator::start`] exposes the same replay as a
 //! [`ReplayState`] that can pause between pool ops and report metrics
-//! so far and a lower bound on its final metrics, which the exhaustive
+//! so far and a lower bound on its final metrics (the application
+//! accesses and the allocator work still to come), which the exhaustive
 //! sweep uses to stop dominated replays.
 //!
 //! [`Simulator::run_reference`] keeps the original hash-map interpreter
@@ -25,13 +26,14 @@
 use std::collections::HashMap;
 
 use dmx_memhier::{CostModel, CostParams, CounterSet, MemoryHierarchy, MemoryLevel};
-use dmx_trace::{BlockId, CompiledTrace, Trace, TraceEvent};
+use dmx_trace::{BlockId, CompiledTrace, OpSizeIndex, Trace, TraceEvent};
 
 use crate::block::BlockInfo;
 use crate::composite::{CompositeAllocator, PoolId};
 use crate::config::AllocatorConfig;
 use crate::ctx::AllocCtx;
 use crate::error::BuildError;
+use crate::pool::MetaFloor;
 
 /// Everything measured during one simulated run.
 #[derive(Debug, Clone, PartialEq)]
@@ -320,7 +322,8 @@ struct OpTallies {
 /// [`Simulator::start`] builds the allocator and readies the arena;
 /// [`Self::advance`] replays pool ops up to a cursor; [`Self::snapshot`]
 /// reads the metrics as if the trace ended at the cursor;
-/// [`Self::bound`] adds the application accesses still to come; and
+/// [`Self::bound`] adds the application accesses and the allocator work
+/// still to come; and
 /// [`Self::finish`] replays the rest and returns the final metrics.
 /// [`Simulator::run_in_arena`] is `start` then `finish`, so a replay
 /// advanced in steps and one run straight through walk the same op loop
@@ -341,9 +344,61 @@ pub struct ReplayState<'a> {
     tallies: OpTallies,
     live: LiveState,
     contention: Option<ContentionState>,
+    /// The metadata floor of the pool ops not yet replayed, set up by the
+    /// first [`Self::bound`].
+    floors: Option<FloorsLeft>,
     /// Pool ops replayed so far.
     cursor: usize,
     _span: dmx_obs::SpanGuard,
+}
+
+/// The metadata floor of the pool ops a replay has not run yet, priced
+/// per distinct size of an [`OpSizeIndex`] under one allocator's routing
+/// ([`CompositeAllocator::meta_floor`]).
+struct FloorsLeft {
+    /// Per distinct size of the index: its alloc and free floors.
+    per_size: Vec<MetaFloor>,
+    /// Sum of the floors of pool ops `at..`.
+    left: u64,
+    at: usize,
+}
+
+impl FloorsLeft {
+    /// The floors of every pool op of the trace `sizes` indexes.
+    fn new(allocator: &CompositeAllocator, sizes: &OpSizeIndex) -> Self {
+        let per_size: Vec<MetaFloor> = sizes
+            .sizes()
+            .iter()
+            .map(|&size| allocator.meta_floor(size))
+            .collect();
+        let left = per_size
+            .iter()
+            .zip(sizes.counts())
+            .map(|(floor, n)| n.allocs * floor.alloc + n.frees * floor.free)
+            .sum();
+        FloorsLeft {
+            per_size,
+            left,
+            at: 0,
+        }
+    }
+
+    /// The floor sum of pool ops `cursor..`, dropping the floors of the
+    /// ops replayed since the last call.
+    fn left_from(&mut self, cursor: usize, trace: &CompiledTrace, sizes: &OpSizeIndex) -> u64 {
+        let done = self.at..cursor;
+        let ops = &trace.pool_ops()[done.clone()];
+        for (op, &size) in ops.iter().zip(&sizes.op_sizes()[done]) {
+            let floor = self.per_size[size as usize];
+            self.left -= if op.is_free() {
+                floor.free
+            } else {
+                floor.alloc
+            };
+        }
+        self.at = cursor;
+        self.left
+    }
 }
 
 impl ReplayState<'_> {
@@ -394,27 +449,52 @@ impl ReplayState<'_> {
 
     /// A lower bound on the final metrics of this replay if every
     /// remaining allocation succeeds: the [`Self::snapshot`] plus the
-    /// application reads `R` and writes `W` that the allocations not yet
-    /// replayed will charge ([`CompiledTrace::reads_from`] /
-    /// [`CompiledTrace::writes_from`]), each at the cheapest figure any
-    /// level offers for it:
+    /// work still to come, each part at the cheapest figure any level
+    /// offers for it:
     ///
-    /// * accesses: `+ R + W`, booked on the fastest level's counters (a
-    ///   bound's per-level split is not a placement);
-    /// * cycles: `+ R·min read latency + W·min write latency`;
-    /// * energy: dynamic energy `+ R·min read energy + W·min write
-    ///   energy`, with static energy recomputed over the bounded cycles.
+    /// * the application reads `R` and writes `W` of the allocations not
+    ///   yet replayed ([`CompiledTrace::reads_from`] /
+    ///   [`CompiledTrace::writes_from`]);
+    /// * the metadata floor `M` of the pool ops not yet replayed: each op
+    ///   priced by [`CompositeAllocator::meta_floor`] for its size, read
+    ///   off `sizes`, which must index this replay's trace;
+    /// * the CPU cost of those `N` pool ops.
     ///
-    /// Every minimum is taken per figure over all levels, since a
-    /// hierarchy's first level need not be its cheapest. Footprint and
-    /// contention stalls are the snapshot's. A replay that later fails
-    /// an allocation charges nothing for that block, so its final
+    /// So accesses get `+ R + W + M`, booked on the fastest level's
+    /// counters (a bound's per-level split is not a placement); cycles
+    /// get `+ R·min read latency + W·min write latency + M·min access
+    /// latency + N·cpu_cycles_per_op`; and dynamic energy gets `+ R·min
+    /// read energy + W·min write energy + M·min access energy`, with
+    /// static energy recomputed over the bounded cycles. Every minimum is
+    /// taken per figure over all levels, since a hierarchy's first level
+    /// need not be its cheapest, and `M` is charged at the smaller of the
+    /// read and write figures. Footprint and contention stalls are the
+    /// snapshot's.
+    ///
+    /// A replay that later fails an allocation charges nothing for that
+    /// block (no metadata floor, no accesses, and no free), so its final
     /// metrics can fall below this bound.
-    pub fn bound(&self) -> SimMetrics {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sizes` indexes a trace with another pool-op count.
+    pub fn bound(&mut self, sizes: &OpSizeIndex) -> SimMetrics {
+        let trace = self.trace;
+        assert_eq!(
+            sizes.op_sizes().len(),
+            trace.pool_ops().len(),
+            "the size index belongs to another trace"
+        );
+        let allocator = &self.allocator;
+        let meta = self
+            .floors
+            .get_or_insert_with(|| FloorsLeft::new(allocator, sizes))
+            .left_from(self.cursor, trace, sizes);
+        let ops = (trace.pool_ops().len() - self.cursor) as u64;
         let hierarchy = self.sim.hierarchy;
         let ordinal = self.live.ordinal;
-        let reads = self.trace.reads_from()[ordinal];
-        let writes = self.trace.writes_from()[ordinal];
+        let reads = trace.reads_from()[ordinal];
+        let writes = trace.writes_from()[ordinal];
         let min = |figure: fn(&MemoryLevel) -> u64| {
             hierarchy
                 .iter()
@@ -422,18 +502,30 @@ impl ReplayState<'_> {
                 .min()
                 .unwrap_or(0)
         };
-        let cycles = reads * min(|l| u64::from(l.read_latency()))
-            + writes * min(|l| u64::from(l.write_latency()));
-        let energy_pj =
-            reads * min(MemoryLevel::read_energy_pj) + writes * min(MemoryLevel::write_energy_pj);
+        let (read_latency, write_latency) = (
+            min(|l| u64::from(l.read_latency())),
+            min(|l| u64::from(l.write_latency())),
+        );
+        let (read_pj, write_pj) = (
+            min(MemoryLevel::read_energy_pj),
+            min(MemoryLevel::write_energy_pj),
+        );
+        let cost = CostModel::new(hierarchy);
+        let cycles = reads * read_latency
+            + writes * write_latency
+            + meta * read_latency.min(write_latency)
+            + ops * cost.params().cpu_cycles_per_op;
+        let energy_pj = reads * read_pj + writes * write_pj + meta * read_pj.min(write_pj);
 
         let mut bound = self.snapshot();
-        let cost = CostModel::new(hierarchy);
         let dynamic_pj = bound.energy_pj - cost.static_energy_pj(bound.cycles);
         bound.cycles += cycles;
         bound.energy_pj = dynamic_pj + energy_pj + cost.static_energy_pj(bound.cycles);
-        bound.counters.record_reads(hierarchy.fastest(), reads);
-        bound.counters.record_writes(hierarchy.fastest(), writes);
+        let fastest = hierarchy.fastest();
+        bound.counters.record_reads(fastest, reads + meta);
+        bound.counters.record_writes(fastest, writes);
+        bound.meta_counters.record_reads(fastest, meta);
+        bound.ops += ops;
         bound
     }
 
@@ -620,6 +712,7 @@ impl<'h> Simulator<'h> {
                 peak_internal_frag: 0,
             },
             live: LiveState::default(),
+            floors: None,
             cursor: 0,
             _span: span,
         })
@@ -1396,20 +1489,68 @@ mod tests {
         .unwrap()
     }
 
+    /// One configuration per pool kind on the [`crossed_costs`] levels:
+    /// each kind serves most requests, as the fallback or on a wide
+    /// range, and the general fallbacks cover the footer and coalescing
+    /// variants of its floors.
+    fn one_config_per_pool_kind(hier: &MemoryHierarchy) -> Vec<AllocatorConfig> {
+        use crate::config::{PoolKind, PoolSpec, Route};
+        let (near, far) = (hier.fastest(), hier.slowest());
+        let fallback = |kind| PoolSpec {
+            route: Route::Fallback,
+            kind,
+            level: far,
+        };
+        let mut near_only = baseline(hier);
+        near_only.pools[0].level = near;
+        let tagged = AllocatorConfig::general_only(
+            far,
+            FitPolicy::BestFit,
+            FreeOrder::Lifo,
+            CoalescePolicy::Immediate,
+            SplitPolicy::MinRemainder(16),
+        );
+        let region = AllocatorConfig {
+            pools: vec![
+                PoolSpec {
+                    route: Route::Range { min: 1, max: 128 },
+                    kind: PoolKind::Region { chunk_bytes: 8192 },
+                    level: near,
+                },
+                baseline(hier).pools.remove(0),
+            ],
+        };
+        vec![
+            baseline(hier),
+            near_only,
+            tagged,
+            AllocatorConfig::paper_example(hier),
+            AllocatorConfig {
+                pools: vec![fallback(PoolKind::Segregated {
+                    min_class: 16,
+                    max_class: 256,
+                    chunk_bytes: 4096,
+                })],
+            },
+            AllocatorConfig {
+                pools: vec![fallback(PoolKind::Buddy {
+                    min_order: 4,
+                    max_order: 14,
+                })],
+            },
+            region,
+        ]
+    }
+
     #[test]
     fn bound_stays_below_the_final_metrics_of_feasible_replays() {
         let hier = crossed_costs();
         let sim = Simulator::new(&hier);
         let trace = CompiledTrace::compile(&EasyportConfig::small().generate(6));
+        let sizes = OpSizeIndex::new(&trace);
         let ops = trace.pool_ops().len();
         assert!(ops > 2 * 1024, "the fixture must cross several strides");
-        let mut near_only = baseline(&hier);
-        near_only.pools[0].level = hier.fastest();
-        for cfg in [
-            baseline(&hier),
-            near_only,
-            AllocatorConfig::paper_example(&hier),
-        ] {
+        for cfg in one_config_per_pool_kind(&hier) {
             let mut arena = SimArena::new();
             let want = sim.run_in_arena(&cfg, &trace, &mut arena).unwrap();
             assert!(want.feasible(), "{}", cfg.label());
@@ -1417,7 +1558,10 @@ mod tests {
             let mut tighter = false;
             for to_op in (1024..ops).step_by(1024) {
                 replay.advance(to_op);
-                let (snapshot, bound) = (bounded(&replay.snapshot()), bounded(&replay.bound()));
+                let (snapshot, bound) = (replay.snapshot(), replay.bound(&sizes));
+                let meta_added =
+                    bound.meta_counters.total_accesses() > snapshot.meta_counters.total_accesses();
+                let (snapshot, bound) = (bounded(&snapshot), bounded(&bound));
                 for (k, ((&s, &b), &end)) in
                     snapshot.iter().zip(&bound).zip(&bounded(&want)).enumerate()
                 {
@@ -1432,12 +1576,12 @@ mod tests {
                         cfg.label()
                     );
                 }
-                tighter |= bound[1] > snapshot[1];
+                tighter |= meta_added && bound[2] > snapshot[2] && bound[3] > snapshot[3];
             }
             assert!(tighter, "{}: the bound never added work", cfg.label());
             replay.advance(ops);
             assert_eq!(
-                bounded(&replay.bound()),
+                bounded(&replay.bound(&sizes)),
                 bounded(&want),
                 "with nothing left the bound is the final value"
             );

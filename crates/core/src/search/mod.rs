@@ -82,7 +82,7 @@ use std::sync::Arc;
 
 use dmx_alloc::Simulator;
 use dmx_memhier::MemoryHierarchy;
-use dmx_trace::{CompiledTrace, Trace};
+use dmx_trace::{CompiledTrace, OpSizeIndex, Trace};
 
 use crate::constraint::ConstraintSet;
 use crate::objective::Objective;
@@ -404,15 +404,17 @@ pub struct SearchOutcome {
 /// A configuration whose replay the pruned [`ExhaustiveSearch`] stopped
 /// early: the lower bound on its final objective vector
 /// ([`dmx_alloc::ReplayState::bound`]: the metrics so far plus the
-/// application accesses still to come, at the cheapest level's figures)
-/// was strictly dominated by a feasible front point of an earlier wave.
+/// application accesses, the allocator-metadata floor and the CPU cost
+/// of the pool ops still to come, at the cheapest level's figures) was
+/// strictly dominated by a feasible front point of an earlier wave.
 ///
 /// The bound holds for every replay that ends feasible, so if this
 /// configuration's full replay is feasible, [`Self::dominated_by`]
 /// strictly dominates its final metrics. A replay that would later have
-/// failed an allocation charges no accesses for that block and can end
-/// below the bound; such a configuration is infeasible and cannot be on
-/// the front either, but it need not be dominated by the named point.
+/// failed an allocation charges no metadata or accesses for that block
+/// and can end below the bound; such a configuration is infeasible and
+/// cannot be on the front either, but it need not be dominated by the
+/// named point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PrunedConfig {
     /// The configuration's canonical genome.
@@ -732,11 +734,12 @@ impl<'a> Evaluator<'a> {
     /// canonical, distinct and fresh. Every replay checks after each
     /// [`PRUNE_CHECK_OPS`] pool ops (`checkpoints` holds the events
     /// consumed at each check) whether the objective vector of its
-    /// [`dmx_alloc::ReplayState::bound`] is strictly dominated by a point
-    /// of the incumbents the earlier waves left, and stops if it is. The
+    /// [`dmx_alloc::ReplayState::bound`] (priced with `sizes`, the
+    /// trace's [`OpSizeIndex`]) is strictly dominated by a point of the
+    /// incumbents the earlier waves left, and stops if it is. The
     /// incumbents change only between waves, so the outcome does not
     /// depend on which worker ran which replay.
-    fn eval_wave(&mut self, genomes: &[Genome], checkpoints: &[usize]) {
+    fn eval_wave(&mut self, genomes: &[Genome], checkpoints: &[usize], sizes: &OpSizeIndex) {
         let _span = dmx_obs::span(dmx_obs::names::EVAL_BATCH, genomes.len() as u64);
         dmx_obs::metrics().eval_batches.incr();
         dmx_obs::metrics().eval_fresh.add(genomes.len() as u64);
@@ -759,7 +762,7 @@ impl<'a> Evaluator<'a> {
                     .expect("space genomes materialize to valid configurations");
                 for (m, &events) in checkpoints.iter().enumerate() {
                     replay.advance((m + 1) * PRUNE_CHECK_OPS);
-                    let bound = replay.bound();
+                    let bound = replay.bound(sizes);
                     let point: Vec<u64> =
                         ctx.objectives.iter().map(|o| o.extract(&bound)).collect();
                     if let Some(dominator) = incumbents.iter().find(|b| dominates(&b.point, &point))
@@ -973,11 +976,13 @@ impl<'a> Evaluator<'a> {
 /// the space in order, in waves of 8, 16, 32 and then 64
 /// configurations, and each replay stops as soon as a lower bound on
 /// its final objective vector (its metrics so far plus the application
-/// accesses still to come) is strictly dominated by a feasible front
-/// point of an earlier wave. Such a configuration cannot reach the
-/// front: it is dominated if it ends feasible, and excluded if it does
-/// not. It is listed in [`SearchOutcome::pruned`] instead of in the
-/// results, which hold exact metrics only. Use
+/// accesses, the per-pool metadata floors and the CPU cost of the pool
+/// ops still to come) is strictly dominated by a feasible front point
+/// of an earlier wave. Such a configuration cannot reach the front: it
+/// is dominated if it ends feasible, and excluded if it does not. It is
+/// listed in [`SearchOutcome::pruned`] instead of in the results, which
+/// hold exact metrics only. The per-size op index the floors are priced
+/// with ([`OpSizeIndex`]) is built once per pruned sweep. Use
 /// [`crate::Explorer::run`] when every configuration's metrics are
 /// needed.
 #[derive(Debug, Clone, Copy, Default)]
@@ -994,9 +999,11 @@ impl SearchStrategy for ExhaustiveSearch {
             .map(|i| ctx.space.genome_at(i))
             .collect();
         if evaluator.can_prune() {
-            let checkpoints = ctx.instances[0].trace.events_at_op_strides(PRUNE_CHECK_OPS);
+            let trace = &ctx.instances[0].trace;
+            let checkpoints = trace.events_at_op_strides(PRUNE_CHECK_OPS);
+            let sizes = OpSizeIndex::new(trace);
             for wave in prune_waves(genomes.len()) {
-                evaluator.eval_wave(&genomes[wave], &checkpoints);
+                evaluator.eval_wave(&genomes[wave], &checkpoints, &sizes);
             }
         } else {
             evaluator.eval_batch(&genomes);

@@ -47,6 +47,7 @@ mod compiled;
 mod error;
 mod event;
 pub mod gen;
+mod op_sizes;
 pub mod ops;
 mod stats;
 pub mod textfmt;
@@ -55,5 +56,6 @@ mod trace;
 pub use compiled::CompiledTrace;
 pub use error::{CompileError, ParseError, TraceError};
 pub use event::{BlockId, ThreadId, TraceEvent};
+pub use op_sizes::{OpSizeIndex, SizeOps};
 pub use stats::{SizeStat, TraceStats};
 pub use trace::Trace;
