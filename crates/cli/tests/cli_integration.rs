@@ -905,50 +905,70 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// The classic `explore` default lists every configuration of the space
 /// with exact metrics: the records and the CSV hold one row per config,
 /// and the summary's range factors are taken over every feasible one.
-/// Pinned byte for byte at one worker and at the default worker count.
+/// Pinned byte for byte in both genome spaces, at one worker and at the
+/// default worker count.
 #[test]
 fn default_exhaustive_explore_reproduces_pinned_outputs() {
     use dmx_trace::gen::{SyntheticConfig, TraceGenerator};
     use dmx_trace::textfmt;
 
-    const RECORDS_FNV: u64 = 0x5283_6121_90c1_b054;
-    const CSV_FNV: u64 = 0xb29a_b3d3_8ba4_037f;
-    const SUMMARY_FNV: u64 = 0xd83c_c90f_3297_029d;
+    // (space, records, CSV and summary FNV digests)
+    const ROWS: [(&str, u64, u64, u64); 2] = [
+        (
+            "odometer",
+            0x5283_6121_90c1_b054,
+            0xb29a_b3d3_8ba4_037f,
+            0xd83c_c90f_3297_029d,
+        ),
+        (
+            "grammar",
+            0x2f4b_256c_bfe8_c63b,
+            0xa031_91b4_d4d0_9f83,
+            0xcb8b_b80c_6b8a_6a04,
+        ),
+    ];
 
     let dir = tmpdir("pinned-sweep");
     let trace = dir.join("t.trace");
     let trace_text = textfmt::to_string(&SyntheticConfig::uniform_churn(300).generate(3));
     std::fs::write(&trace, trace_text).unwrap();
-    let mut runs = Vec::new();
-    for threads in [None, Some("1")] {
-        let (records, csv) = (dir.join("t.prof"), dir.join("t.csv"));
-        let mut cmd = dmx();
-        cmd.arg("explore")
-            .arg("--trace")
-            .arg(&trace)
-            .arg("--out-records")
-            .arg(&records)
-            .arg("--csv")
-            .arg(&csv);
-        if let Some(n) = threads {
-            cmd.env("DMX_THREADS", n);
+    for (space, records_fnv, csv_fnv, summary_fnv) in ROWS {
+        let mut runs = Vec::new();
+        for threads in [None, Some("1")] {
+            let (records, csv) = (dir.join("t.prof"), dir.join("t.csv"));
+            let mut cmd = dmx();
+            cmd.arg("explore")
+                .arg("--trace")
+                .arg(&trace)
+                .arg("--space")
+                .arg(space)
+                .arg("--out-records")
+                .arg(&records)
+                .arg("--csv")
+                .arg(&csv);
+            if let Some(n) = threads {
+                cmd.env("DMX_THREADS", n);
+            }
+            let out = run_ok(&mut cmd);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains("strategy `exhaustive`:"), "stderr: {err}");
+            let digests = (
+                fnv1a(&std::fs::read(&records).unwrap()),
+                fnv1a(&std::fs::read(&csv).unwrap()),
+                fnv1a(&out.stdout),
+            );
+            runs.push(digests);
         }
-        let out = run_ok(&mut cmd);
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("strategy `exhaustive`:"), "stderr: {err}");
-        let digests = (
-            fnv1a(&std::fs::read(&records).unwrap()),
-            fnv1a(&std::fs::read(&csv).unwrap()),
-            fnv1a(&out.stdout),
+        assert_eq!(
+            runs[0], runs[1],
+            "{space}: worker count changed the outputs"
         );
-        runs.push(digests);
+        assert_eq!(
+            runs[0],
+            (records_fnv, csv_fnv, summary_fnv),
+            "{space}: {:#x?}",
+            runs[0]
+        );
     }
-    assert_eq!(runs[0], runs[1], "worker count changed the outputs");
-    assert_eq!(
-        runs[0],
-        (RECORDS_FNV, CSV_FNV, SUMMARY_FNV),
-        "{:#x?}",
-        runs[0]
-    );
     std::fs::remove_dir_all(&dir).ok();
 }
