@@ -65,7 +65,8 @@ impl BuddyPool {
     }
 
     /// The largest request (payload bytes) this pool can serve.
-    pub fn max_request(&self) -> u32 {
+    #[cfg(test)]
+    fn max_request(&self) -> u32 {
         (1u32 << self.max_order) - HEADER_BYTES
     }
 

@@ -308,7 +308,8 @@ impl GeneralPool {
     }
 
     /// Number of blocks (free and live) currently carved in the pool.
-    pub fn block_count(&self) -> usize {
+    #[cfg(test)]
+    fn block_count(&self) -> usize {
         self.blocks.len()
     }
 
@@ -335,7 +336,8 @@ impl GeneralPool {
 
     /// External fragmentation: free bytes that exist but sit in blocks, as
     /// a fraction of all carved bytes. 0.0 for an empty pool.
-    pub fn external_fragmentation(&self) -> f64 {
+    #[cfg(test)]
+    fn external_fragmentation(&self) -> f64 {
         let mut total = 0u64;
         let mut free = 0u64;
         self.each_block(|b| {

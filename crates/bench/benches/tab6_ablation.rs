@@ -120,16 +120,13 @@ fn bench_ablation(c: &mut Criterion) {
     println!("{:<18} {:>8} {:>16}", "sample", "configs", "front volume %");
     for frac in [4usize, 2] {
         let n = full_space.len() / frac;
-        let sampled = explorer.run_configs(
-            dmx_core::sample_configs(&full_space, &hierarchy, n, 99),
+        let sampled = explorer.search(
+            &dmx_core::SubsampleSearch { n, seed: 99 },
+            &full_space,
             &trace,
+            &dmx_core::Objective::FIG1,
         );
-        let front: Vec<(u64, u64)> = sampled
-            .pareto(&dmx_core::Objective::FIG1)
-            .points
-            .iter()
-            .map(|p| (p[0], p[1]))
-            .collect();
+        let front: Vec<(u64, u64)> = sampled.front.points.iter().map(|p| (p[0], p[1])).collect();
         let reference = (
             full_front
                 .iter()

@@ -56,9 +56,9 @@ use std::sync::Arc;
 
 use dmx_core::export::{gnuplot_script, robust_to_json, search_to_json, to_csv};
 use dmx_core::{
-    Aggregate, ExhaustiveSearch, Explorer, FidelityPlan, FidelityStats, GeneticSearch, GenomeSpace,
-    GrammarSpace, HillClimbSearch, IslandSearch, MultiScenarioEvaluator, Objective, ParamSpace,
-    ScenarioSuite, SearchStrategy, StudySummary, SubsampleSearch, SurrogateKind,
+    Aggregate, ExhaustiveSearch, Explorer, FidelityPlan, GeneticSearch, GenomeSpace, GrammarSpace,
+    HillClimbSearch, IslandSearch, MultiScenarioEvaluator, Objective, ParamSpace, ScenarioSuite,
+    SearchOutcome, SearchStrategy, StudySummary, SubsampleSearch, SurrogateKind,
 };
 use dmx_memhier::presets;
 use dmx_profile::{parse_records, records_to_string, ProfileRecord};
@@ -305,25 +305,6 @@ fn build_strategy(
     })
 }
 
-/// Renders the per-island statistics lines for island-model runs.
-fn render_island_stats(islands: &[dmx_core::IslandStats]) -> String {
-    let mut out = String::new();
-    for s in islands {
-        out.push_str(&format!(
-            "island {}: {:<9} {} genomes, {} front points, sent {} / installed {} migrants, last improved gen {}/{}\n",
-            s.island,
-            s.kind,
-            s.genomes,
-            s.front.len(),
-            s.migrants_sent,
-            s.migrants_received,
-            s.last_improved_generation,
-            s.generations,
-        ));
-    }
-    out
-}
-
 /// The `--objectives` list (default: the paper's Figure-1 pair).
 fn objectives_opt(rest: &[&String]) -> Result<Vec<Objective>, String> {
     match opt(rest, "--objectives") {
@@ -518,27 +499,56 @@ fn build_fidelity(rest: &[&String]) -> Result<Option<FidelityPlan>, String> {
     Ok(Some(plan))
 }
 
-/// One stderr summary line for a multi-fidelity run: what each rung
-/// screened and how many full simulations the schedule avoided.
-fn render_fidelity(stats: &FidelityStats) -> String {
-    let mut line = String::from("fidelity:");
-    for (fraction, rung) in stats.fractions.iter().zip(&stats.rungs) {
-        let _ = write!(
-            line,
-            " rung {:.0}% {} -> {},",
-            fraction * 100.0,
-            rung.screened,
-            rung.promoted
+/// Prints what a search did, the same way for every explore mode. On
+/// stderr: the strategy line (ending in `front`, the front's size); for a
+/// multi-fidelity run, what each rung screened and how many full
+/// simulations the schedule avoided; for an island run, one line per
+/// island. On stdout under `--sim-stats`: the kernel counters. Fails only
+/// if stdout is closed.
+fn print_outcome(rest: &[&String], outcome: &SearchOutcome, front: &str) -> std::io::Result<()> {
+    eprintln!(
+        "strategy `{}`: {} configurations evaluated ({} simulations, {} cache hits), {front}",
+        outcome.strategy, outcome.evaluations, outcome.simulations, outcome.cache_hits,
+    );
+    if let Some(stats) = &outcome.fidelity {
+        let mut line = String::from("fidelity:");
+        for (fraction, rung) in stats.fractions.iter().zip(&stats.rungs) {
+            let _ = write!(
+                line,
+                " rung {:.0}% {} -> {},",
+                fraction * 100.0,
+                rung.screened,
+                rung.promoted
+            );
+        }
+        eprintln!(
+            "{line} {} surrogate hits, {} full sims ({} avoided)",
+            stats.surrogate_hits,
+            stats.full_simulations,
+            stats.avoided()
         );
     }
-    let _ = write!(
-        line,
-        " {} surrogate hits, {} full sims ({} avoided)",
-        stats.surrogate_hits,
-        stats.full_simulations,
-        stats.avoided()
-    );
-    line
+    for s in &outcome.islands {
+        eprintln!(
+            "island {}: {:<9} {} genomes, {} front points, sent {} / installed {} migrants, last improved gen {}/{}",
+            s.island,
+            s.kind,
+            s.genomes,
+            s.front.len(),
+            s.migrants_sent,
+            s.migrants_received,
+            s.last_improved_generation,
+            s.generations,
+        );
+    }
+    if has_flag(rest, "--sim-stats") {
+        writeln!(
+            std::io::stdout(),
+            "{}",
+            outcome.sim_stats.render(outcome.cache_hits)
+        )?;
+    }
+    Ok(())
 }
 
 /// Looks a built-in suite up by name, listing the registry on failure.
@@ -591,22 +601,9 @@ fn explore(rest: &[&String]) -> Result<(), String> {
         explorer.search(strategy.as_ref(), &*space, &trace, &objectives)
     };
     obs.finish()?;
-    eprintln!(
-        "strategy `{}`: {} configurations evaluated ({} simulations, {} cache hits), {} Pareto points",
-        outcome.strategy,
-        outcome.evaluations,
-        outcome.simulations,
-        outcome.cache_hits,
-        outcome.front.len(),
-    );
-    if let Some(stats) = &outcome.fidelity {
-        eprintln!("{}", render_fidelity(stats));
-    }
-    if !outcome.islands.is_empty() {
-        eprint!("{}", render_island_stats(&outcome.islands));
-    }
-    if has_flag(rest, "--sim-stats") {
-        outln!("{}", outcome.sim_stats.render(outcome.cache_hits));
+    let front = format!("{} Pareto points", outcome.front.len());
+    if print_outcome(rest, &outcome, &front).is_err() {
+        return Ok(());
     }
     if let Some(path) = opt(rest, "--json") {
         let json = search_to_json(&outcome, &objectives);
@@ -674,25 +671,9 @@ fn explore_suite(rest: &[&String], suite_name: &str) -> Result<(), String> {
     let obs = ObsSession::start(rest, suite.scenarios.len() as u64);
     let robust = evaluator.with_space_arc(space).run(strategy.as_ref());
     obs.finish()?;
-    eprintln!(
-        "strategy `{}`: {} configurations evaluated ({} simulations, {} cache hits), robust front {}",
-        robust.outcome.strategy,
-        robust.outcome.evaluations,
-        robust.outcome.simulations,
-        robust.outcome.cache_hits,
-        robust.outcome.front.len(),
-    );
-    if let Some(stats) = &robust.outcome.fidelity {
-        eprintln!("{}", render_fidelity(stats));
-    }
-    if !robust.outcome.islands.is_empty() {
-        eprint!("{}", render_island_stats(&robust.outcome.islands));
-    }
-    if has_flag(rest, "--sim-stats") {
-        outln!(
-            "{}",
-            robust.outcome.sim_stats.render(robust.outcome.cache_hits)
-        );
+    let front = format!("robust front {}", robust.outcome.front.len());
+    if print_outcome(rest, &robust.outcome, &front).is_err() {
+        return Ok(());
     }
 
     if let Some(path) = opt(rest, "--out-records") {

@@ -1,4 +1,4 @@
-//! Result exports: CSV, Gnuplot and Markdown — the paper's "results are
+//! Result exports: CSV, Gnuplot and JSON — the paper's "results are
 //! provided either on a GUI or in a format easy to import to Excel or
 //! Gnuplot".
 
@@ -429,31 +429,6 @@ pub fn robust_to_json(robust: &crate::scenario::RobustOutcome) -> String {
     s
 }
 
-/// Renders the Pareto front as a Markdown table.
-pub fn pareto_to_markdown(
-    exploration: &Exploration,
-    front: &ParetoSet,
-    objectives: &[Objective],
-) -> String {
-    let mut s = String::from("| configuration |");
-    for o in objectives {
-        let _ = write!(s, " {} |", o.name());
-    }
-    s.push_str("\n|---|");
-    for _ in objectives {
-        s.push_str("---:|");
-    }
-    s.push('\n');
-    for (k, &i) in front.indices.iter().enumerate() {
-        let _ = write!(s, "| `{}` |", exploration.results[i].label);
-        for v in &front.points[k] {
-            let _ = write!(s, " {v} |");
-        }
-        s.push('\n');
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -640,16 +615,5 @@ mod tests {
         assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
         assert_eq!(json_escape("tab\tend"), "tab\\u0009end");
         assert_eq!(json_escape("plain<=74@L1"), "plain<=74@L1");
-    }
-
-    #[test]
-    fn markdown_table_shape() {
-        let exp = tiny_exploration();
-        let front = exp.pareto(&Objective::FIG1);
-        let md = pareto_to_markdown(&exp, &front, &Objective::FIG1);
-        let lines: Vec<&str> = md.lines().collect();
-        assert!(lines[0].starts_with("| configuration |"));
-        assert!(lines[1].starts_with("|---|"));
-        assert_eq!(lines.len(), 2 + front.len());
     }
 }

@@ -76,7 +76,7 @@ pub use param::{Genome, ParamSpace, PlacementStrategy};
 pub use pareto::{dominates, knee_point, pareto_front, pareto_front_2d, ParetoSet};
 pub use report::StudySummary;
 pub use runner::{Exploration, Explorer, RunResult};
-pub use sample::{front_coverage_pct, hypervolume_2d, sample_configs};
+pub use sample::{front_coverage_pct, hypervolume_2d};
 pub use scenario::{
     Aggregate, CommonalityReport, MultiScenarioEvaluator, RobustOutcome, Scenario, ScenarioSuite,
 };

@@ -180,12 +180,12 @@ impl ParamSpace {
 
     /// Decodes a distinct-configuration index (`0..self.len()`) into its
     /// canonical [`Genome`], in enumeration order: the `i`-th genome
-    /// materializes the `i`-th configuration yielded by [`Self::iter_configs`].
+    /// materializes the `i`-th configuration yielded by [`Self::iter_configs`],
+    /// and the genomes strictly increase with the index.
     ///
     /// This is the random-access counterpart of the [`ConfigIter`]
-    /// odometer; [`crate::sample_configs`] and the guided search
-    /// strategies use it to draw uniform configurations from huge spaces
-    /// without enumerating them.
+    /// odometer; the search strategies use it to draw uniform
+    /// configurations from huge spaces without enumerating them.
     ///
     /// # Panics
     ///
@@ -374,6 +374,10 @@ mod tests {
                 genome,
                 space.canonicalize(genome.clone()),
                 "genomes are canonical"
+            );
+            assert!(
+                i == 0 || space.genome_at(i - 1) < genome,
+                "genome_at must strictly increase at {i}"
             );
             assert_eq!(
                 &space.config_at(&hier, &genome).label(),

@@ -23,7 +23,7 @@ pub fn dominates(a: &[u64], b: &[u64]) -> bool {
 }
 
 /// The non-dominated subset of a point set.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ParetoSet {
     /// Indices into the original point list, sorted by the first objective
     /// (ascending; ties by the remaining objectives).

@@ -132,59 +132,6 @@ impl StudySummary {
     }
 }
 
-impl StudySummary {
-    /// Renders the summary as a Markdown fragment (heading, key-number
-    /// table, Pareto-curve table) for reports and READMEs.
-    pub fn to_markdown(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "### Exploration summary: {}\n", self.workload);
-        let _ = writeln!(s, "| metric | value |");
-        let _ = writeln!(s, "|---|---:|");
-        let _ = writeln!(s, "| configurations explored | {} |", self.total_configs);
-        let _ = writeln!(s, "| feasible | {} |", self.feasible_configs);
-        let _ = writeln!(
-            s,
-            "| explored-space footprint range | x{:.1} |",
-            self.footprint_range_factor
-        );
-        let _ = writeln!(
-            s,
-            "| explored-space access range | x{:.1} |",
-            self.access_range_factor
-        );
-        let _ = writeln!(
-            s,
-            "| Pareto-optimal configurations | {} |",
-            self.pareto_count
-        );
-        let _ = writeln!(
-            s,
-            "| within-Pareto footprint reduction | x{:.1} |",
-            self.pareto_footprint_factor
-        );
-        let _ = writeln!(
-            s,
-            "| within-Pareto access reduction | x{:.1} |",
-            self.pareto_access_factor
-        );
-        let _ = writeln!(s, "| energy saving | {:.2}% |", self.energy_saving_pct);
-        let _ = writeln!(
-            s,
-            "| exec-time saving | {:.2}% |",
-            self.exec_time_saving_pct
-        );
-        let _ = writeln!(
-            s,
-            "\n| configuration | footprint B | accesses | energy pJ | cycles |"
-        );
-        let _ = writeln!(s, "|---|---:|---:|---:|---:|");
-        for (label, fp, acc, en, cy) in &self.pareto_curve {
-            let _ = writeln!(s, "| `{label}` | {fp} | {acc} | {en} | {cy} |");
-        }
-        s
-    }
-}
-
 fn range_factor(values: &[u64]) -> f64 {
     match (values.iter().min(), values.iter().max()) {
         (Some(&min), Some(&max)) if min > 0 => max as f64 / min as f64,
@@ -269,18 +216,6 @@ mod tests {
         assert!(text.contains("Pareto-optimal configurations:"));
         assert!(text.contains("within Pareto set"));
         assert!(text.lines().count() >= 6 + s.pareto_count);
-    }
-
-    #[test]
-    fn markdown_rendering_is_complete() {
-        let exp = exploration();
-        let s = StudySummary::compute(&exp);
-        let md = s.to_markdown();
-        assert!(md.contains("### Exploration summary: easyport"));
-        assert!(md.contains("| Pareto-optimal configurations |"));
-        // One table row per Pareto point.
-        let rows = md.lines().filter(|l| l.starts_with("| `")).count();
-        assert_eq!(rows, s.pareto_count);
     }
 
     #[test]

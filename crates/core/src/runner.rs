@@ -1,16 +1,16 @@
-//! Parallel exploration driver: simulate every configuration of a space
-//! against one workload trace.
+//! Exploration driver: simulate every configuration of a space against
+//! one workload trace, or search it with a guided strategy. Both
+//! evaluate through the search layer's [`crate::search::Evaluator`].
 
-use dmx_alloc::{AllocatorConfig, SimMetrics, Simulator};
+use dmx_alloc::{AllocatorConfig, SimMetrics};
 use dmx_memhier::MemoryHierarchy;
 use dmx_profile::ProfileRecord;
-use dmx_trace::{CompiledTrace, Trace};
+use dmx_trace::Trace;
 
 use crate::objective::Objective;
 use crate::pareto::{pareto_front, ParetoSet};
 use crate::search::{
-    simulate_jobs, EvalInstance, FidelityPlan, RunKind, SearchContext, SearchOutcome,
-    SearchStrategy, SimStats,
+    unpruned_sweep, EvalInstance, FidelityPlan, SearchContext, SearchOutcome, SearchStrategy,
 };
 use crate::space::GenomeSpace;
 
@@ -30,7 +30,9 @@ pub struct RunResult {
 pub struct Exploration {
     /// Workload name (from the trace).
     pub workload: String,
-    /// One result per simulated configuration, in enumeration order.
+    /// One result per simulated configuration, in genome order: for a
+    /// sweep of the whole space that is enumeration order (see
+    /// [`GenomeSpace::genome_at`]).
     pub results: Vec<RunResult>,
 }
 
@@ -99,7 +101,9 @@ fn record_from_result(result: &RunResult) -> ProfileRecord {
     rec
 }
 
-/// Runs explorations: enumerate, simulate (in parallel), collect.
+/// Runs explorations over one workload trace: every configuration of a
+/// space, or the configurations a search strategy picks, simulated in
+/// parallel through the search layer's evaluator.
 #[derive(Debug, Clone, Copy)]
 pub struct Explorer<'h> {
     hierarchy: &'h MemoryHierarchy,
@@ -151,45 +155,29 @@ impl<'h> Explorer<'h> {
     /// Enumerates `space` — the odometer [`crate::ParamSpace`], the
     /// [`crate::GrammarSpace`], … — and simulates every configuration to
     /// the end of `trace`: exact metrics for every configuration, in
-    /// enumeration order. [`crate::ExhaustiveSearch`] finds the same
-    /// front faster, but stops replaying configurations it proves
-    /// dominated.
+    /// enumeration order. This is [`Self::sweep`]'s exploration, with no
+    /// front computed. [`crate::ExhaustiveSearch`] finds the same front
+    /// faster, but stops replaying configurations it proves dominated.
     pub fn run(&self, space: &dyn GenomeSpace, trace: &Trace) -> Exploration {
-        self.run_configs(self.space_configs(space), trace)
+        self.sweep(space, trace, &[]).exploration
     }
 
     /// [`Self::run`] as a [`SearchOutcome`] under the strategy name
     /// `exhaustive`: every configuration of `space` in `exploration`
-    /// (none pruned), its genome, and the front on `objectives`.
+    /// (none pruned), its genome, and the front on `objectives`. It is
+    /// the branch [`crate::ExhaustiveSearch`] takes when it cannot prune.
     pub fn sweep(
         &self,
         space: &dyn GenomeSpace,
         trace: &Trace,
         objectives: &[Objective],
     ) -> SearchOutcome {
-        let (exploration, sim_stats) = self.simulate(self.space_configs(space), trace);
-        let front = exploration.pareto(objectives);
-        SearchOutcome {
-            strategy: crate::ExhaustiveSearch.name().to_owned(),
-            genomes: (0..space.len()).map(|i| space.genome_at(i)).collect(),
-            evaluations: exploration.results.len(),
-            simulations: exploration.results.len(),
-            cache_hits: 0,
-            exploration,
-            front,
-            scenario_explorations: Vec::new(),
-            sim_stats,
-            islands: Vec::new(),
+        let instance = EvalInstance::single(self.hierarchy, trace);
+        let ctx = self.context(space, &instance, objectives);
+        unpruned_sweep(&SearchContext {
             fidelity: None,
-            pruned: Vec::new(),
-        }
-    }
-
-    /// Every configuration of `space`, in enumeration order.
-    fn space_configs(&self, space: &dyn GenomeSpace) -> Vec<AllocatorConfig> {
-        (0..space.len())
-            .map(|i| space.config_at(self.hierarchy, &space.genome_at(i)))
-            .collect()
+            ..ctx
+        })
     }
 
     /// Explores `space` — any [`GenomeSpace`]: the odometer
@@ -206,56 +194,28 @@ impl<'h> Explorer<'h> {
         objectives: &[Objective],
     ) -> SearchOutcome {
         let instance = EvalInstance::single(self.hierarchy, trace);
-        let ctx = SearchContext {
+        strategy.search(&self.context(space, &instance, objectives))
+    }
+
+    /// The classic single-workload context over `instance`, with this
+    /// explorer's worker budget and fidelity plan.
+    fn context<'a>(
+        &self,
+        space: &'a dyn GenomeSpace,
+        instance: &'a EvalInstance<'a>,
+        objectives: &'a [Objective],
+    ) -> SearchContext<'a>
+    where
+        'h: 'a,
+    {
+        SearchContext {
             space,
-            instances: std::slice::from_ref(&instance),
+            instances: std::slice::from_ref(instance),
             aggregate: None,
             objectives,
             threads: self.threads,
             fidelity: self.fidelity,
-        };
-        strategy.search(&ctx)
-    }
-
-    /// Simulates an explicit list of configurations against `trace`.
-    ///
-    /// Results keep the input order. Configurations are simulated in
-    /// parallel; the simulation itself is deterministic, so the outcome is
-    /// identical to a sequential run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any configuration fails validation — enumerated spaces
-    /// always produce valid configurations, and hand-built lists should be
-    /// validated by the caller first.
-    pub fn run_configs(&self, configs: Vec<AllocatorConfig>, trace: &Trace) -> Exploration {
-        self.simulate(configs, trace).0
-    }
-
-    /// Simulates `configs` against `trace` in parallel, with the fan-out's
-    /// kernel counters.
-    fn simulate(&self, configs: Vec<AllocatorConfig>, trace: &Trace) -> (Exploration, SimStats) {
-        let sim = Simulator::new(self.hierarchy);
-        // Compile once; every worker replays the same lowered stream
-        // through its own reusable arena.
-        let compiled = CompiledTrace::compile(trace);
-        let (results, stats) =
-            simulate_jobs(RunKind::Full, configs.len(), self.threads, |i, arena| {
-                let config = configs[i].clone();
-                let metrics = sim
-                    .run_in_arena(&config, &compiled, arena)
-                    .expect("explored configurations must be valid");
-                RunResult {
-                    label: config.label(),
-                    config,
-                    metrics,
-                }
-            });
-        let exploration = Exploration {
-            workload: trace.name().to_owned(),
-            results,
-        };
-        (exploration, stats)
+        }
     }
 }
 

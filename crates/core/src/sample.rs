@@ -1,20 +1,16 @@
 //! Subsampled exploration for very large spaces.
 //!
 //! The paper's spaces reach "tens of thousands" of configurations; when a
-//! full sweep is too slow, a uniform random subsample still recovers most
-//! of the Pareto front (the `tab6_ablation` bench quantifies how much).
-//! Sampling is deterministic in the seed, so subsampled studies stay
-//! reproducible.
+//! full sweep is too slow, a uniform random subsample
+//! ([`crate::SubsampleSearch`], drawn here) still recovers most of the
+//! Pareto front (the `tab6_ablation` bench quantifies how much, with the
+//! hypervolume measures below). Sampling is deterministic in the seed, so
+//! subsampled studies stay reproducible.
 
 use std::collections::HashSet;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-use dmx_alloc::AllocatorConfig;
-use dmx_memhier::MemoryHierarchy;
-
-use crate::param::ParamSpace;
 
 /// Draws `n` distinct indices uniformly from `0..total` (all of them, in
 /// order, if `n >= total`), returned sorted ascending. Deterministic in
@@ -57,25 +53,6 @@ pub(crate) fn sample_indices(total: usize, n: usize, seed: u64) -> Vec<usize> {
     }
     picks.sort_unstable();
     picks
-}
-
-/// Draws `n` distinct configurations uniformly from `space`
-/// (all of them if `n >= space.len()`). Deterministic in `seed`.
-///
-/// Indices are drawn by rejection sampling and materialized by random
-/// access ([`ParamSpace::genome_at`]), so neither time nor memory is
-/// proportional to the full space size when `n` is small — the paper's
-/// "tens of thousands of configurations" subsample in microseconds.
-pub fn sample_configs(
-    space: &ParamSpace,
-    hierarchy: &MemoryHierarchy,
-    n: usize,
-    seed: u64,
-) -> Vec<AllocatorConfig> {
-    sample_indices(space.len(), n, seed)
-        .into_iter()
-        .map(|i| space.config_at(hierarchy, &space.genome_at(i)))
-        .collect()
 }
 
 /// The 2-D hypervolume indicator of a point set (all objectives
@@ -152,32 +129,19 @@ mod tests {
     #[test]
     fn sample_is_deterministic_and_distinct() {
         let hier = presets::sp64k_dram4m();
-        let space = easyport_space(&hier, StudyScale::Quick);
-        let a = sample_configs(&space, &hier, 10, 7);
-        let b = sample_configs(&space, &hier, 10, 7);
+        let total = easyport_space(&hier, StudyScale::Quick).len();
+        let a = sample_indices(total, 10, 7);
         assert_eq!(a.len(), 10);
-        let la: Vec<String> = a.iter().map(|c| c.label()).collect();
-        let lb: Vec<String> = b.iter().map(|c| c.label()).collect();
-        assert_eq!(la, lb, "same seed, same sample");
-        let mut dedup = la.clone();
-        dedup.sort();
-        dedup.dedup();
-        assert_eq!(dedup.len(), 10, "sampled configs are distinct");
+        assert_eq!(a, sample_indices(total, 10, 7), "same seed, same sample");
+        assert!(a.windows(2).all(|w| w[0] < w[1]), "sorted + distinct");
+        assert!(a.iter().all(|&i| i < total));
     }
 
     #[test]
     fn different_seed_different_sample() {
         let hier = presets::sp64k_dram4m();
-        let space = easyport_space(&hier, StudyScale::Quick);
-        let a: Vec<String> = sample_configs(&space, &hier, 12, 1)
-            .iter()
-            .map(|c| c.label())
-            .collect();
-        let b: Vec<String> = sample_configs(&space, &hier, 12, 2)
-            .iter()
-            .map(|c| c.label())
-            .collect();
-        assert_ne!(a, b);
+        let total = easyport_space(&hier, StudyScale::Quick).len();
+        assert_ne!(sample_indices(total, 12, 1), sample_indices(total, 12, 2));
     }
 
     #[test]
@@ -193,9 +157,9 @@ mod tests {
     #[test]
     fn oversized_request_returns_whole_space() {
         let hier = presets::sp64k_dram4m();
-        let space = easyport_space(&hier, StudyScale::Quick);
-        let all = sample_configs(&space, &hier, usize::MAX, 3);
-        assert_eq!(all.len(), space.len());
+        let total = easyport_space(&hier, StudyScale::Quick).len();
+        let all = sample_indices(total, usize::MAX, 3);
+        assert_eq!(all, (0..total).collect::<Vec<_>>());
     }
 
     /// Regression: near-total requests must take the dense path. With the
@@ -279,6 +243,7 @@ mod tests {
     fn subsample_front_volume_close_to_full() {
         use crate::objective::Objective;
         use crate::runner::Explorer;
+        use crate::search::SubsampleSearch;
         use crate::study::easyport_trace;
 
         let hier = presets::sp64k_dram4m();
@@ -287,7 +252,13 @@ mod tests {
         let explorer = Explorer::new(&hier);
 
         let full = explorer.run(&space, &trace);
-        let half = explorer.run_configs(sample_configs(&space, &hier, space.len() / 2, 9), &trace);
+        let sample = SubsampleSearch {
+            n: space.len() / 2,
+            seed: 9,
+        };
+        let half = explorer
+            .search(&sample, &space, &trace, &Objective::FIG1)
+            .exploration;
 
         let points = |e: &crate::runner::Exploration| -> Vec<(u64, u64)> {
             e.pareto(&Objective::FIG1)

@@ -20,8 +20,8 @@
 //! evaluations go through one [`Evaluator`], which keeps a private memo
 //! table per fidelity rung keyed on the canonical genome, so revisits —
 //! the common case in GA populations — cost a hash lookup instead of a
-//! simulation, and each batch evaluates in parallel through the same
-//! fan-out as the exhaustive runner.
+//! simulation, and each batch evaluates in parallel through one fan-out.
+//! The exhaustive sweeps evaluate through it too.
 //!
 //! A [`SearchContext`] carries one *or several* [`EvalInstance`]s.
 //! Without an [`Aggregate`] policy this is the classic single-workload
@@ -73,7 +73,7 @@ pub use genetic::GeneticSearch;
 pub use hillclimb::HillClimbSearch;
 pub use island::{IslandSearch, IslandStats, Migration};
 
-pub(crate) use queue::simulate_jobs;
+use queue::simulate_jobs;
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -378,7 +378,8 @@ pub struct SearchOutcome {
     pub cache_hits: usize,
     /// The Pareto front over everything evaluated, on the context's
     /// objectives (robust objectives in multi-instance contexts). Indices
-    /// refer to `exploration.results`.
+    /// refer to `exploration.results`. Empty when the context has no
+    /// objectives.
     pub front: ParetoSet,
     /// Per-instance result sets for multi-instance contexts, parallel to
     /// the context's instances; each exploration's results are in the same
@@ -646,8 +647,8 @@ fn eval_rung(
 /// Memoized, parallel batch evaluator — the engine under every strategy.
 ///
 /// Each [`Self::eval_batch`] call canonicalizes the genomes, simulates the
-/// not-yet-seen ones on every instance in parallel (the same fan-out as
-/// [`crate::Explorer::run_configs`]), folds them through the context's
+/// not-yet-seen ones on every instance in parallel (through
+/// `simulate_jobs`, the one fan-out), folds them through the context's
 /// [`Aggregate`] in robust (scenario) mode, and returns one result per
 /// input genome in input order. Every genome is simulated at most once:
 /// the evaluator keeps one private memo table per fidelity rung, and the
@@ -716,18 +717,6 @@ impl<'a> Evaluator<'a> {
     /// pruned.
     pub fn evaluations(&self) -> usize {
         self.table.len() + self.pruned.len()
-    }
-
-    /// Whether [`ExhaustiveSearch`] may prune under this context: classic
-    /// mode (one instance, no aggregate), full fidelity, and only
-    /// objectives a mid-replay snapshot bounds from below
-    /// ([`Objective::monotone`]).
-    fn can_prune(&self) -> bool {
-        let ctx = &self.ctx;
-        ctx.aggregate.is_none()
-            && ctx.fidelity.is_none()
-            && !ctx.objectives.is_empty()
-            && ctx.objectives.iter().all(|o| o.monotone())
     }
 
     /// Settles one wave of the pruned exhaustive sweep: `genomes` are
@@ -947,7 +936,13 @@ impl<'a> Evaluator<'a> {
         pruned.sort_unstable_by(|a, b| a.genome.cmp(&b.genome));
         let evaluations = results.len() + pruned.len();
         let exploration = Exploration { workload, results };
-        let front = exploration.pareto(ctx.objectives);
+        // No objectives, nothing to rank on; and a front pass over points
+        // that cannot dominate each other would cost O(n²).
+        let front = if ctx.objectives.is_empty() {
+            ParetoSet::default()
+        } else {
+            exploration.pareto(ctx.objectives)
+        };
         SearchOutcome {
             strategy: strategy.to_owned(),
             evaluations,
@@ -994,27 +989,48 @@ impl SearchStrategy for ExhaustiveSearch {
     }
 
     fn search(&self, ctx: &SearchContext<'_>) -> SearchOutcome {
+        // Prune only in classic mode, at full fidelity, and on objectives
+        // a mid-replay snapshot bounds from below (`Objective::monotone`).
+        let can_prune = ctx.aggregate.is_none()
+            && ctx.fidelity.is_none()
+            && !ctx.objectives.is_empty()
+            && ctx.objectives.iter().all(|o| o.monotone());
+        if !can_prune {
+            return unpruned_sweep(ctx);
+        }
         let mut evaluator = Evaluator::new(ctx);
-        let genomes: Vec<Genome> = (0..ctx.space.len())
-            .map(|i| ctx.space.genome_at(i))
-            .collect();
-        if evaluator.can_prune() {
-            let trace = &ctx.instances[0].trace;
-            let checkpoints = trace.events_at_op_strides(PRUNE_CHECK_OPS);
-            let sizes = OpSizeIndex::new(trace);
-            for wave in prune_waves(genomes.len()) {
-                evaluator.eval_wave(&genomes[wave], &checkpoints, &sizes);
-            }
-        } else {
-            evaluator.eval_batch(&genomes);
+        let genomes = space_genomes(ctx.space);
+        let trace = &ctx.instances[0].trace;
+        let checkpoints = trace.events_at_op_strides(PRUNE_CHECK_OPS);
+        let sizes = OpSizeIndex::new(trace);
+        for wave in prune_waves(genomes.len()) {
+            evaluator.eval_wave(&genomes[wave], &checkpoints, &sizes);
         }
         evaluator.into_outcome(self.name())
     }
 }
 
+/// Every genome of `space`, in enumeration order.
+fn space_genomes(space: &dyn GenomeSpace) -> Vec<Genome> {
+    (0..space.len()).map(|i| space.genome_at(i)).collect()
+}
+
+/// The exhaustive sweep without pruning: every configuration of the
+/// space simulated to the end of every trace, as the
+/// [`ExhaustiveSearch`] outcome. Its results are in enumeration order,
+/// because [`GenomeSpace::genome_at`] increases with the index.
+/// [`ExhaustiveSearch`] takes this branch when it cannot prune, and
+/// [`crate::Explorer::sweep`] always does.
+pub(crate) fn unpruned_sweep(ctx: &SearchContext<'_>) -> SearchOutcome {
+    let mut evaluator = Evaluator::new(ctx);
+    evaluator.eval_batch(&space_genomes(ctx.space));
+    evaluator.into_outcome(ExhaustiveSearch.name())
+}
+
 /// Uniform random subsampling behind the [`SearchStrategy`] interface:
-/// `n` distinct configurations drawn by rejection sampling (the same
-/// index stream as [`crate::sample_configs`]). Deterministic in `seed`.
+/// `n` distinct configurations drawn by rejection sampling as sorted
+/// indices, so the results come in enumeration order. Deterministic in
+/// `seed`.
 #[derive(Debug, Clone, Copy)]
 pub struct SubsampleSearch {
     /// Number of distinct configurations to draw (clamped to the space).

@@ -22,9 +22,11 @@ use super::{RunKind, SimStats};
 /// arena summed into one [`SimStats`] (with the fan-out's wall time),
 /// booked as runs of `kind`.
 ///
-/// This is the only place dmx-core spawns threads: the
-/// exhaustive runner, the evaluator's full-fidelity batches and the
-/// multi-fidelity screening rungs all fan out through it. Workers claim
+/// This is the only place dmx-core spawns threads. Its callers are the
+/// evaluator's two simulation paths in `search/mod.rs`: `eval_rung`,
+/// which runs the full-fidelity batches (the exhaustive sweeps among
+/// them) and the multi-fidelity screening rungs, and `eval_wave`, which
+/// runs the pruned sweep's waves. Workers claim
 /// job indices from one shared counter, and each owns a plain
 /// [`SimArena`] that `run(job, arena)` replays through, so the live-block
 /// slab is reset in place across a worker's jobs.

@@ -75,7 +75,9 @@ pub trait GenomeSpace: fmt::Debug + Send + Sync {
     fn canonicalize(&self, genome: Genome) -> Genome;
 
     /// Decodes a distinct-configuration index (`0..len()`) into its
-    /// canonical genome, in enumeration order.
+    /// canonical genome, in enumeration order. The genomes strictly
+    /// increase with the index, so a result set sorted by genome, as
+    /// every [`crate::SearchOutcome`] is, is in enumeration order.
     ///
     /// # Panics
     ///

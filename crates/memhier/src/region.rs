@@ -74,11 +74,6 @@ impl RegionTable {
         self.capacity[level.index()] - self.used[level.index()]
     }
 
-    /// Total bytes reserved over all levels.
-    pub fn total_used(&self) -> u64 {
-        self.used.iter().sum()
-    }
-
     /// Reserves `size` bytes on `level` (strict placement).
     ///
     /// # Errors
@@ -130,13 +125,6 @@ impl RegionTable {
             available: self.available(level),
         })
     }
-
-    /// The level owning a simulated address (inverse of the address window
-    /// encoding). Returns `None` for addresses outside every window.
-    pub fn level_of_addr(&self, addr: u64) -> Option<LevelId> {
-        let idx = (addr >> LEVEL_WINDOW_SHIFT) as usize;
-        (idx < self.capacity.len()).then_some(LevelId(idx as u16))
-    }
 }
 
 #[cfg(test)]
@@ -174,8 +162,8 @@ mod tests {
         let a = t.reserve(LevelId(0), 100).unwrap();
         let b = t.reserve(LevelId(1), 100).unwrap();
         assert!(a.end() <= b.base || b.end() <= a.base);
-        assert_eq!(t.level_of_addr(a.base), Some(LevelId(0)));
-        assert_eq!(t.level_of_addr(b.base), Some(LevelId(1)));
+        assert_eq!(a.base >> LEVEL_WINDOW_SHIFT, 0, "level 0's window");
+        assert_eq!(b.base >> LEVEL_WINDOW_SHIFT, 1, "level 1's window");
     }
 
     #[test]
@@ -245,21 +233,5 @@ mod tests {
         assert!(r.contains(109));
         assert!(!r.contains(110));
         assert!(!r.contains(99));
-    }
-
-    #[test]
-    fn total_used_sums_levels() {
-        let h = hier();
-        let mut t = RegionTable::new(&h);
-        t.reserve(LevelId(0), 10).unwrap();
-        t.reserve(LevelId(1), 20).unwrap();
-        assert_eq!(t.total_used(), 30);
-    }
-
-    #[test]
-    fn level_of_addr_rejects_foreign_windows() {
-        let h = hier();
-        let t = RegionTable::new(&h);
-        assert_eq!(t.level_of_addr(5 << 40), None);
     }
 }

@@ -11,8 +11,11 @@
 //! * [`parse_records`] — a hand-rolled byte-level parser (no regex, no
 //!   per-field allocation beyond the label) built to sustain hundreds of
 //!   MB/s — benchmarked in `tab4_parse_speed`;
-//! * [`aggregate`] — grouping and best-per-metric selection helpers.
+//! * [`read_records`] / [`RecordStream`] — the same parser over a stream.
 //!
+//! Filtering and ranking the parsed records is the caller's job: the
+//! `dmx pareto` and `dmx report` commands keep the feasible records and
+//! take their ranges inline.
 //!
 //! **Paper mapping:** the §2 profiling step; the parse-throughput claim
 //! ("under 20 seconds") is reproduced by the `tab4_parse_speed` bench.
@@ -35,7 +38,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aggregate;
 mod parser;
 mod record;
 mod stream;

@@ -134,16 +134,6 @@ impl TraceEvent {
         TraceEvent::Tick { cycles }
     }
 
-    /// The block id this event refers to, if any.
-    pub fn block_id(&self) -> Option<BlockId> {
-        match self {
-            TraceEvent::Alloc { id, .. }
-            | TraceEvent::Free { id, .. }
-            | TraceEvent::Access { id, .. } => Some(*id),
-            TraceEvent::Tick { .. } => None,
-        }
-    }
-
     /// The issuing thread, if the event has one (`Tick` does not).
     pub fn thread_id(&self) -> Option<ThreadId> {
         match self {
@@ -191,20 +181,6 @@ impl fmt::Display for TraceEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn block_id_extraction() {
-        assert_eq!(
-            TraceEvent::alloc(BlockId(3), 8).block_id(),
-            Some(BlockId(3))
-        );
-        assert_eq!(TraceEvent::free(BlockId(4)).block_id(), Some(BlockId(4)));
-        assert_eq!(
-            TraceEvent::access(BlockId(5), 1, 0).block_id(),
-            Some(BlockId(5))
-        );
-        assert_eq!(TraceEvent::tick(10).block_id(), None);
-    }
 
     #[test]
     fn allocator_op_classification() {

@@ -48,16 +48,6 @@ impl MmppConfig {
             accesses_per_word: 1.0,
         }
     }
-
-    /// Expected allocations per ON burst.
-    pub fn mean_burst_len(&self) -> f64 {
-        1.0 / self.p_on_to_off
-    }
-
-    /// Expected ticks per OFF period.
-    pub fn mean_idle_len(&self) -> f64 {
-        1.0 / self.p_off_to_on
-    }
 }
 
 impl TraceGenerator for MmppConfig {
@@ -214,11 +204,28 @@ mod tests {
         );
     }
 
+    /// The bursty preset's documented means hold in the generated trace:
+    /// ~20 allocations per burst (1 / `p_on_to_off`) and ~8 ticks per
+    /// idle period (1 / `p_off_to_on`).
     #[test]
     fn mean_lengths() {
-        let cfg = MmppConfig::bursty(10);
-        assert!((cfg.mean_burst_len() - 20.0).abs() < 1e-9);
-        assert!((cfg.mean_idle_len() - 8.0).abs() < 1e-9);
+        let cfg = MmppConfig::bursty(20_000);
+        let (mut idle_periods, mut ticks, mut in_idle) = (0u32, 0u32, false);
+        for ev in cfg.generate(1).events() {
+            match ev {
+                TraceEvent::Tick { .. } => {
+                    ticks += 1;
+                    idle_periods += u32::from(!in_idle);
+                    in_idle = true;
+                }
+                TraceEvent::Alloc { .. } => in_idle = false,
+                _ => {}
+            }
+        }
+        let mean_burst = cfg.allocs as f64 / f64::from(idle_periods + 1);
+        let mean_idle = f64::from(ticks) / f64::from(idle_periods);
+        assert!((mean_burst / 20.0 - 1.0).abs() < 0.15, "burst {mean_burst}");
+        assert!((mean_idle / 8.0 - 1.0).abs() < 0.15, "idle {mean_idle}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Embedded designs often run several dynamic applications on one platform
 //! (the paper's domain pairs a network stack with multimedia codecs);
 //! these helpers build such combined workloads from individual traces, and
-//! reshape traces for sensitivity studies.
+//! cut traces down to a well-formed prefix.
 
 use std::collections::HashMap;
 
@@ -77,32 +77,6 @@ pub fn merge_round_robin(name: impl Into<String>, traces: &[&Trace]) -> Result<T
     }
 }
 
-/// Scales every allocation size by `factor` (rounding up, minimum 1 byte).
-/// Useful for sensitivity studies ("what if all buffers were 2× bigger?").
-///
-/// # Panics
-///
-/// Panics if `factor` is not finite and positive.
-pub fn scale_sizes(trace: &Trace, factor: f64) -> Trace {
-    assert!(
-        factor.is_finite() && factor > 0.0,
-        "scale factor must be positive"
-    );
-    let mut out = Trace::new(format!("{}-x{factor}", trace.name()));
-    for ev in trace {
-        let mapped = match *ev {
-            TraceEvent::Alloc { id, size, .. } => TraceEvent::Alloc {
-                tid: crate::event::ThreadId::MAIN,
-                id,
-                size: ((f64::from(size) * factor).ceil() as u32).max(1),
-            },
-            other => other,
-        };
-        out.push(mapped).expect("scaling preserves well-formedness");
-    }
-    out
-}
-
 /// Keeps only the first `n` events, then frees every block still live —
 /// a well-formed prefix of the workload.
 pub fn truncate(trace: &Trace, n: usize) -> Trace {
@@ -164,31 +138,6 @@ mod tests {
         let stats = TraceStats::compute(&m);
         assert!(stats.size_stat(74).is_some(), "network headers present");
         assert!(stats.size_stat(32).is_some(), "zerotree nodes present");
-    }
-
-    #[test]
-    fn scale_multiplies_sizes() {
-        let t = ramp(4, 100);
-        let doubled = scale_sizes(&t, 2.0);
-        let stats = TraceStats::compute(&doubled);
-        assert_eq!(stats.max_size, 200);
-        let halved = scale_sizes(&t, 0.5);
-        let stats = TraceStats::compute(&halved);
-        assert_eq!(stats.max_size, 50);
-    }
-
-    #[test]
-    fn scale_never_produces_zero_sizes() {
-        let t = ramp(3, 1);
-        let tiny = scale_sizes(&t, 0.01);
-        let stats = TraceStats::compute(&tiny);
-        assert_eq!(stats.min_size, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be positive")]
-    fn scale_rejects_nonpositive() {
-        let _ = scale_sizes(&ramp(1, 8), 0.0);
     }
 
     #[test]

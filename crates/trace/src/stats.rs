@@ -155,38 +155,6 @@ impl TraceStats {
         }
     }
 
-    /// Histogram of block lifetimes in power-of-two event buckets:
-    /// entry `i` counts blocks whose alloc→free distance `d` satisfies
-    /// `2^i <= d+1 < 2^(i+1)` (bucket 0 holds immediate frees). Computed
-    /// on demand from the trace.
-    ///
-    /// Pool designers read this as "how long do blocks of this workload
-    /// stay around" — arenas want the mass clustered, general pools cope
-    /// with spread.
-    pub fn lifetime_histogram(trace: &Trace) -> Vec<u64> {
-        let mut born: HashMap<BlockId, usize> = HashMap::new();
-        let mut hist: Vec<u64> = Vec::new();
-        for (idx, ev) in trace.iter().enumerate() {
-            match *ev {
-                TraceEvent::Alloc { id, .. } => {
-                    born.insert(id, idx);
-                }
-                TraceEvent::Free { id, .. } => {
-                    if let Some(b) = born.remove(&id) {
-                        let d = (idx - b) as u64;
-                        let bucket = (64 - (d + 1).leading_zeros() - 1) as usize;
-                        if hist.len() <= bucket {
-                            hist.resize(bucket + 1, 0);
-                        }
-                        hist[bucket] += 1;
-                    }
-                }
-                _ => {}
-            }
-        }
-        hist
-    }
-
     /// The `k` most frequently allocated block sizes, most frequent first.
     ///
     /// These are the natural candidates for dedicated pools — the paper's
@@ -324,63 +292,6 @@ mod tests {
         let s = TraceStats::compute(&trace());
         assert!((s.dominant_coverage(1) - 0.75).abs() < 1e-9);
         assert!((s.dominant_coverage(2) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn lifetime_histogram_buckets_log2() {
-        use crate::event::TraceEvent as E;
-        // Lifetimes (event distance): 1, 2, 4, 9.
-        let t = Trace::from_events(
-            "h",
-            vec![
-                E::Alloc {
-                    tid: crate::event::ThreadId::MAIN,
-                    id: BlockId(1),
-                    size: 8,
-                },
-                E::Free {
-                    tid: crate::event::ThreadId::MAIN,
-                    id: BlockId(1),
-                }, // d=1 → bucket 1
-                E::Alloc {
-                    tid: crate::event::ThreadId::MAIN,
-                    id: BlockId(2),
-                    size: 8,
-                },
-                E::Tick { cycles: 1 },
-                E::Free {
-                    tid: crate::event::ThreadId::MAIN,
-                    id: BlockId(2),
-                }, // d=2 → bucket 1
-                E::Alloc {
-                    tid: crate::event::ThreadId::MAIN,
-                    id: BlockId(3),
-                    size: 8,
-                },
-                E::Tick { cycles: 1 },
-                E::Tick { cycles: 1 },
-                E::Tick { cycles: 1 },
-                E::Free {
-                    tid: crate::event::ThreadId::MAIN,
-                    id: BlockId(3),
-                }, // d=4 → bucket 2
-            ],
-        )
-        .unwrap();
-        let hist = TraceStats::lifetime_histogram(&t);
-        assert_eq!(hist.len(), 3);
-        assert_eq!(hist[0], 0);
-        assert_eq!(hist[1], 2, "d=1 and d=2 share the [2,4) bucket");
-        assert_eq!(hist[2], 1);
-    }
-
-    #[test]
-    fn lifetime_histogram_total_matches_frees() {
-        use crate::gen::{EasyportConfig, TraceGenerator};
-        let t = EasyportConfig::small().generate(3);
-        let s = TraceStats::compute(&t);
-        let hist = TraceStats::lifetime_histogram(&t);
-        assert_eq!(hist.iter().sum::<u64>(), s.frees);
     }
 
     #[test]

@@ -92,7 +92,8 @@ fn grammar_rediscovers_every_odometer_configuration() {
 
 /// The two spaces must never share an identity: same canonical genome
 /// shape or not, their ids differ, so a run over one can never be taken
-/// for a run over the other.
+/// for a run over the other. The grammar also keeps the
+/// [`GenomeSpace::genome_at`] order contract over its whole space.
 #[test]
 fn covering_grammar_and_odometer_have_distinct_space_ids() {
     let hierarchy = dmx_memhier::presets::sp64k_dram4m();
@@ -105,5 +106,15 @@ fn covering_grammar_and_odometer_have_distinct_space_ids() {
     assert!(
         GenomeSpace::len(&grammar) > odometer.len(),
         "the grammar derives strictly more structures than the odometer"
+    );
+    let genomes: Vec<Vec<usize>> = (0..GenomeSpace::len(&grammar))
+        .map(|i| grammar.genome_at(i))
+        .collect();
+    assert!(
+        genomes.windows(2).all(|w| w[0] < w[1])
+            && genomes
+                .iter()
+                .all(|g| *g == grammar.canonicalize(g.clone())),
+        "grammar genomes must be canonical and strictly increase with the index"
     );
 }

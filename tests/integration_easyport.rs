@@ -3,7 +3,7 @@
 //! reporting, exports.
 
 use dmx_alloc::{AllocatorConfig, CoalescePolicy, FitPolicy, FreeOrder, Simulator, SplitPolicy};
-use dmx_core::export::{gnuplot_script, pareto_to_csv, pareto_to_markdown, to_csv};
+use dmx_core::export::{gnuplot_script, pareto_to_csv, to_csv};
 use dmx_core::study::{easyport_study, StudyScale};
 use dmx_core::{dominates, Objective};
 use dmx_memhier::presets;
@@ -104,9 +104,6 @@ fn exports_are_consistent_with_results() {
 
     let pcsv = pareto_to_csv(exploration, &front, &Objective::FIG1);
     assert_eq!(pcsv.lines().count(), 1 + front.len());
-
-    let md = pareto_to_markdown(exploration, &front, &Objective::FIG1);
-    assert_eq!(md.lines().count(), 2 + front.len());
 
     let gp = gnuplot_script(exploration, &front, Objective::FIG1, "t");
     // The gnuplot data blocks carry one line per feasible point and per

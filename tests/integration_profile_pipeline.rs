@@ -1,10 +1,9 @@
 //! Profile-pipeline integration: exploration results → profile records →
-//! serialized text → parsed back → aggregated — the paper's
+//! serialized text → parsed back → summarized — the paper's
 //! "simulate, write profiles, parse, Pareto-filter" loop.
 
 use dmx_core::study::{easyport_study, StudyScale};
-use dmx_profile::aggregate::{best_by, feasible_only, merge_shards, range_factor};
-use dmx_profile::{parse_records, records_to_string};
+use dmx_profile::{parse_records, records_to_string, ProfileRecord};
 
 #[test]
 fn records_roundtrip_from_real_exploration() {
@@ -35,36 +34,22 @@ fn record_metrics_match_sim_metrics() {
 fn aggregation_matches_summary() {
     let study = easyport_study(StudyScale::Quick, 42);
     let records = study.exploration.to_records();
-    let feasible = feasible_only(&records);
+    let feasible: Vec<&ProfileRecord> = records.iter().filter(|r| r.feasible()).collect();
     assert_eq!(feasible.len(), study.summary.feasible_configs);
 
-    let factor = range_factor(&feasible, |r| r.footprint).expect("non-empty");
+    let footprints = || feasible.iter().map(|r| r.footprint);
+    let (min_fp, max_fp) = (footprints().min().unwrap(), footprints().max().unwrap());
+    let factor = max_fp as f64 / min_fp as f64;
     assert!((factor - study.summary.footprint_range_factor).abs() < 1e-9);
 
-    let best_fp = best_by(&feasible, |r| r.footprint).expect("non-empty");
-    let min_fp = study
+    let best_fp = study
         .exploration
         .feasible()
         .iter()
         .map(|r| r.metrics.footprint)
         .min()
         .unwrap();
-    assert_eq!(best_fp.footprint, min_fp);
-}
-
-#[test]
-fn sharded_runs_merge_like_one_run() {
-    let study = easyport_study(StudyScale::Quick, 42);
-    let records = study.exploration.to_records();
-    let mid = records.len() / 2;
-    let merged = merge_shards(&[records[..mid].to_vec(), records[mid..].to_vec()]);
-    assert_eq!(merged, records);
-
-    // A re-run shard supersedes the stale one.
-    let mut stale = records.clone();
-    stale[0].footprint = 1;
-    let merged = merge_shards(&[stale, vec![records[0].clone()]]);
-    assert_eq!(merged[0].footprint, records[0].footprint);
+    assert_eq!(min_fp, best_fp);
 }
 
 #[test]
@@ -76,9 +61,9 @@ fn cli_objectives_can_be_recomputed_from_records() {
     let text = records_to_string(&records);
     let parsed = parse_records(&text).unwrap();
 
-    let feasible = feasible_only(&parsed);
-    let points: Vec<Vec<u64>> = feasible
+    let points: Vec<Vec<u64>> = parsed
         .iter()
+        .filter(|r| r.feasible())
         .map(|r| vec![r.footprint, r.total_accesses()])
         .collect();
     let front_from_records = dmx_core::pareto_front(&points);

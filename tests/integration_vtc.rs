@@ -7,7 +7,6 @@ use dmx_alloc::{
     SplitPolicy,
 };
 use dmx_core::study::{vtc_study, vtc_trace, StudyScale};
-use dmx_core::{Explorer, Objective};
 use dmx_memhier::presets;
 use dmx_trace::TraceStats;
 
@@ -154,19 +153,4 @@ fn node_pool_placement_is_the_energy_lever() {
         m_sp.energy_pj,
         m_dram.energy_pj
     );
-}
-
-#[test]
-fn explicit_config_list_exploration_works() {
-    // run_configs (the API behind custom spaces) agrees with run().
-    let hier = presets::sp64k_dram4m();
-    let trace = vtc_trace(StudyScale::Quick, 8);
-    let configs: Vec<AllocatorConfig> = dmx_core::study::vtc_space(&hier, StudyScale::Quick)
-        .iter_configs(&hier)
-        .collect();
-    let n = configs.len();
-    let exploration = Explorer::new(&hier).run_configs(configs, &trace);
-    assert_eq!(exploration.results.len(), n);
-    let front = exploration.pareto(&[Objective::EnergyPj, Objective::Cycles]);
-    assert!(!front.is_empty());
 }
