@@ -8,16 +8,15 @@
 
 use dmx_memhier::{CounterSet, LevelId};
 
-/// Tracks reserved bytes per level and their peaks.
+/// Tracks reserved bytes per level.
 ///
 /// *Footprint* in the paper's sense is the memory the allocator claims from
 /// the platform — pool regions including headers, alignment and
-/// fragmentation — not the bytes the application requested.
+/// fragmentation — not the bytes the application requested. Pools only
+/// ever grow, so the bytes reserved so far are also the peak.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FootprintTracker {
     reserved: Vec<u64>,
-    peak_per_level: Vec<u64>,
-    peak_total: u64,
 }
 
 impl FootprintTracker {
@@ -25,33 +24,12 @@ impl FootprintTracker {
     pub fn new(levels: usize) -> Self {
         FootprintTracker {
             reserved: vec![0; levels],
-            peak_per_level: vec![0; levels],
-            peak_total: 0,
         }
     }
 
     /// Records that `bytes` more were reserved on `level`.
     pub fn grow(&mut self, level: LevelId, bytes: u64) {
-        let i = level.index();
-        self.reserved[i] += bytes;
-        self.peak_per_level[i] = self.peak_per_level[i].max(self.reserved[i]);
-        let total: u64 = self.reserved.iter().sum();
-        self.peak_total = self.peak_total.max(total);
-    }
-
-    /// Records that `bytes` were returned to `level` (arena reset).
-    ///
-    /// # Panics
-    ///
-    /// Panics if more bytes are released than are currently reserved —
-    /// always an accounting bug in a pool implementation.
-    pub fn shrink(&mut self, level: LevelId, bytes: u64) {
-        let i = level.index();
-        assert!(
-            self.reserved[i] >= bytes,
-            "pool released more than it reserved on {level}"
-        );
-        self.reserved[i] -= bytes;
+        self.reserved[level.index()] += bytes;
     }
 
     /// Bytes currently reserved on `level`.
@@ -59,19 +37,14 @@ impl FootprintTracker {
         self.reserved[level.index()]
     }
 
-    /// Peak bytes reserved on `level`.
-    pub fn peak(&self, level: LevelId) -> u64 {
-        self.peak_per_level[level.index()]
-    }
-
     /// Peak of total reserved bytes across all levels.
     pub fn peak_total(&self) -> u64 {
-        self.peak_total
+        self.reserved.iter().sum()
     }
 
     /// Per-level peaks, indexed by level.
     pub fn peaks(&self) -> &[u64] {
-        &self.peak_per_level
+        &self.reserved
     }
 }
 
@@ -138,21 +111,9 @@ mod tests {
         f.grow(LevelId(0), 100);
         f.grow(LevelId(1), 50);
         assert_eq!(f.peak_total(), 150);
-        f.shrink(LevelId(0), 100);
-        assert_eq!(f.reserved(LevelId(0)), 0);
-        // Peaks do not drop.
-        assert_eq!(f.peak(LevelId(0)), 100);
-        assert_eq!(f.peak_total(), 150);
+        assert_eq!(f.reserved(LevelId(0)), 100);
         f.grow(LevelId(1), 20);
         assert_eq!(f.reserved(LevelId(1)), 70);
-        assert_eq!(f.peak_total(), 150, "70 < previous peak");
-    }
-
-    #[test]
-    #[should_panic(expected = "released more than it reserved")]
-    fn over_shrink_panics() {
-        let mut f = FootprintTracker::new(1);
-        f.shrink(LevelId(0), 1);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use dmx_memhier::{LevelId, RegionError};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum AllocError {
-    /// The owning memory level (and any spill target) is exhausted.
+    /// The owning memory level is exhausted.
     OutOfMemory {
         /// The level the pool attempted to grow on.
         level: LevelId,

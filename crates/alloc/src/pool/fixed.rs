@@ -224,7 +224,7 @@ mod tests {
         }
         // 5 blocks at 4 per chunk → 2 chunks of 4*64 bytes.
         assert_eq!(pool.reserved_bytes(), 2 * 4 * 64);
-        assert_eq!(ctx.footprint.peak(L0), 2 * 4 * 64);
+        assert_eq!(ctx.footprint.reserved(L0), 2 * 4 * 64);
         pool.validate();
     }
 

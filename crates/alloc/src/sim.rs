@@ -627,11 +627,6 @@ impl<'h> Simulator<'h> {
         self
     }
 
-    /// The contention parameters this simulator charges threaded traces.
-    pub fn contention(&self) -> ContentionParams {
-        self.contention
-    }
-
     /// Contention accounting for one replay over `threads` distinct
     /// pool-op threads, or `None` when the trace is single-threaded or
     /// the model is disabled — the gate that keeps tid-0-only replays on

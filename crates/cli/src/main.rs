@@ -1,26 +1,8 @@
 //! `dmx` — command-line front-end for the exploration tool.
 //!
-//! Subcommands mirror the paper's tool flow (Figure 1):
-//!
-//! ```text
-//! dmx gen-trace <easyport|vtc|synthetic|server> --out FILE [--seed N] [--paper]
-//! dmx profile   --trace FILE
-//! dmx explore   --trace FILE --out-records FILE [--csv FILE] [--gnuplot FILE]
-//!               [--json FILE] [--objectives footprint,accesses]
-//!               [--space odometer|grammar]
-//!               [--strategy exhaustive|sample|genetic|hillclimb|island]
-//!               [--generations N] [--population N] [--restarts N]
-//!               [--islands N] [--migration ring|full|star] [--migrate-every K]
-//!               [--sample-n N] [--seed N]
-//!               [--obs-trace FILE] [--obs-metrics FILE] [--progress]
-//! dmx explore   --suite NAME [--aggregate worst|mean|weighted] [--json FILE]
-//!               [--out-records FILE] [--objectives ...] [--space ...]
-//!               [--strategy ...]
-//!               [--obs-trace FILE] [--obs-metrics FILE] [--progress]
-//! dmx scenarios list [SUITE]
-//! dmx pareto    --records FILE [--objectives footprint,accesses]
-//! dmx report    --records FILE
-//! ```
+//! Subcommands mirror the paper's tool flow (Figure 1); [`USAGE`] lists
+//! each one with every flag it accepts. A flag a subcommand does not read,
+//! or a value flag without its value, is an error (exit 1), never skipped.
 //!
 //! `explore` defaults to the exhaustive sweep; `--strategy
 //! genetic|hillclimb|sample` switches to guided search (see
@@ -91,62 +73,173 @@ macro_rules! outln {
     };
 }
 
+/// Every subcommand with the flags it accepts; [`Args::parse`] rejects any
+/// other flag, so the tables below and this text list the same flags.
 const USAGE: &str = "usage:
   dmx gen-trace <easyport|vtc|synthetic|server> --out FILE [--seed N] [--paper]
   dmx profile   --trace FILE
   dmx explore   --trace FILE --out-records FILE [--csv FILE] [--gnuplot FILE]
                 [--json FILE] [--objectives footprint,accesses]
-                [--space odometer|grammar]
-                [--strategy exhaustive|sample|genetic|hillclimb|island]
-                [--generations N] [--population N] [--restarts N]
-                [--islands N] [--migration ring|full|star] [--migrate-every K]
-                [--migrants M] [--sample-n N] [--seed N] [--sim-stats]
-                [--fidelity off|halving] [--rungs 0.2,0.5,1.0] [--keep 0.4]
-                [--surrogate knn|off] [--knn-k K]
-                [--obs-trace FILE] [--obs-metrics FILE] [--progress]
-  dmx explore   --suite NAME [--aggregate worst|mean|weighted] [--json FILE]
-                [--out-records FILE] [--objectives ...] [--space ...]
-                [--strategy ...] [--seed N] [--sim-stats]
-                [--fidelity off|halving] [--rungs 0.2,0.5,1.0] [--keep 0.4]
-                [--surrogate knn|off] [--knn-k K]
-                [--obs-trace FILE] [--obs-metrics FILE] [--progress]
+                [--space odometer|grammar] [--seed N] [--sim-stats]
+                [STRATEGY] [FIDELITY] [OBS]
+  dmx explore   --suite NAME [--aggregate worst|mean|weighted]
+                [--out-records FILE] [--csv FILE] [--gnuplot FILE] [--json FILE]
+                [--objectives ...] [--space ...] [--seed N] [--sim-stats]
+                [STRATEGY] [FIDELITY] [OBS]
   dmx scenarios list [SUITE]
   dmx pareto    --records FILE [--objectives footprint,accesses,energy,cycles]
   dmx report    --records FILE
-  dmx study     <easyport|vtc> [--seed N] [--paper]";
+  dmx study     <easyport|vtc> [--seed N] [--paper]
+where
+  STRATEGY = [--strategy exhaustive|sample|genetic|hillclimb|island]
+             [--sample-n N] [--generations N] [--population N] [--restarts N]
+             [--islands N] [--migration ring|full|star] [--migrate-every K]
+             [--migrants M]
+  FIDELITY = [--fidelity off|halving] [--rungs 0.2,0.5,1.0] [--keep 0.4]
+             [--surrogate knn|off] [--knn-k K]
+  OBS      = [--obs-trace FILE] [--obs-metrics FILE] [--progress]";
 
-fn run(args: &[String]) -> Result<(), String> {
-    let mut it = args.iter();
-    let cmd = it.next().ok_or("missing subcommand")?;
-    let rest: Vec<&String> = it.collect();
+/// The flags `build_strategy` reads.
+const STRATEGY_FLAGS: &[&str] = &[
+    "--strategy",
+    "--sample-n",
+    "--generations",
+    "--population",
+    "--restarts",
+    "--islands",
+    "--migration",
+    "--migrate-every",
+    "--migrants",
+];
+
+/// The flags `build_fidelity` reads.
+const FIDELITY_FLAGS: &[&str] = &["--fidelity", "--rungs", "--keep", "--surrogate", "--knn-k"];
+
+/// The value flags both explore modes read besides their input.
+const EXPLORE_FLAGS: &[&str] = &[
+    "--out-records",
+    "--csv",
+    "--gnuplot",
+    "--json",
+    "--objectives",
+    "--space",
+    "--seed",
+    "--obs-trace",
+    "--obs-metrics",
+];
+
+/// The switches both explore modes read.
+const EXPLORE_SWITCHES: &[&str] = &["--sim-stats", "--progress"];
+
+fn run(words: &[String]) -> Result<(), String> {
+    let (cmd, rest) = words.split_first().ok_or("missing subcommand")?;
+    let args = parse_args(cmd, rest)?;
     match cmd.as_str() {
-        "gen-trace" => gen_trace(&rest),
-        "profile" => profile(&rest),
-        "explore" => explore(&rest),
-        "scenarios" => scenarios(&rest),
-        "pareto" => pareto(&rest),
-        "report" => report(&rest),
-        "study" => study(&rest),
+        "gen-trace" => gen_trace(&args),
+        "profile" => profile(&args),
+        "explore" => explore(&args),
+        "scenarios" => scenarios(&args),
+        "pareto" => pareto(&args),
+        "report" => report(&args),
+        "study" => study(&args),
+        _ => unreachable!("parse_args rejects unknown subcommands"),
+    }
+}
+
+/// Parses `rest` against the flags and positional words `cmd` accepts.
+fn parse_args<'a>(cmd: &str, rest: &'a [String]) -> Result<Args<'a>, String> {
+    match cmd {
+        "gen-trace" => Args::parse(cmd, rest, &[&["--out", "--seed"]], &["--paper"], 1),
+        "profile" => Args::parse(cmd, rest, &[&["--trace"]], &[], 0),
+        "explore" => {
+            let input: &[&str] = if rest.iter().any(|a| a == "--suite") {
+                &["--suite", "--aggregate"]
+            } else {
+                &["--trace"]
+            };
+            let flags = [input, EXPLORE_FLAGS, STRATEGY_FLAGS, FIDELITY_FLAGS];
+            Args::parse(cmd, rest, &flags, EXPLORE_SWITCHES, 0)
+        }
+        "scenarios" => Args::parse(cmd, rest, &[], &[], 2),
+        "pareto" => Args::parse(cmd, rest, &[&["--records", "--objectives"]], &[], 0),
+        "report" => Args::parse(cmd, rest, &[&["--records"]], &[], 0),
+        "study" => Args::parse(cmd, rest, &[&["--seed"]], &["--paper"], 1),
         other => Err(format!("unknown subcommand `{other}`")),
     }
 }
 
-/// Fetches the value following a `--flag`.
-fn opt<'a>(rest: &'a [&String], flag: &str) -> Option<&'a str> {
-    rest.iter()
-        .position(|a| a.as_str() == flag)
-        .and_then(|i| rest.get(i + 1))
-        .map(|s| s.as_str())
+/// One subcommand's command line, checked against the flags it reads.
+struct Args<'a> {
+    /// Words that are neither flags nor flag values, in order.
+    positional: Vec<&'a str>,
+    /// `(flag, value)` pairs in command-line order.
+    values: Vec<(&'a str, &'a str)>,
+    /// Switches present.
+    switches: Vec<&'a str>,
 }
 
-fn has_flag(rest: &[&String], flag: &str) -> bool {
-    rest.iter().any(|a| a.as_str() == flag)
+impl<'a> Args<'a> {
+    /// Splits `words` into positional words, value flags (each flag in
+    /// `value_flags` takes the next word, which must not be a flag) and
+    /// `switches`; any other `--flag` and more than `max_positional`
+    /// positional words are errors.
+    fn parse(
+        cmd: &str,
+        words: &'a [String],
+        value_flags: &[&[&str]],
+        switches: &[&str],
+        max_positional: usize,
+    ) -> Result<Self, String> {
+        let mut args = Args {
+            positional: Vec::new(),
+            values: Vec::new(),
+            switches: Vec::new(),
+        };
+        let mut it = words.iter().map(String::as_str);
+        while let Some(word) = it.next() {
+            if !word.starts_with("--") {
+                if args.positional.len() == max_positional {
+                    return Err(format!("unexpected argument `{word}` for `dmx {cmd}`"));
+                }
+                args.positional.push(word);
+            } else if value_flags.iter().any(|group| group.contains(&word)) {
+                match it.next() {
+                    Some(value) if !value.starts_with("--") => args.values.push((word, value)),
+                    _ => return Err(format!("flag `{word}` needs a value")),
+                }
+            } else if switches.contains(&word) {
+                args.switches.push(word);
+            } else {
+                return Err(format!("unknown flag `{word}` for `dmx {cmd}`"));
+            }
+        }
+        Ok(args)
+    }
+
+    /// The value of the first `flag` given.
+    fn opt(&self, flag: &str) -> Option<&'a str> {
+        self.values
+            .iter()
+            .find(|(f, _)| *f == flag)
+            .map(|&(_, v)| v)
+    }
+
+    fn has(&self, switch: &str) -> bool {
+        self.switches.contains(&switch)
+    }
+
+    /// Parses `flag`'s value, or returns `default` when it is absent.
+    fn parse_or<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, String> {
+        self.opt(flag).map_or(Ok(default), |v| {
+            v.parse().map_err(|_| format!("bad {flag}"))
+        })
+    }
 }
 
 /// Loads the `--trace` file: the binary format when it starts with the
 /// `DMXT` magic (v1 or v2), the text format otherwise.
-fn load_trace(rest: &[&String]) -> Result<Trace, String> {
-    let path = opt(rest, "--trace").ok_or("missing --trace FILE")?;
+fn load_trace(args: &Args) -> Result<Trace, String> {
+    let path = args.opt("--trace").ok_or("missing --trace FILE")?;
     let bytes = fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
     let parsed = if bytes.starts_with(b"DMXT") {
         binfmt::from_bytes(&bytes).map_err(|e| e.to_string())
@@ -158,21 +251,18 @@ fn load_trace(rest: &[&String]) -> Result<Trace, String> {
     parsed.map_err(|e| format!("parsing {path}: {e}"))
 }
 
-fn load_records(rest: &[&String]) -> Result<Vec<ProfileRecord>, String> {
-    let path = opt(rest, "--records").ok_or("missing --records FILE")?;
+fn load_records(args: &Args) -> Result<Vec<ProfileRecord>, String> {
+    let path = args.opt("--records").ok_or("missing --records FILE")?;
     let text = fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     parse_records(&text).map_err(|e| format!("parsing {path}: {e}"))
 }
 
-fn gen_trace(rest: &[&String]) -> Result<(), String> {
-    let kind = rest.first().ok_or("missing generator kind")?;
-    let out = opt(rest, "--out").ok_or("missing --out FILE")?;
-    let seed: u64 = opt(rest, "--seed")
-        .unwrap_or("42")
-        .parse()
-        .map_err(|_| "bad --seed")?;
-    let paper = has_flag(rest, "--paper");
-    let trace = match kind.as_str() {
+fn gen_trace(args: &Args) -> Result<(), String> {
+    let kind = *args.positional.first().ok_or("missing generator kind")?;
+    let out = args.opt("--out").ok_or("missing --out FILE")?;
+    let seed: u64 = args.parse_or("--seed", 42)?;
+    let paper = args.has("--paper");
+    let trace = match kind {
         "easyport" => {
             let cfg = if paper {
                 EasyportConfig::paper()
@@ -207,8 +297,8 @@ fn gen_trace(rest: &[&String]) -> Result<(), String> {
     Ok(())
 }
 
-fn profile(rest: &[&String]) -> Result<(), String> {
-    let trace = load_trace(rest)?;
+fn profile(args: &Args) -> Result<(), String> {
+    let trace = load_trace(args)?;
     let stats = TraceStats::compute(&trace);
     outln!("trace `{}`", trace.name());
     outln!("  events          : {}", stats.events);
@@ -246,32 +336,24 @@ fn profile(rest: &[&String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses an integer flag with a default.
-fn num_opt(rest: &[&String], flag: &str, default: usize) -> Result<usize, String> {
-    match opt(rest, flag) {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| format!("bad {flag}")),
-    }
-}
-
 /// Builds the guided-search strategy from the common flags.
 /// `space_len` sizes the default subsample.
 fn build_strategy(
-    rest: &[&String],
+    args: &Args,
     seed: u64,
     space_len: usize,
 ) -> Result<Box<dyn SearchStrategy>, String> {
-    let strategy_name = opt(rest, "--strategy").unwrap_or("exhaustive");
+    let strategy_name = args.opt("--strategy").unwrap_or("exhaustive");
     Ok(match strategy_name {
         "exhaustive" => Box::new(ExhaustiveSearch),
         "sample" => Box::new(SubsampleSearch {
-            n: num_opt(rest, "--sample-n", space_len.div_ceil(4))?,
+            n: args.parse_or("--sample-n", space_len.div_ceil(4))?,
             seed,
         }),
         "genetic" => {
             let ga = GeneticSearch {
-                population: num_opt(rest, "--population", 32)?,
-                generations: num_opt(rest, "--generations", 16)?,
+                population: args.parse_or("--population", 32)?,
+                generations: args.parse_or("--generations", 16)?,
                 seed,
                 ..GeneticSearch::default()
             };
@@ -280,7 +362,7 @@ fn build_strategy(
         }
         "hillclimb" => {
             let hc = HillClimbSearch {
-                restarts: num_opt(rest, "--restarts", 8)?,
+                restarts: args.parse_or("--restarts", 8)?,
                 seed,
                 ..HillClimbSearch::default()
             };
@@ -289,12 +371,12 @@ fn build_strategy(
         }
         "island" => {
             let island = IslandSearch {
-                islands: num_opt(rest, "--islands", 4)?,
-                migration: opt(rest, "--migration").unwrap_or("ring").parse()?,
-                migrate_every: num_opt(rest, "--migrate-every", 4)?,
-                migrants: num_opt(rest, "--migrants", 2)?,
-                population: num_opt(rest, "--population", 16)?,
-                generations: num_opt(rest, "--generations", 16)?,
+                islands: args.parse_or("--islands", 4)?,
+                migration: args.opt("--migration").unwrap_or("ring").parse()?,
+                migrate_every: args.parse_or("--migrate-every", 4)?,
+                migrants: args.parse_or("--migrants", 2)?,
+                population: args.parse_or("--population", 16)?,
+                generations: args.parse_or("--generations", 16)?,
                 seed,
                 ..IslandSearch::default()
             };
@@ -306,8 +388,8 @@ fn build_strategy(
 }
 
 /// The `--objectives` list (default: the paper's Figure-1 pair).
-fn objectives_opt(rest: &[&String]) -> Result<Vec<Objective>, String> {
-    match opt(rest, "--objectives") {
+fn objectives_opt(args: &Args) -> Result<Vec<Objective>, String> {
+    match args.opt("--objectives") {
         None => Ok(Objective::FIG1.to_vec()),
         Some(spec) => parse_objectives(spec),
     }
@@ -339,10 +421,10 @@ struct ObsSession {
 impl ObsSession {
     /// Parses the obs flags and starts recording/reporting as requested
     /// for a search over `instances` workloads.
-    fn start(rest: &[&String], instances: u64) -> Self {
-        let trace_path = opt(rest, "--obs-trace").map(str::to_owned);
-        let metrics_path = opt(rest, "--obs-metrics").map(str::to_owned);
-        let progress = has_flag(rest, "--progress");
+    fn start(args: &Args, instances: u64) -> Self {
+        let trace_path = args.opt("--obs-trace").map(str::to_owned);
+        let metrics_path = args.opt("--obs-metrics").map(str::to_owned);
+        let progress = args.has("--progress");
         if trace_path.is_some() {
             dmx_obs::set_recording(true);
         }
@@ -452,8 +534,8 @@ impl ProgressReporter {
 /// space: `odometer` searches the paper's 8-axis index space itself,
 /// `grammar` the grammar-derivation space covering it (codon vectors
 /// deriving allocator pool trees; see `dmx_core::space`).
-fn build_space(rest: &[&String], odometer: ParamSpace) -> Result<Arc<dyn GenomeSpace>, String> {
-    match opt(rest, "--space").unwrap_or("odometer") {
+fn build_space(args: &Args, odometer: ParamSpace) -> Result<Arc<dyn GenomeSpace>, String> {
+    match args.opt("--space").unwrap_or("odometer") {
         "odometer" => Ok(Arc::new(odometer)),
         "grammar" => Ok(Arc::new(GrammarSpace::covering(&odometer))),
         other => Err(format!(
@@ -465,8 +547,8 @@ fn build_space(rest: &[&String], odometer: ParamSpace) -> Result<Arc<dyn GenomeS
 /// Builds the multi-fidelity plan from `--fidelity off|halving` plus the
 /// optional `--rungs`/`--keep`/`--surrogate`/`--knn-k` overrides.
 /// `None` (the default) means full-fidelity evaluation.
-fn build_fidelity(rest: &[&String]) -> Result<Option<FidelityPlan>, String> {
-    let mut plan = match opt(rest, "--fidelity").unwrap_or("off") {
+fn build_fidelity(args: &Args) -> Result<Option<FidelityPlan>, String> {
+    let mut plan = match args.opt("--fidelity").unwrap_or("off") {
         "off" => return Ok(None),
         "halving" => FidelityPlan::halving(),
         other => {
@@ -475,7 +557,7 @@ fn build_fidelity(rest: &[&String]) -> Result<Option<FidelityPlan>, String> {
             ))
         }
     };
-    if let Some(list) = opt(rest, "--rungs") {
+    if let Some(list) = args.opt("--rungs") {
         plan.rungs = list
             .split(',')
             .map(|s| {
@@ -485,13 +567,11 @@ fn build_fidelity(rest: &[&String]) -> Result<Option<FidelityPlan>, String> {
             })
             .collect::<Result<_, _>>()?;
     }
-    if let Some(keep) = opt(rest, "--keep") {
-        plan.keep = keep.parse().map_err(|_| "bad --keep")?;
-    }
-    plan.surrogate = match opt(rest, "--surrogate").unwrap_or("knn") {
+    plan.keep = args.parse_or("--keep", plan.keep)?;
+    plan.surrogate = match args.opt("--surrogate").unwrap_or("knn") {
         "off" => SurrogateKind::Off,
         "knn" => SurrogateKind::Knn {
-            k: num_opt(rest, "--knn-k", 8)?,
+            k: args.parse_or("--knn-k", 8)?,
         },
         other => return Err(format!("unknown surrogate `{other}` (expected knn or off)")),
     };
@@ -505,7 +585,7 @@ fn build_fidelity(rest: &[&String]) -> Result<Option<FidelityPlan>, String> {
 /// simulations the schedule avoided; for an island run, one line per
 /// island. On stdout under `--sim-stats`: the kernel counters. Fails only
 /// if stdout is closed.
-fn print_outcome(rest: &[&String], outcome: &SearchOutcome, front: &str) -> std::io::Result<()> {
+fn print_outcome(args: &Args, outcome: &SearchOutcome, front: &str) -> std::io::Result<()> {
     eprintln!(
         "strategy `{}`: {} configurations evaluated ({} simulations, {} cache hits), {front}",
         outcome.strategy, outcome.evaluations, outcome.simulations, outcome.cache_hits,
@@ -541,7 +621,7 @@ fn print_outcome(rest: &[&String], outcome: &SearchOutcome, front: &str) -> std:
             s.generations,
         );
     }
-    if has_flag(rest, "--sim-stats") {
+    if args.has("--sim-stats") {
         writeln!(
             std::io::stdout(),
             "{}",
@@ -561,23 +641,22 @@ fn lookup_suite(name: &str) -> Result<ScenarioSuite, String> {
     })
 }
 
-fn explore(rest: &[&String]) -> Result<(), String> {
-    if let Some(suite_name) = opt(rest, "--suite") {
-        return explore_suite(rest, suite_name);
+fn explore(args: &Args) -> Result<(), String> {
+    if let Some(suite_name) = args.opt("--suite") {
+        return explore_suite(args, suite_name);
     }
-    let trace = load_trace(rest)?;
-    let out_records = opt(rest, "--out-records").ok_or("missing --out-records FILE")?;
+    let trace = load_trace(args)?;
+    let out_records = args
+        .opt("--out-records")
+        .ok_or("missing --out-records FILE")?;
     let hier = presets::sp64k_dram4m();
     let stats = TraceStats::compute(&trace);
-    let space = build_space(rest, ParamSpace::suggest(&stats, &hier))?;
-    let objectives = objectives_opt(rest)?;
+    let space = build_space(args, ParamSpace::suggest(&stats, &hier))?;
+    let objectives = objectives_opt(args)?;
 
-    let seed: u64 = opt(rest, "--seed")
-        .unwrap_or("42")
-        .parse()
-        .map_err(|_| "bad --seed")?;
-    let strategy = build_strategy(rest, seed, space.len())?;
-    let fidelity = build_fidelity(rest)?;
+    let seed: u64 = args.parse_or("--seed", 42)?;
+    let strategy = build_strategy(args, seed, space.len())?;
+    let fidelity = build_fidelity(args)?;
 
     eprintln!(
         "exploring {} configurations of the `{}` space over trace `{}` ({} events) with strategy `{}`...",
@@ -587,7 +666,7 @@ fn explore(rest: &[&String]) -> Result<(), String> {
         trace.len(),
         strategy.name(),
     );
-    let obs = ObsSession::start(rest, 1);
+    let obs = ObsSession::start(args, 1);
     let mut explorer = Explorer::new(&hier);
     if let Some(plan) = &fidelity {
         explorer = explorer.with_fidelity(plan);
@@ -602,10 +681,10 @@ fn explore(rest: &[&String]) -> Result<(), String> {
     };
     obs.finish()?;
     let front = format!("{} Pareto points", outcome.front.len());
-    if print_outcome(rest, &outcome, &front).is_err() {
+    if print_outcome(args, &outcome, &front).is_err() {
         return Ok(());
     }
-    if let Some(path) = opt(rest, "--json") {
+    if let Some(path) = args.opt("--json") {
         let json = search_to_json(&outcome, &objectives);
         fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote search outcome JSON to {path}");
@@ -616,11 +695,11 @@ fn explore(rest: &[&String]) -> Result<(), String> {
         .map_err(|e| format!("writing {out_records}: {e}"))?;
     eprintln!("wrote {} records to {out_records}", records.len());
 
-    if let Some(path) = opt(rest, "--csv") {
+    if let Some(path) = args.opt("--csv") {
         fs::write(path, to_csv(&exploration)).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote CSV to {path}");
     }
-    if let Some(path) = opt(rest, "--gnuplot") {
+    if let Some(path) = args.opt("--gnuplot") {
         let pair = objective_pair(&objectives);
         let front = exploration.pareto(&pair);
         let script = gnuplot_script(&exploration, &front, pair, trace.name());
@@ -636,28 +715,25 @@ fn explore(rest: &[&String]) -> Result<(), String> {
 }
 
 /// Robust exploration across a scenario suite (`dmx explore --suite`).
-fn explore_suite(rest: &[&String], suite_name: &str) -> Result<(), String> {
+fn explore_suite(args: &Args, suite_name: &str) -> Result<(), String> {
     let suite = lookup_suite(suite_name)?;
-    let aggregate: Aggregate = opt(rest, "--aggregate").unwrap_or("worst").parse()?;
-    let objectives = objectives_opt(rest)?;
-    let seed: u64 = opt(rest, "--seed")
-        .unwrap_or("42")
-        .parse()
-        .map_err(|_| "bad --seed")?;
+    let aggregate: Aggregate = args.opt("--aggregate").unwrap_or("worst").parse()?;
+    let objectives = objectives_opt(args)?;
+    let seed: u64 = args.parse_or("--seed", 42)?;
 
     let mut evaluator = MultiScenarioEvaluator::new(&suite)
         .with_aggregate(aggregate)
         .with_objectives(&objectives)
         .with_seed(seed);
-    if let Some(plan) = build_fidelity(rest)? {
+    if let Some(plan) = build_fidelity(args)? {
         evaluator = evaluator.with_fidelity(plan);
     }
     // The shared space sizes strategy defaults; the evaluator memoizes
     // the materialization, so this costs one trace-generation pass total,
     // and handing the space back avoids deriving it a second time in run.
-    let space = build_space(rest, evaluator.odometer_space())?;
+    let space = build_space(args, evaluator.odometer_space())?;
     let space_len = space.len();
-    let strategy = build_strategy(rest, seed, space_len)?;
+    let strategy = build_strategy(args, seed, space_len)?;
 
     eprintln!(
         "robust exploration: suite `{}` ({} scenarios), {} configurations of the `{}` space, strategy `{}`, aggregate `{}`...",
@@ -668,25 +744,25 @@ fn explore_suite(rest: &[&String], suite_name: &str) -> Result<(), String> {
         strategy.name(),
         aggregate,
     );
-    let obs = ObsSession::start(rest, suite.scenarios.len() as u64);
+    let obs = ObsSession::start(args, suite.scenarios.len() as u64);
     let robust = evaluator.with_space_arc(space).run(strategy.as_ref());
     obs.finish()?;
     let front = format!("robust front {}", robust.outcome.front.len());
-    if print_outcome(rest, &robust.outcome, &front).is_err() {
+    if print_outcome(args, &robust.outcome, &front).is_err() {
         return Ok(());
     }
 
-    if let Some(path) = opt(rest, "--out-records") {
+    if let Some(path) = args.opt("--out-records") {
         let records = robust.outcome.exploration.to_records();
         fs::write(path, records_to_string(&records)).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote {} robust records to {path}", records.len());
     }
-    if let Some(path) = opt(rest, "--csv") {
+    if let Some(path) = args.opt("--csv") {
         fs::write(path, to_csv(&robust.outcome.exploration))
             .map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote robust CSV to {path}");
     }
-    if let Some(path) = opt(rest, "--gnuplot") {
+    if let Some(path) = args.opt("--gnuplot") {
         let pair = objective_pair(&objectives);
         let front = robust.outcome.exploration.pareto(&pair);
         let title = format!("robust[{}] {}", robust.aggregate, robust.suite);
@@ -694,7 +770,7 @@ fn explore_suite(rest: &[&String], suite_name: &str) -> Result<(), String> {
         fs::write(path, script).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote robust Gnuplot script to {path}");
     }
-    if let Some(path) = opt(rest, "--json") {
+    if let Some(path) = args.opt("--json") {
         fs::write(path, robust_to_json(&robust)).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote robust + per-scenario fronts JSON to {path}");
     }
@@ -703,12 +779,12 @@ fn explore_suite(rest: &[&String], suite_name: &str) -> Result<(), String> {
 }
 
 /// `dmx scenarios list [SUITE]` — the built-in suite registry.
-fn scenarios(rest: &[&String]) -> Result<(), String> {
-    let action = rest.first().map(|s| s.as_str()).unwrap_or("list");
+fn scenarios(args: &Args) -> Result<(), String> {
+    let action = args.positional.first().copied().unwrap_or("list");
     if action != "list" {
         return Err(format!("unknown scenarios action `{action}` (try `list`)"));
     }
-    let filter = rest.get(1).map(|s| s.as_str());
+    let filter = args.positional.get(1).copied();
     let suites: Vec<ScenarioSuite> = match filter {
         None => ScenarioSuite::builtins(),
         Some(name) => vec![lookup_suite(name)?],
@@ -764,9 +840,9 @@ fn extract(record: &ProfileRecord, objective: Objective) -> Result<u64, String> 
     }
 }
 
-fn pareto(rest: &[&String]) -> Result<(), String> {
-    let records = load_records(rest)?;
-    let objectives = parse_objectives(opt(rest, "--objectives").unwrap_or("footprint,accesses"))?;
+fn pareto(args: &Args) -> Result<(), String> {
+    let records = load_records(args)?;
+    let objectives = parse_objectives(args.opt("--objectives").unwrap_or("footprint,accesses"))?;
     let feasible: Vec<&ProfileRecord> = records.iter().filter(|r| r.feasible()).collect();
     let points: Vec<Vec<u64>> = feasible
         .iter()
@@ -791,19 +867,16 @@ fn pareto(rest: &[&String]) -> Result<(), String> {
     Ok(())
 }
 
-fn study(rest: &[&String]) -> Result<(), String> {
+fn study(args: &Args) -> Result<(), String> {
     use dmx_core::study::{easyport_study, vtc_study, StudyScale};
-    let which = rest.first().ok_or("missing study name")?;
-    let seed: u64 = opt(rest, "--seed")
-        .unwrap_or("42")
-        .parse()
-        .map_err(|_| "bad --seed")?;
-    let scale = if has_flag(rest, "--paper") {
+    let which = *args.positional.first().ok_or("missing study name")?;
+    let seed: u64 = args.parse_or("--seed", 42)?;
+    let scale = if args.has("--paper") {
         StudyScale::Paper
     } else {
         StudyScale::Quick
     };
-    let study = match which.as_str() {
+    let study = match which {
         "easyport" => easyport_study(scale, seed),
         "vtc" => vtc_study(scale, seed),
         other => return Err(format!("unknown study `{other}`")),
@@ -812,8 +885,8 @@ fn study(rest: &[&String]) -> Result<(), String> {
     Ok(())
 }
 
-fn report(rest: &[&String]) -> Result<(), String> {
-    let records = load_records(rest)?;
+fn report(args: &Args) -> Result<(), String> {
+    let records = load_records(args)?;
     let feasible: Vec<&ProfileRecord> = records.iter().filter(|r| r.feasible()).collect();
     outln!(
         "records: {} total, {} feasible",
@@ -849,4 +922,77 @@ fn report(rest: &[&String]) -> Result<(), String> {
         cy_max as f64 / cy_min as f64
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The `--flag` words in `text`.
+    fn flags_in(text: &str) -> Vec<&str> {
+        text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|w| w.starts_with("--"))
+            .collect()
+    }
+
+    /// Each `dmx` entry of [`USAGE`], with the `where` groups expanded,
+    /// lists exactly the flags [`parse_args`] accepts for that line.
+    #[test]
+    fn usage_lists_exactly_the_accepted_flags() {
+        let (commands, groups) = USAGE.split_once("\nwhere\n").expect("a where section");
+        let mut group_flags: Vec<(String, Vec<&str>)> = Vec::new();
+        for line in groups.lines() {
+            match line.split_once(" = ") {
+                Some((name, text)) => {
+                    group_flags.push((format!("[{}]", name.trim()), flags_in(text)))
+                }
+                None => group_flags
+                    .last_mut()
+                    .expect("a group")
+                    .1
+                    .extend(flags_in(line)),
+            }
+        }
+        let mut entries: Vec<String> = Vec::new();
+        for line in commands.lines().skip(1) {
+            match line.trim_start().strip_prefix("dmx ") {
+                Some(entry) => entries.push(entry.to_owned()),
+                None => entries.last_mut().expect("an entry").push_str(line),
+            }
+        }
+        let listed: Vec<Vec<&str>> = entries
+            .iter()
+            .map(|entry| {
+                let mut flags = flags_in(entry);
+                for (name, group) in &group_flags {
+                    if entry.contains(name.as_str()) {
+                        flags.extend(group);
+                    }
+                }
+                flags
+            })
+            .collect();
+        let every_flag: Vec<&str> = listed.iter().flatten().copied().collect();
+        for (entry, flags) in entries.iter().zip(&listed) {
+            let cmd = entry.split_whitespace().next().expect("a subcommand");
+            // `--suite NAME` picks the suite entry of `explore`.
+            let context: &[&str] = if flags.contains(&"--suite") {
+                &["--suite", "S"]
+            } else {
+                &[]
+            };
+            for &flag in every_flag.iter().filter(|&&f| f != "--suite") {
+                let accepts = |tail: &[&str]| {
+                    let words: Vec<String> =
+                        context.iter().chain(tail).map(|w| w.to_string()).collect();
+                    parse_args(cmd, &words).is_ok()
+                };
+                assert_eq!(
+                    accepts(&[flag]) || accepts(&[flag, "V"]),
+                    flags.contains(&flag),
+                    "`dmx {entry}` and `{flag}`"
+                );
+            }
+        }
+    }
 }

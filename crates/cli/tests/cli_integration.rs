@@ -245,7 +245,7 @@ fn explore_island_json_carries_island_stats_and_obs_exports() {
                 "island",
                 "--islands",
                 "3",
-                "--topology",
+                "--migration",
                 "ring",
                 "--migrate-every",
                 "2",
@@ -629,6 +629,92 @@ fn unknown_subcommand_fails() {
     let out = dmx().args(["frobnicate"]).output().expect("binary runs");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown subcommand"));
+}
+
+/// Runs `dmx` in `dir` and asserts exit code 1 with `flag` named on stderr.
+fn assert_rejects_flag(dir: &std::path::Path, args: &[&str], flag: &str) {
+    let out = dmx()
+        .current_dir(dir)
+        .args(args)
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+    assert!(err.contains(&format!("`{flag}`")), "{args:?}: {err}");
+}
+
+#[test]
+fn flag_without_a_value_exits_1_naming_the_flag() {
+    use dmx_trace::gen::{SyntheticConfig, TraceGenerator};
+    use dmx_trace::textfmt;
+
+    let dir = tmpdir("no-value");
+    let trace_text = textfmt::to_string(&SyntheticConfig::uniform_churn(300).generate(3));
+    std::fs::write(dir.join("t.trace"), trace_text).unwrap();
+    let explore = ["explore", "--trace", "t.trace", "--out-records", "t.prof"];
+    // A value that is another flag: the JSON must not land in a file
+    // named `--csv`.
+    assert_rejects_flag(
+        &dir,
+        &[&explore[..], &["--json", "--csv"]].concat(),
+        "--json",
+    );
+    assert!(!dir.join("--csv").exists(), "wrote the JSON to `--csv`");
+    // A value flag at the end of the line.
+    assert_rejects_flag(&dir, &[&explore[..], &["--json"]].concat(), "--json");
+    assert_rejects_flag(&dir, &["gen-trace", "easyport", "--out"], "--out");
+    assert_rejects_flag(
+        &dir,
+        &["pareto", "--records", "--objectives", "energy"],
+        "--records",
+    );
+    assert!(
+        !dir.join("t.prof").exists(),
+        "explored despite a bad command line"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn unknown_flags_exit_1_naming_the_flag() {
+    use dmx_trace::gen::{SyntheticConfig, TraceGenerator};
+    use dmx_trace::textfmt;
+
+    let dir = tmpdir("unknown-flag");
+    let trace_text = textfmt::to_string(&SyntheticConfig::uniform_churn(300).generate(3));
+    std::fs::write(dir.join("t.trace"), trace_text).unwrap();
+    let explore = ["explore", "--trace", "t.trace", "--out-records", "t.prof"];
+    // A typo of `--generations` must not run the default 16 generations.
+    let typo = ["--strategy", "genetic", "--generation", "3"];
+    assert_rejects_flag(&dir, &[&explore[..], &typo].concat(), "--generation");
+    // Flags of another subcommand or explore mode.
+    assert_rejects_flag(
+        &dir,
+        &[&explore[..], &["--aggregate", "mean"]].concat(),
+        "--aggregate",
+    );
+    assert_rejects_flag(
+        &dir,
+        &["explore", "--suite", "quick", "--trace", "t.trace"],
+        "--trace",
+    );
+    assert_rejects_flag(
+        &dir,
+        &["report", "--records", "t.prof", "--json", "r.json"],
+        "--json",
+    );
+    assert_rejects_flag(
+        &dir,
+        &["study", "easyport", "--generations", "2"],
+        "--generations",
+    );
+    // A stray word is no flag, and is not skipped either.
+    assert_rejects_flag(&dir, &[&explore[..], &["extra"]].concat(), "extra");
+    assert!(
+        !dir.join("t.prof").exists(),
+        "explored despite a bad command line"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -73,7 +73,7 @@ pub use constraint::{Constraint, ConstraintSet};
 pub use enumerate::ConfigIter;
 pub use objective::Objective;
 pub use param::{Genome, ParamSpace, PlacementStrategy};
-pub use pareto::{dominates, knee_point, pareto_front, pareto_front_2d, ParetoSet};
+pub use pareto::{dominates, knee_point, pareto_front, ParetoSet};
 pub use report::StudySummary;
 pub use runner::{Exploration, Explorer, RunResult};
 pub use sample::{front_coverage_pct, hypervolume_2d};

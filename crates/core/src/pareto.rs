@@ -97,36 +97,6 @@ pub fn pareto_front(points: &[Vec<u64>]) -> ParetoSet {
     }
 }
 
-/// Fast path for two objectives: sort by the first, sweep the second.
-/// Produces the same set as [`pareto_front`] restricted to 2-D.
-pub fn pareto_front_2d(points: &[(u64, u64)]) -> ParetoSet {
-    let mut order: Vec<usize> = (0..points.len()).collect();
-    order.sort_by_key(|&i| points[i]);
-    let mut indices = Vec::new();
-    let mut best_y = u64::MAX;
-    let mut last_x: Option<u64> = None;
-    for &i in &order {
-        let (x, y) = points[i];
-        if y < best_y {
-            best_y = y;
-            last_x = Some(x);
-            indices.push(i);
-        } else if y == best_y && last_x == Some(x) {
-            // Exact duplicate of the current front point: keep it (matches
-            // the k-D filter, where duplicates never dominate each other).
-            indices.push(i);
-        }
-    }
-    let pts = indices
-        .iter()
-        .map(|&i| vec![points[i].0, points[i].1])
-        .collect();
-    ParetoSet {
-        indices,
-        points: pts,
-    }
-}
-
 /// The knee of a 2-D front: the point with the largest distance to the
 /// straight line between the front's extremes — a common "balanced
 /// trade-off" suggestion for the designer. `None` for fronts with fewer
@@ -188,27 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn front_2d_matches_full_filter() {
-        let pts2d = vec![
-            (100, 900),
-            (200, 500),
-            (250, 520),
-            (300, 300),
-            (900, 100),
-            (900, 900),
-            (100, 900), // duplicate of a front point
-        ];
-        let full: Vec<Vec<u64>> = pts2d.iter().map(|&(x, y)| vec![x, y]).collect();
-        let a = pareto_front(&full);
-        let b = pareto_front_2d(&pts2d);
-        let mut ai = a.indices.clone();
-        let mut bi = b.indices.clone();
-        ai.sort_unstable();
-        bi.sort_unstable();
-        assert_eq!(ai, bi);
-    }
-
-    #[test]
     fn three_objectives() {
         let pts = vec![
             vec![1, 2, 3],
@@ -225,8 +174,6 @@ mod tests {
         let pts = vec![vec![5, 5]; 4];
         let front = pareto_front(&pts);
         assert_eq!(front.len(), 4);
-        let front2 = pareto_front_2d(&[(5, 5); 4]);
-        assert_eq!(front2.len(), 4);
     }
 
     #[test]
@@ -251,8 +198,8 @@ mod tests {
     #[test]
     fn knee_is_the_bend() {
         // An L-shaped front: the corner point is the knee.
-        let pts = vec![(1u64, 100u64), (2, 10), (100, 1)];
-        let front = pareto_front_2d(&pts);
+        let pts = vec![vec![1, 100], vec![2, 10], vec![100, 1]];
+        let front = pareto_front(&pts);
         assert_eq!(front.len(), 3);
         assert_eq!(knee_point(&front), Some(1));
     }

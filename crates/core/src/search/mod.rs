@@ -87,7 +87,7 @@ use dmx_trace::{CompiledTrace, OpSizeIndex, Trace};
 use crate::constraint::ConstraintSet;
 use crate::objective::Objective;
 use crate::param::Genome;
-use crate::pareto::{dominates, pareto_front_2d, ParetoSet};
+use crate::pareto::{dominates, pareto_front, ParetoSet};
 use crate::runner::{Exploration, RunResult};
 use crate::sample::sample_indices;
 use crate::scenario::{aggregate_metrics, Aggregate, ScenarioMetrics};
@@ -114,35 +114,30 @@ pub(crate) fn record_generation_obs(
     if objectives.len() < 2 || results.is_empty() {
         return;
     }
-    let points: Vec<(u64, u64)> = results
+    let points: Vec<Vec<u64>> = results
         .iter()
         .map(|r| {
-            (
-                objectives[0].extract(&r.metrics),
-                objectives[1].extract(&r.metrics),
-            )
+            objectives[..2]
+                .iter()
+                .map(|o| o.extract(&r.metrics))
+                .collect()
         })
         .collect();
-    let front: Vec<(u64, u64)> = pareto_front_2d(&points)
-        .indices
-        .into_iter()
-        .map(|i| points[i])
+    let front: Vec<(u64, u64)> = pareto_front(&points)
+        .points
+        .iter()
+        .map(|p| (p[0], p[1]))
         .collect();
     m.front_size.set(front.len() as i64);
-    let reference = (
+    let bound = |k: usize| {
         points
             .iter()
-            .map(|p| p.0)
+            .map(|p| p[k])
             .max()
             .unwrap_or(0)
-            .saturating_add(1),
-        points
-            .iter()
-            .map(|p| p.1)
-            .max()
-            .unwrap_or(0)
-            .saturating_add(1),
-    );
+            .saturating_add(1)
+    };
+    let reference = (bound(0), bound(1));
     let volume = crate::sample::hypervolume_2d(&front, reference);
     let bbox = u128::from(reference.0) * u128::from(reference.1);
     m.hv_permille.set((volume * 1000 / bbox.max(1)) as i64);

@@ -123,22 +123,6 @@ impl CounterSet {
         self.per_level.iter().map(|c| c.writes).sum()
     }
 
-    /// Adds every counter of `other` into `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two sets track a different number of levels.
-    pub fn merge(&mut self, other: &CounterSet) {
-        assert_eq!(
-            self.per_level.len(),
-            other.per_level.len(),
-            "cannot merge counter sets over different hierarchies"
-        );
-        for (a, b) in self.per_level.iter_mut().zip(&other.per_level) {
-            *a += *b;
-        }
-    }
-
     /// Resets every counter to zero.
     pub fn reset(&mut self) {
         for c in &mut self.per_level {
@@ -167,26 +151,6 @@ mod tests {
         assert_eq!(c.total_accesses(), 15);
         assert_eq!(c.total_reads(), 13);
         assert_eq!(c.total_writes(), 2);
-    }
-
-    #[test]
-    fn merge_adds_counter_pairs() {
-        let mut a = CounterSet::new(2);
-        a.record_reads(LevelId(0), 1);
-        let mut b = CounterSet::new(2);
-        b.record_reads(LevelId(0), 2);
-        b.record_writes(LevelId(1), 5);
-        a.merge(&b);
-        assert_eq!(a.level(LevelId(0)).reads, 3);
-        assert_eq!(a.level(LevelId(1)).writes, 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "different hierarchies")]
-    fn merge_rejects_mismatched_len() {
-        let mut a = CounterSet::new(1);
-        let b = CounterSet::new(2);
-        a.merge(&b);
     }
 
     #[test]

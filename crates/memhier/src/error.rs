@@ -36,7 +36,7 @@ pub enum RegionError {
     ZeroSize,
     /// The requested level does not exist in the hierarchy.
     UnknownLevel(LevelId),
-    /// The level (and, under spilling, every slower level) lacks capacity.
+    /// The level lacks capacity.
     OutOfLevel {
         /// Level the reservation was requested on.
         level: LevelId,

@@ -61,4 +61,4 @@ pub use counters::{AccessCounts, CounterSet};
 pub use error::{HierarchyError, RegionError};
 pub use hierarchy::{LevelChoice, LevelId, MemoryHierarchy};
 pub use level::{LevelKind, MemoryLevel, MemoryLevelBuilder};
-pub use region::{PlacementPolicy, Region, RegionTable};
+pub use region::{Region, RegionTable};

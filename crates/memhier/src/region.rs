@@ -37,16 +37,6 @@ impl Region {
     }
 }
 
-/// What to do when a reservation does not fit on the requested level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PlacementPolicy {
-    /// Fail the reservation with [`RegionError::OutOfLevel`].
-    #[default]
-    Strict,
-    /// Try each slower level in turn; fail only when none fits.
-    SpillToSlower,
-}
-
 /// Tracks how much of each level's capacity has been handed out and carves
 /// new regions.
 #[derive(Debug, Clone)]
@@ -74,7 +64,7 @@ impl RegionTable {
         self.capacity[level.index()] - self.used[level.index()]
     }
 
-    /// Reserves `size` bytes on `level` (strict placement).
+    /// Reserves `size` bytes on `level`.
     ///
     /// # Errors
     ///
@@ -82,48 +72,24 @@ impl RegionTable {
     /// [`RegionError::UnknownLevel`] if `level` is out of range;
     /// [`RegionError::OutOfLevel`] if the level lacks capacity.
     pub fn reserve(&mut self, level: LevelId, size: u64) -> Result<Region, RegionError> {
-        self.reserve_with(level, size, PlacementPolicy::Strict)
-    }
-
-    /// Reserves `size` bytes on `level`, applying `policy` on overflow.
-    ///
-    /// # Errors
-    ///
-    /// As [`RegionTable::reserve`]; with
-    /// [`PlacementPolicy::SpillToSlower`], `OutOfLevel` is returned only
-    /// when no level at or below `level` can hold the request.
-    pub fn reserve_with(
-        &mut self,
-        level: LevelId,
-        size: u64,
-        policy: PlacementPolicy,
-    ) -> Result<Region, RegionError> {
         if size == 0 {
             return Err(RegionError::ZeroSize);
         }
-        if level.index() >= self.capacity.len() {
+        let idx = level.index();
+        if idx >= self.capacity.len() {
             return Err(RegionError::UnknownLevel(level));
         }
-        let candidates: Vec<usize> = match policy {
-            PlacementPolicy::Strict => vec![level.index()],
-            PlacementPolicy::SpillToSlower => (level.index()..self.capacity.len()).collect(),
-        };
-        for idx in candidates {
-            if self.capacity[idx] - self.used[idx] >= size {
-                let base = ((idx as u64) << LEVEL_WINDOW_SHIFT) + self.used[idx];
-                self.used[idx] += size;
-                return Ok(Region {
-                    level: LevelId(idx as u16),
-                    base,
-                    size,
-                });
-            }
+        let available = self.available(level);
+        if available < size {
+            return Err(RegionError::OutOfLevel {
+                level,
+                requested: size,
+                available,
+            });
         }
-        Err(RegionError::OutOfLevel {
-            level,
-            requested: size,
-            available: self.available(level),
-        })
+        let base = ((idx as u64) << LEVEL_WINDOW_SHIFT) + self.used[idx];
+        self.used[idx] += size;
+        Ok(Region { level, base, size })
     }
 }
 
@@ -183,26 +149,6 @@ mod tests {
             }
             other => panic!("unexpected error: {other:?}"),
         }
-    }
-
-    #[test]
-    fn spill_places_on_slower_level() {
-        let h = hier();
-        let mut t = RegionTable::new(&h);
-        let r = t
-            .reserve_with(LevelId(0), 2048, PlacementPolicy::SpillToSlower)
-            .unwrap();
-        assert_eq!(r.level, LevelId(1));
-    }
-
-    #[test]
-    fn spill_fails_when_nothing_fits() {
-        let h = hier();
-        let mut t = RegionTable::new(&h);
-        let err = t
-            .reserve_with(LevelId(0), 2 << 20, PlacementPolicy::SpillToSlower)
-            .unwrap_err();
-        assert!(matches!(err, RegionError::OutOfLevel { .. }));
     }
 
     #[test]

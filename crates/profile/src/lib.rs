@@ -6,12 +6,10 @@
 //! before Pareto filtering. This crate is that pipeline stage:
 //!
 //! * [`ProfileRecord`] — one configuration's measured metrics;
-//! * [`write_records`] / [`records_to_string`] — the line-oriented record
-//!   format;
+//! * [`records_to_string`] — the line-oriented record format;
 //! * [`parse_records`] — a hand-rolled byte-level parser (no regex, no
 //!   per-field allocation beyond the label) built to sustain hundreds of
-//!   MB/s — benchmarked in `tab4_parse_speed`;
-//! * [`read_records`] / [`RecordStream`] — the same parser over a stream.
+//!   MB/s — benchmarked in `tab4_parse_speed`.
 //!
 //! Filtering and ranking the parsed records is the caller's job: the
 //! `dmx pareto` and `dmx report` commands keep the feasible records and
@@ -40,8 +38,6 @@
 
 mod parser;
 mod record;
-mod stream;
 
 pub use parser::{parse_records, ProfileParseError};
-pub use record::{records_to_string, write_records, ProfileRecord, HEADER};
-pub use stream::{read_records, RecordStream, StreamError};
+pub use record::{records_to_string, ProfileRecord, HEADER};

@@ -165,15 +165,6 @@ fn parse_pair_list(bytes: &[u8]) -> Option<Vec<(u64, u64)>> {
         .collect()
 }
 
-/// Parses one record line (no header handling). `lineno` is used for
-/// error reporting. Exposed for the streaming parser.
-pub(crate) fn parse_record_line(
-    line: &[u8],
-    lineno: usize,
-) -> Result<ProfileRecord, ProfileParseError> {
-    parse_line(line, lineno)
-}
-
 fn parse_line(line: &[u8], lineno: usize) -> Result<ProfileRecord, ProfileParseError> {
     let mut c = Cursor {
         line,

@@ -13,7 +13,6 @@
 //! per-level lists.
 
 use std::fmt::Write as _;
-use std::io::{self, Write};
 
 /// First line of every profile file.
 pub const HEADER: &str = "dmxprof v1";
@@ -138,19 +137,6 @@ pub fn records_to_string(records: &[ProfileRecord]) -> String {
     out
 }
 
-/// Streams records (with header) to any writer.
-///
-/// # Errors
-///
-/// Propagates I/O errors from `w`.
-pub fn write_records<W: Write>(mut w: W, records: &[ProfileRecord]) -> io::Result<()> {
-    writeln!(w, "{HEADER}")?;
-    for r in records {
-        writeln!(w, "{}", r.to_line())?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,13 +189,5 @@ mod tests {
     #[should_panic(expected = "whitespace-free")]
     fn whitespace_label_rejected() {
         let _ = ProfileRecord::new("two words");
-    }
-
-    #[test]
-    fn write_records_matches_to_string() {
-        let recs = vec![sample(), ProfileRecord::new("y")];
-        let mut buf = Vec::new();
-        write_records(&mut buf, &recs).unwrap();
-        assert_eq!(String::from_utf8(buf).unwrap(), records_to_string(&recs));
     }
 }

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use dmx_profile::{parse_records, read_records, records_to_string, ProfileRecord};
+use dmx_profile::{parse_records, records_to_string, ProfileRecord};
 
 fn arb_label() -> impl Strategy<Value = String> {
     // Labels are whitespace-free, non-empty; mimic real config labels.
@@ -43,22 +43,18 @@ fn arb_record() -> impl Strategy<Value = ProfileRecord> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// Any batch of records survives serialize → parse unchanged, through
-    /// both the in-memory and the streaming parser.
+    /// Any batch of records survives serialize → parse unchanged.
     #[test]
     fn roundtrip_arbitrary_records(records in prop::collection::vec(arb_record(), 0..20)) {
         let text = records_to_string(&records);
         let back = parse_records(&text).expect("own output parses");
-        prop_assert_eq!(&back, &records);
-        let streamed: Result<Vec<_>, _> = read_records(text.as_bytes()).collect();
-        prop_assert_eq!(streamed.expect("own output streams"), records);
+        prop_assert_eq!(back, records);
     }
 
     /// The parser never panics on arbitrary input — it returns errors.
     #[test]
     fn garbage_never_panics(input in "\\PC{0,300}") {
         let _ = parse_records(&input);
-        let _: Vec<_> = read_records(input.as_bytes()).collect();
     }
 
     /// Garbage appended to a valid file is rejected, not silently eaten.

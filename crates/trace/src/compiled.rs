@@ -100,10 +100,8 @@ impl PoolOp {
 
 /// A flat, replay-ready SoA lowering of one workload trace.
 ///
-/// Built once per workload with [`CompiledTrace::compile`] (or emitted
-/// directly by a generator via
-/// [`TraceGenerator::generate_compiled`](crate::gen::TraceGenerator::generate_compiled))
-/// and shared across simulation workers as an [`Arc<CompiledTrace>`].
+/// Built once per workload with [`CompiledTrace::compile`] and shared
+/// across simulation workers as an [`Arc<CompiledTrace>`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledTrace {
     name: String,

@@ -41,23 +41,12 @@ pub use server::ServerMixConfig;
 pub use synthetic::{ramp, SyntheticConfig};
 pub use vtc::VtcConfig;
 
-use std::sync::Arc;
-
-use crate::compiled::CompiledTrace;
 use crate::trace::Trace;
 
 /// A reproducible workload generator.
 pub trait TraceGenerator {
     /// Generates the workload trace; the same seed yields the same trace.
     fn generate(&self, seed: u64) -> Trace;
-
-    /// Generates the workload directly in compiled (replay-optimized)
-    /// form — what simulation consumers want. The default lowers the
-    /// validated trace; generators with a cheaper direct path may
-    /// override.
-    fn generate_compiled(&self, seed: u64) -> Arc<CompiledTrace> {
-        CompiledTrace::compile_shared(&self.generate(seed))
-    }
 }
 
 #[cfg(test)]

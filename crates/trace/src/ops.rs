@@ -1,9 +1,8 @@
-//! Trace transformations: composing and reshaping workloads.
+//! Trace transformations: composing workloads.
 //!
 //! Embedded designs often run several dynamic applications on one platform
 //! (the paper's domain pairs a network stack with multimedia codecs);
-//! these helpers build such combined workloads from individual traces, and
-//! cut traces down to a well-formed prefix.
+//! these helpers build such combined workloads from individual traces.
 
 use std::collections::HashMap;
 
@@ -77,25 +76,6 @@ pub fn merge_round_robin(name: impl Into<String>, traces: &[&Trace]) -> Result<T
     }
 }
 
-/// Keeps only the first `n` events, then frees every block still live —
-/// a well-formed prefix of the workload.
-pub fn truncate(trace: &Trace, n: usize) -> Trace {
-    let mut out = Trace::new(format!("{}-head{n}", trace.name()));
-    for ev in trace.iter().take(n) {
-        out.push(*ev)
-            .expect("prefix of well-formed trace is well-formed");
-    }
-    let live: Vec<BlockId> = out.live_blocks().map(|(id, _)| id).collect();
-    for id in live {
-        out.push(TraceEvent::Free {
-            tid: crate::event::ThreadId::MAIN,
-            id,
-        })
-        .expect("freeing live blocks is well-formed");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,22 +118,5 @@ mod tests {
         let stats = TraceStats::compute(&m);
         assert!(stats.size_stat(74).is_some(), "network headers present");
         assert!(stats.size_stat(32).is_some(), "zerotree nodes present");
-    }
-
-    #[test]
-    fn truncate_frees_survivors() {
-        let t = ramp(10, 64); // 10 allocs then 10 frees
-        let head = truncate(&t, 10); // all allocs, no frees yet
-        assert_eq!(head.final_live_bytes(), 0, "survivors were freed");
-        let stats = TraceStats::compute(&head);
-        assert_eq!(stats.allocs, 10);
-        assert_eq!(stats.frees, 10);
-    }
-
-    #[test]
-    fn truncate_beyond_len_is_identity_plus_nothing() {
-        let t = ramp(3, 8);
-        let whole = truncate(&t, 1000);
-        assert_eq!(whole.len(), t.len());
     }
 }

@@ -8,7 +8,7 @@ use dmx_alloc::{
     AllocatorConfig, CoalescePolicy, FitPolicy, FreeOrder, PoolKind, PoolSpec, Route, Simulator,
     SplitPolicy,
 };
-use dmx_core::{dominates, pareto_front, pareto_front_2d};
+use dmx_core::{dominates, pareto_front, GenomeSpace, GrammarSpace, ParamSpace};
 use dmx_memhier::presets;
 use dmx_trace::gen::{LifetimeDist, SizeDist, SyntheticConfig, TraceGenerator};
 use dmx_trace::TraceStats;
@@ -148,6 +148,40 @@ proptest! {
         prop_assert!(m.footprint <= hier.total_capacity());
     }
 
+    /// The same invariant chain over grammar-space configurations, whose
+    /// mid-tier and fallback nodes add segregated, buddy and region pools
+    /// to the general and fixed pools above; the kernel also matches the
+    /// reference simulator exactly. Codons are drawn uniformly and folded
+    /// by `canonicalize`, so each pool kind appears in about a quarter of
+    /// the mid-tier and fallback draws.
+    #[test]
+    fn grammar_sim_invariants_hold(
+        workload in arb_workload(),
+        seed in 0u64..1000,
+        codons in prop::collection::vec(0usize..64, 12),
+    ) {
+        let hier = presets::sp64k_dram4m();
+        let trace = workload.generate(seed);
+        let stats = TraceStats::compute(&trace);
+        let space = GrammarSpace::covering(&ParamSpace::suggest(&stats, &hier));
+        let config = space.config_at(&hier, &space.canonicalize(codons));
+        let sim = Simulator::new(&hier);
+        let m = sim.run(&config, &trace).expect("config valid");
+        prop_assert_eq!(&m, &sim.run_reference(&config, &trace).expect("config valid"));
+
+        if m.feasible() {
+            prop_assert_eq!(m.allocs, stats.allocs);
+            prop_assert_eq!(m.frees, stats.frees);
+            prop_assert!(m.footprint >= stats.peak_live_bytes,
+                "footprint {} < peak live {}", m.footprint, stats.peak_live_bytes);
+        }
+        let cost = dmx_memhier::CostModel::new(&hier);
+        prop_assert_eq!(m.energy_pj, cost.total_energy_pj(&m.counters, m.cycles));
+        prop_assert!(m.cycles >= stats.tick_cycles + cost.access_cycles(&m.counters));
+        prop_assert!(m.meta_counters.total_accesses() <= m.counters.total_accesses());
+        prop_assert!(m.footprint <= hier.total_capacity());
+    }
+
     /// Simulation is a pure function of (config, trace).
     #[test]
     fn sim_is_deterministic(config in arb_config(), seed in 0u64..100) {
@@ -179,13 +213,6 @@ proptest! {
             let dominated = front.points.iter().any(|f| dominates(f, p));
             prop_assert!(on_front || dominated);
         }
-        // The 2-D fast path agrees with the k-D filter.
-        let fast = pareto_front_2d(&points);
-        let mut a = front.indices.clone();
-        let mut b = fast.indices.clone();
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
     }
 
     /// Pareto filtering is idempotent.
