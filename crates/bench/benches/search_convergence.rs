@@ -18,22 +18,32 @@
 //! fails the CI bench smoke run.
 //!
 //! Both sweeps are timed against each other twice: on the 6912-config
-//! space above (`sweep_6912_speedup`, recorded without a floor) and on
-//! the paper's own sweep, the full-length Easyport trace
-//! (`sweep_speedup`, floored). On the short trace every replay is cheap,
-//! so pruning saves less there. The paper sweep's full simulations
-//! (`paper_sweep_full_sims`) are floored too: they count the replays the
-//! remaining-work bound could not stop.
+//! space above (`sweep_6912_speedup`) and on the paper's own sweep, the
+//! full-length Easyport trace (`sweep_speedup`); both are floored. On the
+//! short trace every replay is cheap, so pruning saves less there. The
+//! paper sweep's full simulations (`paper_sweep_full_sims`) are floored
+//! too: they count the replays the remaining-work bound could not stop.
+//! Each sweep's trace-equivalents (`*_trace_equivalents`: full replays
+//! plus the trace fraction every pruned replay ran) count the replay work
+//! pruning left. `prune_check_ns` times one pruning check — a
+//! `ReplayState::bound` plus its dominance test — on the paper trace, the
+//! cost the check stride (`dmx_core::search::prune_check_ops`) trades
+//! against stopping replays sooner.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::{Duration, Instant};
 
-use dmx_core::search::{ExhaustiveSearch, GeneticSearch, HillClimbSearch, SubsampleSearch};
+use dmx_alloc::{SimArena, Simulator};
+use dmx_core::search::{
+    prune_check_ops, ExhaustiveSearch, GeneticSearch, HillClimbSearch, SubsampleSearch,
+};
 use dmx_core::study::{convergence_space, easyport_space, StudyScale};
-use dmx_core::{front_coverage_pct, Exploration, Explorer, Objective, ParamSpace, SearchOutcome};
-use dmx_memhier::presets;
+use dmx_core::{
+    dominates, front_coverage_pct, Exploration, Explorer, Objective, ParamSpace, SearchOutcome,
+};
+use dmx_memhier::{presets, MemoryHierarchy};
 use dmx_trace::gen::{EasyportConfig, TraceGenerator};
-use dmx_trace::{Trace, TraceStats};
+use dmx_trace::{CompiledTrace, OpSizeIndex, Trace, TraceStats};
 
 fn front_2d(outcome_points: &[Vec<u64>]) -> Vec<(u64, u64)> {
     outcome_points.iter().map(|p| (p[0], p[1])).collect()
@@ -93,6 +103,59 @@ impl Sweeps {
     fn identical(&self) -> bool {
         self.pruned.front.points == self.every.pareto(&Objective::FIG1).points
     }
+
+    /// The pruned sweep's replay work in whole traces: its full replays
+    /// plus the fraction of the trace each pruned replay ran.
+    fn trace_equivalents(&self) -> f64 {
+        let pruned = &self.pruned;
+        pruned.simulations as f64 + pruned.pruned.iter().map(|p| p.trace_fraction).sum::<f64>()
+    }
+}
+
+/// The mean cost of one pruning check and of one replayed pool op, in
+/// ns, and the check stride of `trace`. Eight configurations spread over
+/// `space` each replay the whole `trace` and, at every [`prune_check_ops`]
+/// stride, test whether a point of `front` dominates their
+/// `ReplayState::bound`, as the pruned sweep does (but never stop). The
+/// checks and the advances between them are timed apart.
+fn time_prune_check(
+    hierarchy: &MemoryHierarchy,
+    space: &ParamSpace,
+    trace: &Trace,
+    front: &[Vec<u64>],
+) -> (f64, f64, usize) {
+    let compiled = CompiledTrace::compile(trace);
+    let sizes = OpSizeIndex::new(&compiled);
+    let stride = prune_check_ops(compiled.pool_ops().len());
+    let sim = Simulator::new(hierarchy);
+    let mut arena = SimArena::new();
+    let (mut checks, mut check_time) = (0u32, Duration::ZERO);
+    let (mut ops, mut replay_time) = (0usize, Duration::ZERO);
+    for k in 0..8 {
+        let config = space.config_at(hierarchy, &space.genome_at(k * space.len() / 8));
+        let mut replay = sim
+            .start(&config, &compiled, &mut arena)
+            .expect("space genomes materialize to valid configurations");
+        let mut at = stride;
+        while at < compiled.pool_ops().len() {
+            let start = Instant::now();
+            replay.advance(at);
+            replay_time += start.elapsed();
+            let start = Instant::now();
+            let bound = replay.bound(&sizes);
+            let point: Vec<u64> = Objective::FIG1.iter().map(|o| o.extract(&bound)).collect();
+            std::hint::black_box(front.iter().find(|b| dominates(b, &point)));
+            check_time += start.elapsed();
+            checks += 1;
+            at += stride;
+        }
+        ops += replay.position();
+    }
+    (
+        check_time.as_nanos() as f64 / f64::from(checks.max(1)),
+        replay_time.as_nanos() as f64 / ops.max(1) as f64,
+        stride,
+    )
 }
 
 fn bench_search_convergence(c: &mut Criterion) {
@@ -161,15 +224,27 @@ fn bench_search_convergence(c: &mut Criterion) {
         pruned.pruned.len(),
     );
     println!(
-        "6912-config sweep: {:.2}x faster than simulating every configuration",
+        "6912-config sweep: {} full replays, {:.0} trace-equivalents, {:.2}x faster than \
+         simulating every configuration",
+        pruned.simulations,
+        sweeps.trace_equivalents(),
         sweeps.speedup
     );
     println!(
-        "paper sweep: pruning stopped {} replays early and ran {} to the end, {:.2}x faster \
-         than simulating every configuration",
+        "paper sweep: pruning stopped {} replays early and ran {} to the end ({:.0} \
+         trace-equivalents), {:.2}x faster than simulating every configuration",
         paper.pruned.pruned.len(),
         paper.pruned.simulations,
+        paper.trace_equivalents(),
         paper.speedup
+    );
+    let paper_front = paper.every.pareto(&Objective::FIG1).points;
+    let (check_ns, op_ns, paper_stride) =
+        time_prune_check(&hierarchy, &paper_space, &paper_trace, &paper_front);
+    println!(
+        "pruning check: {check_ns:.0} ns, {:.1}% of the {paper_stride} pool ops \
+         ({op_ns:.1} ns each) replayed between two checks on the paper trace",
+        check_ns / (paper_stride as f64 * op_ns) * 100.0
     );
 
     let ga = GeneticSearch {
@@ -232,6 +307,11 @@ fn bench_search_convergence(c: &mut Criterion) {
             ),
             ("sweep_front_identical", sweep_front_identical.to_string()),
             ("sweep_pruned_configs", pruned.pruned.len().to_string()),
+            ("sweep_6912_full_sims", pruned.simulations.to_string()),
+            (
+                "sweep_6912_trace_equivalents",
+                dmx_bench::json_num(sweeps.trace_equivalents()),
+            ),
             ("sweep_6912_speedup", dmx_bench::json_num(sweeps.speedup)),
             (
                 "paper_sweep_pruned_configs",
@@ -241,7 +321,12 @@ fn bench_search_convergence(c: &mut Criterion) {
                 "paper_sweep_full_sims",
                 paper.pruned.simulations.to_string(),
             ),
+            (
+                "paper_sweep_trace_equivalents",
+                dmx_bench::json_num(paper.trace_equivalents()),
+            ),
             ("sweep_speedup", dmx_bench::json_num(paper.speedup)),
+            ("prune_check_ns", dmx_bench::json_num(check_ns)),
         ],
     );
 

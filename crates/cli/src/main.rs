@@ -181,8 +181,8 @@ struct Args<'a> {
 impl<'a> Args<'a> {
     /// Splits `words` into positional words, value flags (each flag in
     /// `value_flags` takes the next word, which must not be a flag) and
-    /// `switches`; any other `--flag` and more than `max_positional`
-    /// positional words are errors.
+    /// `switches`; any other `--flag`, a flag given twice and more than
+    /// `max_positional` positional words are errors.
     fn parse(
         cmd: &str,
         words: &'a [String],
@@ -197,6 +197,9 @@ impl<'a> Args<'a> {
         };
         let mut it = words.iter().map(String::as_str);
         while let Some(word) = it.next() {
+            if args.switches.contains(&word) || args.values.iter().any(|&(f, _)| f == word) {
+                return Err(format!("flag `{word}` given more than once"));
+            }
             if !word.starts_with("--") {
                 if args.positional.len() == max_positional {
                     return Err(format!("unexpected argument `{word}` for `dmx {cmd}`"));
@@ -216,7 +219,7 @@ impl<'a> Args<'a> {
         Ok(args)
     }
 
-    /// The value of the first `flag` given.
+    /// The value of `flag`, if it was given.
     fn opt(&self, flag: &str) -> Option<&'a str> {
         self.values
             .iter()

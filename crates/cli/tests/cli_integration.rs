@@ -798,6 +798,43 @@ fn binary_traces_load_like_text_traces() {
 }
 
 #[test]
+fn repeated_flags_exit_1_naming_the_flag() {
+    use dmx_trace::gen::{SyntheticConfig, TraceGenerator};
+    use dmx_trace::textfmt;
+
+    let dir = tmpdir("repeated-flag");
+    let trace_text = textfmt::to_string(&SyntheticConfig::uniform_churn(300).generate(3));
+    std::fs::write(dir.join("t.trace"), trace_text).unwrap();
+    let explore = ["explore", "--trace", "t.trace", "--out-records", "t.prof"];
+    // `--seed 1 --seed 2` must not quietly run seed 1.
+    assert_rejects_flag(
+        &dir,
+        &[&explore[..], &["--seed", "1", "--seed", "2"]].concat(),
+        "--seed",
+    );
+    assert_rejects_flag(
+        &dir,
+        &[&explore[..], &["--trace", "t.trace"]].concat(),
+        "--trace",
+    );
+    assert_rejects_flag(
+        &dir,
+        &[&explore[..], &["--sim-stats", "--sim-stats"]].concat(),
+        "--sim-stats",
+    );
+    assert_rejects_flag(
+        &dir,
+        &["gen-trace", "vtc", "--out", "a.trace", "--out", "b.trace"],
+        "--out",
+    );
+    assert!(
+        !dir.join("t.prof").exists() && !dir.join("a.trace").exists(),
+        "ran despite a bad command line"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn invalid_strategy_parameters_exit_1_with_a_message() {
     for (flags, message) in [
         (
@@ -959,15 +996,28 @@ proptest! {
         if halving {
             cmd.args(["--fidelity", "halving"]);
         }
-        // The first occurrence of a flag wins, so the generated values
-        // go before the small defaults that keep valid runs short.
+        // A repeated flag is an error, so each flag is given once: the
+        // first pick of it, else the small default that keeps valid runs
+        // short.
+        let mut picked: Vec<&str> = Vec::new();
         for &(flag, value) in &picks {
-            cmd.args([EDGE_FLAGS[flag], EDGE_VALUES[value]]);
+            if !picked.contains(&EDGE_FLAGS[flag]) {
+                picked.push(EDGE_FLAGS[flag]);
+                cmd.args([EDGE_FLAGS[flag], EDGE_VALUES[value]]);
+            }
         }
-        cmd.args([
-            "--population", "4", "--generations", "1", "--islands", "2",
-            "--restarts", "2", "--sample-n", "4",
-        ]);
+        let defaults = [
+            ("--population", "4"),
+            ("--generations", "1"),
+            ("--islands", "2"),
+            ("--restarts", "2"),
+            ("--sample-n", "4"),
+        ];
+        for (flag, value) in defaults {
+            if !picked.contains(&flag) {
+                cmd.args([flag, value]);
+            }
+        }
         let out = cmd.output().expect("binary runs");
         let err = String::from_utf8_lossy(&out.stderr);
         prop_assert!(

@@ -417,7 +417,9 @@ pub struct PrunedConfig {
     pub genome: Genome,
     /// Its label.
     pub label: String,
-    /// Pool ops replayed when the replay stopped.
+    /// Pool ops replayed when the replay stopped: a positive multiple of
+    /// the sweep's check stride, [`prune_check_ops`] of the trace's pool
+    /// op count.
     pub stopped_at_op: usize,
     /// Fraction of the trace's events replayed when the replay stopped.
     pub trace_fraction: f64,
@@ -426,17 +428,28 @@ pub struct PrunedConfig {
     pub dominated_by: String,
 }
 
-/// Pool ops a pruned replay runs between two dominance checks.
-const PRUNE_CHECK_OPS: usize = 1024;
+/// Pool ops a pruned replay runs between two dominance checks on a trace
+/// of `pool_ops` pool ops: 1/256 of the trace, clamped to 64..=1024
+/// (194 on the full-length Easyport trace, 64 on short ones). A check
+/// prices a whole [`dmx_alloc::ReplayState::bound`], so it is not free;
+/// scaling with the trace keeps the checks per replay near 256, where a
+/// fixed stride would check a short trace only a few times.
+pub fn prune_check_ops(pool_ops: usize) -> usize {
+    (pool_ops / 256).clamp(64, 1024)
+}
 
 /// Configurations per wave of the pruned exhaustive sweep: the first
 /// waves double in size, and every later wave is as large as the last
 /// entry. Small first waves give the sweep front points to prune
-/// against sooner; full-size waves leave the fan-out work to balance. A
-/// constant, not a function of the worker count, so the incumbents every
-/// wave is checked against — and with them the pruned set — are the
-/// same at any `DMX_THREADS`.
-const PRUNE_WAVES: [usize; 4] = [8, 16, 32, 64];
+/// against sooner — the first wave is never checked, so it starts at 2:
+/// a larger one can hold an infeasible configuration with a large free
+/// list that then replays nearly to the end. Full-size waves leave the
+/// fan-out work to balance. A constant, not a function of the worker
+/// count: the waves, like the [`spread_order`] they cut and the
+/// [`prune_check_ops`] stride, depend only on the space size and the
+/// trace, so the incumbents every wave is checked against — and with
+/// them the pruned set — are the same at any `DMX_THREADS`.
+const PRUNE_WAVES: [usize; 6] = [2, 4, 8, 16, 32, 64];
 
 /// Splits `len` configurations into the consecutive index ranges of the
 /// [`PRUNE_WAVES`] schedule.
@@ -453,6 +466,51 @@ fn prune_waves(len: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
             wave
         })
     })
+}
+
+/// The order in which the pruned sweep settles a space of `n`
+/// configurations: the `i`-th one settled is enumeration index
+/// `(i·p) mod n`, where `p` is the first integer at or above
+/// ⌊0.618·n⌋ that is coprime to `n`. A golden-ratio stride spreads every
+/// run of consecutive visits over the whole space, so the first waves
+/// find incumbents across it instead of in one corner; being coprime to
+/// `n`, it visits every index exactly once.
+fn spread_order(n: usize) -> impl Iterator<Item = usize> {
+    let stride = (n * 618 / 1000..)
+        .find(|&p| gcd(p, n) == 1)
+        .expect("a stride coprime to n exists");
+    std::iter::successors(Some(0), move |&i| Some((i + stride) % n)).take(n)
+}
+
+/// The greatest common divisor of `a` and `b` (`gcd(a, 0) == a`).
+fn gcd(mut a: usize, mut b: usize) -> usize {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
+/// Where the replays of one pruned sweep check their bound, and what
+/// they price it with. Built once per sweep from its trace.
+struct PruneChecks {
+    /// Pool ops between two checks ([`prune_check_ops`]).
+    stride: usize,
+    /// The events consumed at each check
+    /// ([`CompiledTrace::events_at_op_strides`]).
+    events: Vec<usize>,
+    /// The trace's per-size op index the bound's floors are priced with.
+    sizes: OpSizeIndex,
+}
+
+impl PruneChecks {
+    fn new(trace: &CompiledTrace) -> Self {
+        let stride = prune_check_ops(trace.pool_ops().len());
+        PruneChecks {
+            stride,
+            events: trace.events_at_op_strides(stride),
+            sizes: OpSizeIndex::new(trace),
+        }
+    }
 }
 
 /// An incumbent of the pruned sweep: a feasible non-dominated result of
@@ -716,14 +774,12 @@ impl<'a> Evaluator<'a> {
 
     /// Settles one wave of the pruned exhaustive sweep: `genomes` are
     /// canonical, distinct and fresh. Every replay checks after each
-    /// [`PRUNE_CHECK_OPS`] pool ops (`checkpoints` holds the events
-    /// consumed at each check) whether the objective vector of its
-    /// [`dmx_alloc::ReplayState::bound`] (priced with `sizes`, the
-    /// trace's [`OpSizeIndex`]) is strictly dominated by a point of the
-    /// incumbents the earlier waves left, and stops if it is. The
-    /// incumbents change only between waves, so the outcome does not
-    /// depend on which worker ran which replay.
-    fn eval_wave(&mut self, genomes: &[Genome], checkpoints: &[usize], sizes: &OpSizeIndex) {
+    /// `checks.stride` pool ops whether the objective vector of its
+    /// [`dmx_alloc::ReplayState::bound`] is strictly dominated by a
+    /// point of the incumbents the earlier waves left, and stops if it
+    /// is. The incumbents change only between waves, so the outcome does
+    /// not depend on which worker ran which replay.
+    fn eval_wave(&mut self, genomes: &[Genome], checks: &PruneChecks) {
         let _span = dmx_obs::span(dmx_obs::names::EVAL_BATCH, genomes.len() as u64);
         dmx_obs::metrics().eval_batches.incr();
         dmx_obs::metrics().eval_fresh.add(genomes.len() as u64);
@@ -736,7 +792,7 @@ impl<'a> Evaluator<'a> {
         let checkpoints = if incumbents.is_empty() {
             &[][..]
         } else {
-            checkpoints
+            &checks.events[..]
         };
         let (settled, mut stats) =
             simulate_jobs(RunKind::Full, genomes.len(), ctx.threads, |j, arena| {
@@ -745,8 +801,8 @@ impl<'a> Evaluator<'a> {
                     .start(&config, trace, arena)
                     .expect("space genomes materialize to valid configurations");
                 for (m, &events) in checkpoints.iter().enumerate() {
-                    replay.advance((m + 1) * PRUNE_CHECK_OPS);
-                    let bound = replay.bound(sizes);
+                    replay.advance((m + 1) * checks.stride);
+                    let bound = replay.bound(&checks.sizes);
                     let point: Vec<u64> =
                         ctx.objectives.iter().map(|o| o.extract(&bound)).collect();
                     if let Some(dominator) = incumbents.iter().find(|b| dominates(&b.point, &point))
@@ -962,17 +1018,22 @@ impl<'a> Evaluator<'a> {
 /// recovers.
 ///
 /// In classic mode, at full fidelity and on objectives that only grow
-/// during a replay ([`Objective::monotone`]), the sweep prunes: it runs
-/// the space in order, in waves of 8, 16, 32 and then 64
-/// configurations, and each replay stops as soon as a lower bound on
-/// its final objective vector (its metrics so far plus the application
-/// accesses, the per-pool metadata floors and the CPU cost of the pool
-/// ops still to come) is strictly dominated by a feasible front point
-/// of an earlier wave. Such a configuration cannot reach the front: it
+/// during a replay ([`Objective::monotone`]), the sweep prunes. It
+/// visits the space in a golden-ratio stride order (the `i`-th
+/// configuration settled is index `(i·p) mod n`, `p` the first integer
+/// at or above ⌊0.618·n⌋ coprime to `n`), so every wave samples the
+/// whole space. It settles the configurations in waves of 2, 4, 8, 16,
+/// 32 and then 64. Every [`prune_check_ops`] pool ops (1/256 of the
+/// trace's, at least 64, at most 1024) each replay checks a lower bound
+/// on its final objective vector: its metrics so far plus the
+/// application accesses, the per-pool metadata floors and the CPU cost
+/// of the pool ops still to come. It stops as soon as a feasible front
+/// point of an earlier wave strictly dominates that bound. Such a configuration cannot reach the front: it
 /// is dominated if it ends feasible, and excluded if it does not. It is
 /// listed in [`SearchOutcome::pruned`] instead of in the results, which
-/// hold exact metrics only. The per-size op index the floors are priced
-/// with ([`OpSizeIndex`]) is built once per pruned sweep. Use
+/// hold exact metrics only; both lists are in genome order, whatever the
+/// visit order. The per-size op index the floors are priced with
+/// ([`OpSizeIndex`]) is built once per pruned sweep. Use
 /// [`crate::Explorer::run`] when every configuration's metrics are
 /// needed.
 #[derive(Debug, Clone, Copy, Default)]
@@ -994,20 +1055,15 @@ impl SearchStrategy for ExhaustiveSearch {
             return unpruned_sweep(ctx);
         }
         let mut evaluator = Evaluator::new(ctx);
-        let genomes = space_genomes(ctx.space);
-        let trace = &ctx.instances[0].trace;
-        let checkpoints = trace.events_at_op_strides(PRUNE_CHECK_OPS);
-        let sizes = OpSizeIndex::new(trace);
+        let genomes: Vec<Genome> = spread_order(ctx.space.len())
+            .map(|i| ctx.space.genome_at(i))
+            .collect();
+        let checks = PruneChecks::new(&ctx.instances[0].trace);
         for wave in prune_waves(genomes.len()) {
-            evaluator.eval_wave(&genomes[wave], &checkpoints, &sizes);
+            evaluator.eval_wave(&genomes[wave], &checks);
         }
         evaluator.into_outcome(self.name())
     }
-}
-
-/// Every genome of `space`, in enumeration order.
-fn space_genomes(space: &dyn GenomeSpace) -> Vec<Genome> {
-    (0..space.len()).map(|i| space.genome_at(i)).collect()
 }
 
 /// The exhaustive sweep without pruning: every configuration of the
@@ -1018,7 +1074,10 @@ fn space_genomes(space: &dyn GenomeSpace) -> Vec<Genome> {
 /// [`crate::Explorer::sweep`] always does.
 pub(crate) fn unpruned_sweep(ctx: &SearchContext<'_>) -> SearchOutcome {
     let mut evaluator = Evaluator::new(ctx);
-    evaluator.eval_batch(&space_genomes(ctx.space));
+    let genomes: Vec<Genome> = (0..ctx.space.len())
+        .map(|i| ctx.space.genome_at(i))
+        .collect();
+    evaluator.eval_batch(&genomes);
     evaluator.into_outcome(ExhaustiveSearch.name())
 }
 
@@ -1163,7 +1222,8 @@ mod tests {
                     }
                 }
                 assert!(p.trace_fraction > 0.0 && p.trace_fraction < 1.0);
-                assert!(p.stopped_at_op > 0 && p.stopped_at_op % PRUNE_CHECK_OPS == 0);
+                let stride = prune_check_ops(inst.trace.pool_ops().len());
+                assert!(p.stopped_at_op > 0 && p.stopped_at_op % stride == 0);
             }
 
             let stats = outcome.sim_stats;
@@ -1225,7 +1285,7 @@ mod tests {
         assert_eq!(outcome.exploration.results.len(), space.len());
     }
 
-    /// The wave schedule doubles from 8 to 64 and then repeats 64,
+    /// The wave schedule doubles from 2 to 64 and then repeats 64,
     /// covering the space once in order. It reads no worker count, so a
     /// sweep runs the same waves at any `DMX_THREADS`;
     /// `exhaustive_search_matches_explorer_run` checks that 1 and 4
@@ -1234,9 +1294,9 @@ mod tests {
     fn prune_waves_double_then_cover_the_space_once() {
         let sizes = |len| prune_waves(len).map(|w| w.len()).collect::<Vec<_>>();
         assert_eq!(sizes(0), Vec::<usize>::new());
-        assert_eq!(sizes(5), [5]);
-        assert_eq!(sizes(24), [8, 16]);
-        assert_eq!(sizes(200), [8, 16, 32, 64, 64, 16]);
+        assert_eq!(sizes(5), [2, 3]);
+        assert_eq!(sizes(24), [2, 4, 8, 10]);
+        assert_eq!(sizes(200), [2, 4, 8, 16, 32, 64, 64, 10]);
         for len in [1, 7, 8, 9, 120, 864, 6912] {
             let mut next = 0;
             for wave in prune_waves(len) {
@@ -1246,6 +1306,32 @@ mod tests {
             }
             assert_eq!(next, len, "waves cover all {len} configurations");
         }
+    }
+
+    /// The visit order is a permutation of the space's indices, for
+    /// sizes with and without a coprime ⌊0.618·n⌋, and it spreads: the
+    /// first two visits of a large space lie far apart.
+    #[test]
+    fn spread_order_visits_every_index_once() {
+        for n in [0, 1, 2, 3, 7, 8, 864, 6912, 20394] {
+            let mut order: Vec<usize> = spread_order(n).collect();
+            assert_eq!(order.len(), n);
+            order.sort_unstable();
+            assert!(order.iter().copied().eq(0..n), "not a bijection on 0..{n}");
+        }
+        assert_eq!(
+            spread_order(8).collect::<Vec<_>>(),
+            [0, 5, 2, 7, 4, 1, 6, 3]
+        );
+        assert_eq!(spread_order(864).nth(1), Some(533));
+    }
+
+    #[test]
+    fn prune_check_stride_scales_with_the_trace() {
+        assert_eq!(prune_check_ops(0), 64);
+        assert_eq!(prune_check_ops(49_796), 194);
+        assert_eq!(prune_check_ops(256 * 1024), 1024);
+        assert_eq!(prune_check_ops(usize::MAX), 1024);
     }
 
     #[test]
