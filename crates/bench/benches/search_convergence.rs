@@ -34,9 +34,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::{Duration, Instant};
 
 use dmx_alloc::{SimArena, Simulator};
-use dmx_core::search::{
-    prune_check_ops, ExhaustiveSearch, GeneticSearch, HillClimbSearch, SubsampleSearch,
-};
+use dmx_core::search::{prune_check_ops, ExhaustiveSearch, GeneticSearch, SubsampleSearch};
 use dmx_core::study::{convergence_space, easyport_space, StudyScale};
 use dmx_core::{
     dominates, front_coverage_pct, Exploration, Explorer, Objective, ParamSpace, SearchOutcome,
@@ -255,14 +253,6 @@ fn bench_search_convergence(c: &mut Criterion) {
     };
     let ga_outcome = explorer.search(&ga, &space, &trace, &Objective::FIG1);
     let ga_hv = report_row("genetic", &ga_outcome, space.len(), &full);
-
-    let hc = HillClimbSearch {
-        restarts: 24,
-        seed: 42,
-        ..HillClimbSearch::default()
-    };
-    let hc_outcome = explorer.search(&hc, &space, &trace, &Objective::FIG1);
-    report_row("hillclimb", &hc_outcome, space.len(), &full);
 
     // A uniform sample with the same budget as the GA, for contrast.
     let sample = SubsampleSearch {

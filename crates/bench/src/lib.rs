@@ -18,14 +18,14 @@
 //! | `search_efficiency` | beyond the paper | multi-fidelity screening: full-trace simulations saved vs. the all-full GA (≥5× asserted at ≥99 % hypervolume, worker-count determinism) |
 //! | `scenario_robustness` | beyond the paper | robust-front determinism + commonality on the built-in suite |
 //! | `sim_throughput` | beyond the paper | slab-kernel events/sec vs. the hash-map reference interpreter (≥2× asserted) |
-//! | `island_scaling` | beyond the paper | island-model front quality vs. the single GA at equal budget (≥99 % hypervolume asserted), worker-count determinism, wall-clock speedup |
+//! | `eval_scaling` | beyond the paper | GA wall clock per evaluation-worker count from 1 to the CPUs, worker-count byte-determinism, speedup |
 //!
 //! Shared pipeline setup lives in [`dmx_core::study`] so examples, tests
 //! and benches report on the same code. This crate adds the
 //! machine-readable result sink ([`write_bench_json`]): benches record
 //! their headline numbers as `BENCH_<name>.json` at the workspace root so
 //! the performance trajectory is tracked across PRs (CI validates the
-//! `sim_throughput` and `island_scaling` documents against the
+//! `sim_throughput` and `eval_scaling` documents against the
 //! checked-in floors under `floors/`).
 
 use std::path::{Path, PathBuf};

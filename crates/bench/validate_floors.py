@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validate every benchmark record against its checked-in perf floor.
 
-The throughput benches (`sim_throughput`, `island_scaling`,
+The throughput benches (`sim_throughput`, `eval_scaling`,
 `obs_overhead`, ...) write machine-readable records to
 ``BENCH_<name>.json`` at the workspace root. This script pairs each
 record with its floor file in ``crates/bench/floors/<name>.json`` and

@@ -5,12 +5,9 @@
 //! or a value flag without its value, is an error (exit 1), never skipped.
 //!
 //! `explore` defaults to the exhaustive sweep; `--strategy
-//! genetic|hillclimb|sample` switches to guided search (see
-//! `dmx_core::search`), which recovers the Pareto front at a fraction of
-//! the simulations on large spaces, and `--strategy island` runs the
-//! island-model parallel search (N independent islands exchanging elites
-//! over `--migration ring|full|star` every `--migrate-every`
-//! generations, merged deterministically). `--space grammar` searches
+//! genetic|sample` switches to guided search (see `dmx_core::search`),
+//! which recovers the Pareto front at a fraction of the simulations on
+//! large spaces. `--space grammar` searches
 //! the grammar-derivation space (codon vectors deriving allocator pool
 //! trees from a small BNF-style grammar — see `dmx_core::space`) instead
 //! of the default odometer index space. `--suite` switches to *robust*
@@ -38,9 +35,9 @@ use std::sync::Arc;
 
 use dmx_core::export::{gnuplot_script, robust_to_json, search_to_json, to_csv};
 use dmx_core::{
-    Aggregate, ExhaustiveSearch, Explorer, FidelityPlan, GeneticSearch, GenomeSpace, GrammarSpace,
-    HillClimbSearch, IslandSearch, MultiScenarioEvaluator, Objective, ParamSpace, ScenarioSuite,
-    SearchOutcome, SearchStrategy, StudySummary, SubsampleSearch, SurrogateKind,
+    range_factor, Aggregate, ExhaustiveSearch, Explorer, FidelityPlan, GeneticSearch, GenomeSpace,
+    GrammarSpace, MultiScenarioEvaluator, Objective, ParamSpace, ScenarioSuite, SearchOutcome,
+    SearchStrategy, StudySummary, SubsampleSearch, SurrogateKind,
 };
 use dmx_memhier::presets;
 use dmx_profile::{parse_records, records_to_string, ProfileRecord};
@@ -91,26 +88,14 @@ const USAGE: &str = "usage:
   dmx report    --records FILE
   dmx study     <easyport|vtc> [--seed N] [--paper]
 where
-  STRATEGY = [--strategy exhaustive|sample|genetic|hillclimb|island]
-             [--sample-n N] [--generations N] [--population N] [--restarts N]
-             [--islands N] [--migration ring|full|star] [--migrate-every K]
-             [--migrants M]
+  STRATEGY = [--strategy exhaustive|sample|genetic]
+             [--sample-n N] [--generations N] [--population N]
   FIDELITY = [--fidelity off|halving] [--rungs 0.2,0.5,1.0] [--keep 0.4]
              [--surrogate knn|off] [--knn-k K]
   OBS      = [--obs-trace FILE] [--obs-metrics FILE] [--progress]";
 
 /// The flags `build_strategy` reads.
-const STRATEGY_FLAGS: &[&str] = &[
-    "--strategy",
-    "--sample-n",
-    "--generations",
-    "--population",
-    "--restarts",
-    "--islands",
-    "--migration",
-    "--migrate-every",
-    "--migrants",
-];
+const STRATEGY_FLAGS: &[&str] = &["--strategy", "--sample-n", "--generations", "--population"];
 
 /// The flags `build_fidelity` reads.
 const FIDELITY_FLAGS: &[&str] = &["--fidelity", "--rungs", "--keep", "--surrogate", "--knn-k"];
@@ -363,29 +348,6 @@ fn build_strategy(
             ga.validate().map_err(|e| e.to_string())?;
             Box::new(ga)
         }
-        "hillclimb" => {
-            let hc = HillClimbSearch {
-                restarts: args.parse_or("--restarts", 8)?,
-                seed,
-                ..HillClimbSearch::default()
-            };
-            hc.validate().map_err(|e| e.to_string())?;
-            Box::new(hc)
-        }
-        "island" => {
-            let island = IslandSearch {
-                islands: args.parse_or("--islands", 4)?,
-                migration: args.opt("--migration").unwrap_or("ring").parse()?,
-                migrate_every: args.parse_or("--migrate-every", 4)?,
-                migrants: args.parse_or("--migrants", 2)?,
-                population: args.parse_or("--population", 16)?,
-                generations: args.parse_or("--generations", 16)?,
-                seed,
-                ..IslandSearch::default()
-            };
-            island.validate().map_err(|e| e.to_string())?;
-            Box::new(island)
-        }
         other => return Err(format!("unknown strategy `{other}`")),
     })
 }
@@ -585,9 +547,8 @@ fn build_fidelity(args: &Args) -> Result<Option<FidelityPlan>, String> {
 /// Prints what a search did, the same way for every explore mode. On
 /// stderr: the strategy line (ending in `front`, the front's size); for a
 /// multi-fidelity run, what each rung screened and how many full
-/// simulations the schedule avoided; for an island run, one line per
-/// island. On stdout under `--sim-stats`: the kernel counters. Fails only
-/// if stdout is closed.
+/// simulations the schedule avoided. On stdout under `--sim-stats`: the
+/// kernel counters. Fails only if stdout is closed.
 fn print_outcome(args: &Args, outcome: &SearchOutcome, front: &str) -> std::io::Result<()> {
     eprintln!(
         "strategy `{}`: {} configurations evaluated ({} simulations, {} cache hits), {front}",
@@ -609,19 +570,6 @@ fn print_outcome(args: &Args, outcome: &SearchOutcome, front: &str) -> std::io::
             stats.surrogate_hits,
             stats.full_simulations,
             stats.avoided()
-        );
-    }
-    for s in &outcome.islands {
-        eprintln!(
-            "island {}: {:<9} {} genomes, {} front points, sent {} / installed {} migrants, last improved gen {}/{}",
-            s.island,
-            s.kind,
-            s.genomes,
-            s.front.len(),
-            s.migrants_sent,
-            s.migrants_received,
-            s.last_improved_generation,
-            s.generations,
         );
     }
     if args.has("--sim-stats") {
@@ -899,31 +847,21 @@ fn report(args: &Args) -> Result<(), String> {
     if feasible.is_empty() {
         return Ok(());
     }
-    let by = |f: fn(&ProfileRecord) -> u64| {
-        let min = feasible.iter().map(|r| f(r)).min().expect("non-empty");
-        let max = feasible.iter().map(|r| f(r)).max().expect("non-empty");
-        (min, max)
-    };
-    let (fp_min, fp_max) = by(|r| r.footprint);
-    let (ac_min, ac_max) = by(|r| r.total_accesses());
-    let (en_min, en_max) = by(|r| r.energy_pj);
-    let (cy_min, cy_max) = by(|r| r.cycles);
-    outln!(
-        "footprint : {fp_min} .. {fp_max} B (x{:.1})",
-        fp_max as f64 / fp_min as f64
-    );
-    outln!(
-        "accesses  : {ac_min} .. {ac_max} (x{:.1})",
-        ac_max as f64 / ac_min as f64
-    );
-    outln!(
-        "energy    : {en_min} .. {en_max} pJ (x{:.1})",
-        en_max as f64 / en_min as f64
-    );
-    outln!(
-        "cycles    : {cy_min} .. {cy_max} (x{:.1})",
-        cy_max as f64 / cy_min as f64
-    );
+    let column = |metric: fn(&ProfileRecord) -> u64| feasible.iter().map(move |r| metric(r));
+    for (name, unit, values) in [
+        ("footprint", " B", column(|r| r.footprint)),
+        ("accesses ", "", column(ProfileRecord::total_accesses)),
+        ("energy   ", " pJ", column(|r| r.energy_pj)),
+        ("cycles   ", "", column(|r| r.cycles)),
+    ] {
+        let min = values.clone().min().expect("non-empty");
+        let max = values.clone().max().expect("non-empty");
+        let factor = match range_factor(values) {
+            Some(f) => format!("x{f:.1}"),
+            None => "no factor: the minimum is 0".to_owned(),
+        };
+        outln!("{name} : {min} .. {max}{unit} ({factor})");
+    }
     Ok(())
 }
 

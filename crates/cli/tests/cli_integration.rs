@@ -85,6 +85,35 @@ fn gen_profile_explore_pareto_report_pipeline() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// An allocation-free trace explores to all-zero footprints and
+/// accesses; `report` must say the factor is undefined rather than print
+/// `xNaN` (0/0) or `xinf` (n/0).
+#[test]
+fn report_on_an_allocation_free_trace_prints_no_nan_or_inf() {
+    let dir = tmpdir("empty-report");
+    let trace = dir.join("empty.trace");
+    let records = dir.join("empty.prof");
+    std::fs::write(&trace, "dmxtrace v1 empty\nk 50\n").unwrap();
+    run_ok(
+        dmx()
+            .arg("explore")
+            .arg("--trace")
+            .arg(&trace)
+            .arg("--out-records")
+            .arg(&records),
+    );
+    let out = run_ok(dmx().arg("report").arg("--records").arg(&records));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.contains("footprint : 0 .. 0 B (no factor: the minimum is 0)"),
+        "{text}"
+    );
+    assert!(text.contains("cycles    : 50 .. 50 (x1.0)"), "{text}");
+    let lower = text.to_lowercase();
+    assert!(!lower.contains("nan") && !lower.contains("inf"), "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn explore_guided_strategies() {
     let dir = tmpdir("guided");
@@ -97,7 +126,6 @@ fn explore_guided_strategies() {
 
     for (strategy, extra) in [
         ("genetic", vec!["--generations", "3", "--population", "16"]),
-        ("hillclimb", vec!["--restarts", "3"]),
         ("sample", vec!["--sample-n", "24"]),
     ] {
         let records = dir.join(format!("{strategy}.prof"));
@@ -122,24 +150,20 @@ fn explore_guided_strategies() {
         assert!(records.exists());
 
         // The export is one JSON object wrapping the front plus search
-        // statistics (strategy, evaluations, per-island stats).
+        // statistics (strategy, evaluations, simulations, cache hits).
         let exported = std::fs::read_to_string(&json).unwrap();
         assert!(
             exported.trim_start().starts_with('{'),
             "{strategy}: {exported}"
         );
         assert!(exported.trim_end().ends_with('}'), "{strategy}: {exported}");
-        for key in [
-            "\"strategy\"",
-            "\"evaluations\"",
-            "\"front\"",
-            "\"islands\"",
-        ] {
+        for key in ["\"strategy\"", "\"evaluations\"", "\"front\""] {
             assert!(
                 exported.contains(key),
                 "{strategy} missing {key}: {exported}"
             );
         }
+        assert!(!exported.contains("\"islands\""), "{strategy}: {exported}");
         assert!(
             exported.contains(&format!("\"strategy\": \"{strategy}\"")),
             "{strategy}: {exported}"
@@ -212,89 +236,6 @@ fn explore_guided_strategies() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn explore_island_json_carries_island_stats_and_obs_exports() {
-    let dir = tmpdir("island-obs");
-    let trace = dir.join("t.trace");
-    run_ok(
-        dmx()
-            .args(["gen-trace", "synthetic", "--seed", "3", "--out"])
-            .arg(&trace),
-    );
-
-    let json = dir.join("t.json");
-    let records = dir.join("t.prof");
-    let obs_trace = dir.join("t-trace.json");
-    let obs_metrics = dir.join("t-metrics.json");
-    let out = run_ok(
-        dmx()
-            .arg("explore")
-            .arg("--trace")
-            .arg(&trace)
-            .arg("--out-records")
-            .arg(&records)
-            .arg("--json")
-            .arg(&json)
-            .arg("--obs-trace")
-            .arg(&obs_trace)
-            .arg("--obs-metrics")
-            .arg(&obs_metrics)
-            .arg("--progress")
-            .args([
-                "--strategy",
-                "island",
-                "--islands",
-                "3",
-                "--migration",
-                "ring",
-                "--migrate-every",
-                "2",
-                "--generations",
-                "3",
-                "--population",
-                "9",
-                "--seed",
-                "7",
-            ]),
-    );
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("island 0"), "island stats on stderr: {err}");
-
-    // Per-island statistics ride along in the JSON export, not just stderr.
-    let exported = std::fs::read_to_string(&json).unwrap();
-    for key in [
-        "\"islands\"",
-        "\"kind\"",
-        "\"migrants_sent\"",
-        "\"migrants_received\"",
-        "\"last_improved_generation\"",
-    ] {
-        assert!(exported.contains(key), "missing {key}: {exported}");
-    }
-    assert!(
-        exported.matches("\"island\":").count() >= 3,
-        "three islands exported: {exported}"
-    );
-
-    // Observability artifacts: Perfetto trace + flat metrics JSON.
-    let perfetto = std::fs::read_to_string(&obs_trace).unwrap();
-    assert!(perfetto.contains("\"traceEvents\""), "{perfetto}");
-    for name in ["island.step", "island.migration", "eval.batch"] {
-        assert!(perfetto.contains(name), "trace missing span {name}");
-    }
-    let metrics = std::fs::read_to_string(&obs_metrics).unwrap();
-    for name in [
-        "\"search.generations\"",
-        "\"search.cache.hits\"",
-        "\"island.migrations\"",
-        "\"kernel.events\"",
-    ] {
-        assert!(metrics.contains(name), "metrics missing {name}: {metrics}");
-    }
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// Zero perturbation on the shipped binary: a genetic run with span
 /// recording, both obs exporters and the progress reporter on writes
 /// result files byte-identical to the same run with none of them.
@@ -344,11 +285,19 @@ fn explore_results_are_byte_identical_with_obs_flags_on_vs_off() {
     // The recording run must actually have observed the search —
     // otherwise the byte compare below would pass vacuously.
     let perfetto = std::fs::read_to_string(&obs_trace).unwrap();
+    assert!(perfetto.contains("\"traceEvents\""), "{perfetto}");
     for name in ["search.generation", "eval.batch", "kernel.replay"] {
         assert!(perfetto.contains(name), "trace missing span {name}");
     }
     let metrics = std::fs::read_to_string(&obs_metrics).unwrap();
-    assert!(metrics.contains("\"search.generations\": "), "{metrics}");
+    for name in [
+        "\"search.generations\": ",
+        "\"search.cache.hits\": ",
+        "\"kernel.events\": ",
+    ] {
+        assert!(metrics.contains(name), "metrics missing {name}: {metrics}");
+    }
+    assert!(!metrics.contains("island."), "{metrics}");
     assert!(
         !metrics.contains("\"search.generations\": 0,"),
         "generation counter never moved: {metrics}"
@@ -710,6 +659,34 @@ fn unknown_flags_exit_1_naming_the_flag() {
     );
     // A stray word is no flag, and is not skipped either.
     assert_rejects_flag(&dir, &[&explore[..], &["extra"]].concat(), "extra");
+    // Strategies and flags that no longer exist are named, not ignored.
+    let mut gone: Vec<(Vec<&str>, String)> = ["island", "hillclimb"]
+        .into_iter()
+        .map(|s| (vec!["--strategy", s], format!("unknown strategy `{s}`")))
+        .collect();
+    for flag in [
+        "--restarts",
+        "--islands",
+        "--migration",
+        "--migrate-every",
+        "--migrants",
+    ] {
+        gone.push((
+            vec!["--strategy", "genetic", flag, "2"],
+            format!("unknown flag `{flag}`"),
+        ));
+    }
+    for (flags, message) in gone {
+        let out = dmx()
+            .current_dir(&dir)
+            .args(explore)
+            .args(&flags)
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flags:?}: {err}");
+        assert!(err.contains(&message), "{flags:?}: {err}");
+    }
     assert!(
         !dir.join("t.prof").exists(),
         "explored despite a bad command line"
@@ -845,14 +822,6 @@ fn invalid_strategy_parameters_exit_1_with_a_message() {
             &["--strategy", "genetic", "--population", "1"],
             "population must be at least 2",
         ),
-        (
-            &["--strategy", "island", "--population", "1"],
-            "population must be at least 2",
-        ),
-        (
-            &["--strategy", "hillclimb", "--restarts", "0"],
-            "at least one restart",
-        ),
     ] {
         let out = dmx()
             .args(["explore", "--suite", "quick"])
@@ -884,22 +853,12 @@ fn edge_case_flags_exit_0_or_1_never_panic() {
         "--fidelity",
         "halving",
     ];
-    let island = [
-        "--strategy",
-        "island",
-        "--population",
-        "4",
-        "--generations",
-        "1",
-    ];
     for flags in [
         [&halving[..], &["--keep", "NaN"]].concat(),
         [&halving[..], &["--rungs", ""]].concat(),
         [&halving[..], &["--rungs", "0.5,nan,1"]].concat(),
         [&halving[..], &["--rungs", "1e-300,1"]].concat(),
         [&halving[..], &["--knn-k", "0"]].concat(),
-        [&island[..], &["--islands", "0"]].concat(),
-        [&island[..], &["--migrate-every", "0"]].concat(),
         vec!["--strategy", "sample", "--sample-n", "0"],
         vec!["--strategy", "sample", "--sample-n", "99999999999999999999"],
         [&sample[..], &["--objectives", ","]].concat(),
@@ -938,13 +897,9 @@ fn edge_case_flags_exit_0_or_1_never_panic() {
 }
 
 /// The numeric and list flags the generated edge test feeds.
-const EDGE_FLAGS: [&str; 10] = [
-    "--islands",
-    "--migrants",
-    "--migrate-every",
+const EDGE_FLAGS: [&str; 6] = [
     "--population",
     "--generations",
-    "--restarts",
     "--sample-n",
     "--keep",
     "--knn-k",
@@ -973,7 +928,7 @@ proptest! {
     /// strategy that reads them, exit 0 or 1 and never panic.
     #[test]
     fn generated_edge_flags_exit_0_or_1_never_panic(
-        strategy in 0usize..4,
+        strategy in 0usize..2,
         halving in any::<bool>(),
         picks in prop::collection::vec((0..EDGE_FLAGS.len(), 0..EDGE_VALUES.len()), 1..4),
     ) {
@@ -992,7 +947,7 @@ proptest! {
             .arg(&trace)
             .arg("--out-records")
             .arg(&records)
-            .args(["--strategy", ["genetic", "island", "hillclimb", "sample"][strategy]]);
+            .args(["--strategy", ["genetic", "sample"][strategy]]);
         if halving {
             cmd.args(["--fidelity", "halving"]);
         }
@@ -1009,8 +964,6 @@ proptest! {
         let defaults = [
             ("--population", "4"),
             ("--generations", "1"),
-            ("--islands", "2"),
-            ("--restarts", "2"),
             ("--sample-n", "4"),
         ];
         for (flag, value) in defaults {

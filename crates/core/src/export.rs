@@ -192,38 +192,6 @@ fn front_to_json(
     s
 }
 
-/// Serializes per-island convergence statistics as a JSON array (shared
-/// by [`search_to_json`] and [`robust_to_json`]): island id, search
-/// kind, distinct genomes, the island-local front as objective points,
-/// migration counts, and the last generation the local front improved.
-fn islands_json(islands: &[crate::search::IslandStats], indent: &str) -> String {
-    let mut s = String::from("[");
-    for (k, isl) in islands.iter().enumerate() {
-        if k > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "\n{indent}  {{\"island\": {}, \"kind\": \"{}\", \"genomes\": {}, \
-             \"front\": {:?}, \"migrants_sent\": {}, \"migrants_received\": {}, \
-             \"last_improved_generation\": {}, \"generations\": {}}}",
-            isl.island,
-            json_escape(&isl.kind),
-            isl.genomes,
-            isl.front,
-            isl.migrants_sent,
-            isl.migrants_received,
-            isl.last_improved_generation,
-            isl.generations
-        );
-    }
-    if !islands.is_empty() {
-        let _ = write!(s, "\n{indent}");
-    }
-    s.push(']');
-    s
-}
-
 /// Serializes multi-fidelity screening statistics as a JSON object
 /// (shared by [`search_to_json`] and [`robust_to_json`]): one entry per
 /// screening rung plus the surrogate, full-simulation and avoided
@@ -267,11 +235,9 @@ fn fidelity_json(stats: &crate::search::FidelityStats, indent: &str) -> String {
 
 /// Serializes a single-workload [`SearchOutcome`] as one JSON object:
 /// the workload, strategy, evaluation/cache statistics, the Pareto
-/// front (with genomes), the configurations a pruned exhaustive sweep
-/// stopped early (when it stopped any), and — for island runs — the
-/// per-island convergence statistics that previously only went to
-/// stderr. This is the `--json` export for classic (non-suite)
-/// exploration.
+/// front (with genomes), and the configurations a pruned exhaustive
+/// sweep stopped early (when it stopped any). This is the `--json`
+/// export for classic (non-suite) exploration.
 ///
 /// [`SearchOutcome`]: crate::search::SearchOutcome
 pub fn search_to_json(outcome: &crate::search::SearchOutcome, objectives: &[Objective]) -> String {
@@ -293,21 +259,19 @@ pub fn search_to_json(outcome: &crate::search::SearchOutcome, objectives: &[Obje
     if let Some(stats) = &outcome.fidelity {
         let _ = writeln!(s, "  \"fidelity\": {},", fidelity_json(stats, "  "));
     }
-    let _ = writeln!(
-        s,
-        "  \"front\": {},",
-        front_to_json(
-            &outcome.exploration,
-            &outcome.genomes,
-            &outcome.front,
-            objectives,
-            "  ",
-        )
+    let front = front_to_json(
+        &outcome.exploration,
+        &outcome.genomes,
+        &outcome.front,
+        objectives,
+        "  ",
     );
-    if !outcome.pruned.is_empty() {
-        let _ = writeln!(s, "  \"pruned\": {},", pruned_json(&outcome.pruned, "  "));
+    if outcome.pruned.is_empty() {
+        let _ = writeln!(s, "  \"front\": {front}");
+    } else {
+        let _ = writeln!(s, "  \"front\": {front},");
+        let _ = writeln!(s, "  \"pruned\": {}", pruned_json(&outcome.pruned, "  "));
     }
-    let _ = writeln!(s, "  \"islands\": {}", islands_json(&outcome.islands, "  "));
     s.push_str("}\n");
     s
 }
@@ -339,8 +303,8 @@ fn pruned_json(pruned: &[crate::search::PrunedConfig], indent: &str) -> String {
 }
 
 /// Serializes a robust exploration as one JSON object: the robust front,
-/// every per-scenario front, cache/evaluation statistics, per-island
-/// statistics (island strategy only), and the commonality report.
+/// every per-scenario front, cache/evaluation statistics, and the
+/// commonality report.
 /// Genomes identify configurations across scenarios (labels are
 /// per-platform). Hand-emitted like [`pareto_to_json`] — no serde.
 pub fn robust_to_json(robust: &crate::scenario::RobustOutcome) -> String {
@@ -365,11 +329,6 @@ pub fn robust_to_json(robust: &crate::scenario::RobustOutcome) -> String {
     if let Some(stats) = &robust.outcome.fidelity {
         let _ = writeln!(s, "  \"fidelity\": {},", fidelity_json(stats, "  "));
     }
-    let _ = writeln!(
-        s,
-        "  \"islands\": {},",
-        islands_json(&robust.outcome.islands, "  ")
-    );
     let _ = writeln!(
         s,
         "  \"robust_front\": {},",
@@ -529,6 +488,10 @@ mod tests {
         assert!(!outcome.pruned.is_empty(), "the fixture must prune");
         let json = search_to_json(&outcome, &Objective::FIG1);
         assert!(json.contains("\"pruned\": ["), "{json}");
+        assert!(
+            json.ends_with("\n  ]\n}\n"),
+            "pruned is the last key: {json}"
+        );
         assert_eq!(
             json.matches("\"stopped_at_op\"").count(),
             outcome.pruned.len()
@@ -554,7 +517,12 @@ mod tests {
             &trace,
             &Objective::FIG1,
         );
-        assert!(!search_to_json(&sampled, &Objective::FIG1).contains("\"pruned\""));
+        let json = search_to_json(&sampled, &Objective::FIG1);
+        assert!(!json.contains("\"pruned\""));
+        assert!(
+            json.ends_with("\n  ]\n}\n"),
+            "front is the last key: {json}"
+        );
     }
 
     #[test]

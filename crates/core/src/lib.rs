@@ -9,9 +9,8 @@
 //! 2. **simulates** the workload against each configuration in parallel,
 //!    collecting memory accesses, footprint, energy and execution time per
 //!    memory level ([`Explorer`], [`Exploration`]) — either exhaustively
-//!    or through a guided [`search`] strategy (genetic, hill-climbing,
-//!    subsampling) that recovers the front at a fraction of the
-//!    evaluations;
+//!    or through a guided [`search`] strategy (genetic or subsampling)
+//!    that recovers the front at a fraction of the evaluations;
 //! 3. **selects the Pareto-optimal configurations** over any choice of
 //!    metrics ([`pareto_front`], [`ParetoSet`]);
 //! 4. **reports** the trade-off space the way the paper does: range
@@ -73,7 +72,7 @@ pub use constraint::{Constraint, ConstraintSet};
 pub use enumerate::ConfigIter;
 pub use objective::Objective;
 pub use param::{Genome, ParamSpace, PlacementStrategy};
-pub use pareto::{dominates, knee_point, pareto_front, ParetoSet};
+pub use pareto::{dominates, knee_point, pareto_front, range_factor, ParetoSet};
 pub use report::StudySummary;
 pub use runner::{Exploration, Explorer, RunResult};
 pub use sample::{front_coverage_pct, hypervolume_2d};
@@ -81,8 +80,8 @@ pub use scenario::{
     Aggregate, CommonalityReport, MultiScenarioEvaluator, RobustOutcome, Scenario, ScenarioSuite,
 };
 pub use search::{
-    thread_budget, ExhaustiveSearch, FidelityPlan, FidelityStats, GeneticSearch, HillClimbSearch,
-    IslandSearch, IslandStats, Migration, PrunedConfig, RungStats, SearchOutcome, SearchStrategy,
-    SimStats, StrategyError, SubsampleSearch, SurrogateKind,
+    thread_budget, ExhaustiveSearch, FidelityPlan, FidelityStats, GeneticSearch, PrunedConfig,
+    RungStats, SearchOutcome, SearchStrategy, SimStats, StrategyError, SubsampleSearch,
+    SurrogateKind,
 };
 pub use space::{GenomeSpace, GrammarSpace};

@@ -22,6 +22,16 @@ pub fn dominates(a: &[u64], b: &[u64]) -> bool {
     strictly_better
 }
 
+/// Max/min ratio of `values` — the paper's "decrease up to a factor of
+/// N". `None` if `values` is empty or its minimum is zero, where no
+/// finite factor exists.
+pub fn range_factor(values: impl IntoIterator<Item = u64>) -> Option<f64> {
+    let (min, max) = values
+        .into_iter()
+        .fold((u64::MAX, 0), |(lo, hi), v| (lo.min(v), hi.max(v)));
+    (min > 0 && min <= max).then(|| max as f64 / min as f64)
+}
+
 /// The non-dominated subset of a point set.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ParetoSet {
@@ -45,11 +55,10 @@ impl ParetoSet {
 
     /// Max/min ratio of objective `d` within the Pareto set — the paper's
     /// "decrease up to a factor of N within the Pareto-optimal
-    /// configurations". `None` if empty or the minimum is zero.
+    /// configurations" (see [`range_factor`]). `None` if empty or the
+    /// minimum is zero.
     pub fn range_factor(&self, d: usize) -> Option<f64> {
-        let min = self.points.iter().map(|p| p[d]).min()?;
-        let max = self.points.iter().map(|p| p[d]).max()?;
-        (min > 0).then(|| max as f64 / min as f64)
+        range_factor(self.points.iter().map(|p| p[d]))
     }
 
     /// Relative saving of objective `d` within the Pareto set:
@@ -193,6 +202,15 @@ mod tests {
         assert!(front.is_empty());
         assert!(front.range_factor(0).is_none());
         assert!(knee_point(&front).is_none());
+    }
+
+    #[test]
+    fn range_factor_has_no_value_without_a_positive_minimum() {
+        assert_eq!(range_factor([4, 2, 8]), Some(4.0));
+        assert_eq!(range_factor([7]), Some(1.0));
+        assert_eq!(range_factor([]), None);
+        assert_eq!(range_factor([0, 0]), None, "0/0 is no factor");
+        assert_eq!(range_factor([0, 5]), None, "5/0 is no factor");
     }
 
     #[test]

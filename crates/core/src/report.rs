@@ -8,7 +8,7 @@
 use std::fmt::Write as _;
 
 use crate::objective::Objective;
-use crate::pareto::knee_point;
+use crate::pareto::{knee_point, range_factor};
 use crate::runner::Exploration;
 
 /// The Section-3 numbers for one case study.
@@ -52,11 +52,6 @@ impl StudySummary {
     /// Computes the summary of an exploration.
     pub fn compute(exploration: &Exploration) -> StudySummary {
         let feasible = exploration.feasible();
-        let footprints: Vec<u64> = feasible.iter().map(|r| r.metrics.footprint).collect();
-        let accesses: Vec<u64> = feasible
-            .iter()
-            .map(|r| r.metrics.total_accesses())
-            .collect();
 
         let front = exploration.pareto(&Objective::FIG1);
         let pareto_curve: Vec<(String, u64, u64, u64, u64)> = front
@@ -82,8 +77,10 @@ impl StudySummary {
             workload: exploration.workload.clone(),
             total_configs: exploration.results.len(),
             feasible_configs: feasible.len(),
-            footprint_range_factor: range_factor(&footprints),
-            access_range_factor: range_factor(&accesses),
+            footprint_range_factor: range_factor(feasible.iter().map(|r| r.metrics.footprint))
+                .unwrap_or(0.0),
+            access_range_factor: range_factor(feasible.iter().map(|r| r.metrics.total_accesses()))
+                .unwrap_or(0.0),
             pareto_count: front.len(),
             pareto_footprint_factor: front.range_factor(0).unwrap_or(0.0),
             pareto_access_factor: front.range_factor(1).unwrap_or(0.0),
@@ -129,13 +126,6 @@ impl StudySummary {
             let _ = writeln!(s, "{fp:>12} {acc:>14} {en:>16} {cy:>14}  {label}");
         }
         s
-    }
-}
-
-fn range_factor(values: &[u64]) -> f64 {
-    match (values.iter().min(), values.iter().max()) {
-        (Some(&min), Some(&max)) if min > 0 => max as f64 / min as f64,
-        _ => 0.0,
     }
 }
 

@@ -182,7 +182,7 @@ impl<'h> Explorer<'h> {
 
     /// Explores `space` — any [`GenomeSpace`]: the odometer
     /// [`crate::ParamSpace`], the [`crate::GrammarSpace`], … — with a guided
-    /// [`SearchStrategy`] (genetic, hill-climbing, subsampled, or the
+    /// [`SearchStrategy`] (genetic, subsampled, or the
     /// exhaustive baseline), minimizing `objectives`. The strategy
     /// evaluates through a memoized cache and this explorer's
     /// worker-thread budget; see [`crate::search`].

@@ -26,7 +26,7 @@
 //!   never what the outcome reports;
 //! * **screened-out candidates are visibly worse** — the stand-in
 //!   results handed back to the strategy are marked infeasible, so
-//!   selection (NSGA ranks, hill-climb scores) treats them exactly as
+//!   selection (NSGA ranks) treats them exactly as
 //!   "do not pursue", rather than comparing prefix-scale metrics
 //!   against full-trace ones.
 
@@ -547,7 +547,7 @@ fn objective_values(results: &[Arc<RunResult>], objectives: &[Objective]) -> Vec
 /// objective but mediocre on another would be culled by any
 /// scalarization while no other candidate actually dominates it.
 /// Ties break on an equal-weight scalarized score (normalized by the
-/// rung's per-objective feasible minimum, the hill-climb scheme), then
+/// rung's per-objective feasible minimum), then
 /// on the genome so the promotion set never depends on arrival order.
 fn screening_order(values: &[Vec<f64>], candidates: &[Genome]) -> Vec<usize> {
     let n = values.len();

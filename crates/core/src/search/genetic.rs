@@ -61,8 +61,7 @@ impl GeneticSearch {
 
 /// Peels Pareto fronts off the point set: rank 0 is the non-dominated
 /// front, rank 1 the front after removing rank 0, and so on. Infeasible
-/// individuals (`None`) get `usize::MAX`. Shared with the island-model
-/// steppers in [`super::island`].
+/// individuals (`None`) get `usize::MAX`.
 fn non_dominated_ranks(points: &[Option<Vec<u64>>]) -> Vec<usize> {
     let mut ranks = vec![usize::MAX; points.len()];
     let mut assigned = points.iter().filter(|p| p.is_none()).count();
@@ -149,54 +148,23 @@ fn tournament(rng: &mut StdRng, ranks: &[usize], crowding: &[f64]) -> usize {
     a.min(b)
 }
 
-/// One generation's breeding output: the next population to evaluate and
-/// the current non-dominated individuals (deduplicated, ordered by
-/// crowding distance descending — the "elites" the island model migrates).
-pub(crate) struct BreedOutcome {
-    /// The next generation's population, canonical.
-    pub next: Vec<Genome>,
-    /// The current generation's rank-0 genomes, best-spread first.
-    pub elites: Vec<Genome>,
-}
-
 impl GeneticSearch {
     fn random_genome(rng: &mut StdRng, ctx: &SearchContext<'_>) -> Genome {
         ctx.space.genome_at(rng.gen_range(0..ctx.space.len()))
     }
 
-    /// The strategy's seeded RNG stream — one deterministic stream per
-    /// seed, shared between [`Self::search`] and the island-model stepper
-    /// so a 1-island run replays this strategy exactly.
-    pub(crate) fn rng(&self) -> StdRng {
-        StdRng::seed_from_u64(self.seed ^ 0x6E55_4741_5F64_6D78)
-    }
-
-    /// Draws the initial population (uniform over the space, clamped to
-    /// the space size).
-    pub(crate) fn initial_population(
-        &self,
-        rng: &mut StdRng,
-        ctx: &SearchContext<'_>,
-    ) -> Vec<Genome> {
-        let pop_size = self.population.min(ctx.space.len());
-        (0..pop_size)
-            .map(|_| Self::random_genome(rng, ctx))
-            .collect()
-    }
-
     /// One generation of elitist NSGA-lite breeding over an evaluated
     /// population: rank + crowd, carry the non-dominated individuals,
-    /// inject immigrants, fill with tournament-selected offspring. This is
-    /// the exact loop body of [`Self::search`], extracted so the island
-    /// model steps islands with byte-identical arithmetic.
-    pub(crate) fn breed(
+    /// inject immigrants, fill with tournament-selected offspring.
+    /// Returns the next population, canonical.
+    fn breed(
         &self,
         rng: &mut StdRng,
         ctx: &SearchContext<'_>,
         lens: &[usize],
         population: &[Genome],
         results: &[std::sync::Arc<crate::runner::RunResult>],
-    ) -> BreedOutcome {
+    ) -> Vec<Genome> {
         let pop_size = population.len();
         let points: Vec<Option<Vec<u64>>> = results
             .iter()
@@ -221,22 +189,6 @@ impl GeneticSearch {
             }
         }
 
-        // The full elite list for migration: every distinct rank-0 genome,
-        // widest-spread first (deterministic tie-break on the genome).
-        let mut elite_idx: Vec<usize> = (0..population.len()).filter(|&i| ranks[i] == 0).collect();
-        elite_idx.sort_by(|&a, &b| {
-            crowding[b]
-                .partial_cmp(&crowding[a])
-                .expect("crowding distances are never NaN")
-                .then(population[a].cmp(&population[b]))
-        });
-        let mut elites: Vec<Genome> = Vec::new();
-        for i in elite_idx {
-            if !elites.contains(&population[i]) {
-                elites.push(population[i].clone());
-            }
-        }
-
         // Immigrants: a few uniform random genomes per generation keep
         // the gene pool from collapsing around one front region.
         let immigrants = (pop_size / 8).max(1).min(pop_size - next.len());
@@ -256,7 +208,7 @@ impl GeneticSearch {
             self.mutate(rng, &mut child, lens);
             next.push(ctx.space.canonicalize(child));
         }
-        BreedOutcome { next, elites }
+        next
     }
 
     /// Mutates one genome in place: each axis independently, with
@@ -290,10 +242,14 @@ impl SearchStrategy for GeneticSearch {
         }
         assert!(!ctx.space.is_empty(), "cannot search an empty space");
 
-        let mut rng = self.rng();
+        let mut rng = StdRng::seed_from_u64(self.seed ^ 0x6E55_4741_5F64_6D78);
         let mut evaluator = Evaluator::new(ctx);
         let lens = ctx.space.axis_lens();
-        let mut population = self.initial_population(&mut rng, ctx);
+        // The initial population: uniform over the space, clamped to the
+        // space size.
+        let mut population: Vec<Genome> = (0..self.population.min(ctx.space.len()))
+            .map(|_| Self::random_genome(&mut rng, ctx))
+            .collect();
 
         for generation in 0..=self.generations {
             let _span = dmx_obs::span(dmx_obs::names::GA_GENERATION, generation as u64);
@@ -307,7 +263,7 @@ impl SearchStrategy for GeneticSearch {
             if generation == self.generations {
                 break; // final population evaluated; no more breeding
             }
-            population = self.breed(&mut rng, ctx, &lens, &population, &results).next;
+            population = self.breed(&mut rng, ctx, &lens, &population, &results);
         }
 
         evaluator.into_outcome(self.name())

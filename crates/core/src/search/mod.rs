@@ -5,9 +5,9 @@
 //! space while the Pareto front it is after stays tiny. This module adds
 //! *guided* search: strategies that decide which configurations to
 //! simulate next based on what they have already seen, unified behind one
-//! [`SearchStrategy`] trait so exhaustive, subsampled, genetic and
-//! hill-climbing exploration are interchangeable at every call site (CLI,
-//! studies, benches).
+//! [`SearchStrategy`] trait so exhaustive, subsampled and genetic
+//! exploration are interchangeable at every call site (CLI, studies,
+//! benches).
 //!
 //! The genotype is a plain coordinate vector ([`Genome`]) addressed
 //! through a [`crate::GenomeSpace`]: crossover and mutation
@@ -64,14 +64,10 @@
 
 mod fidelity;
 mod genetic;
-mod hillclimb;
-mod island;
 mod queue;
 
 pub use fidelity::{FidelityPlan, FidelityStats, RungStats, SurrogateKind};
 pub use genetic::GeneticSearch;
-pub use hillclimb::HillClimbSearch;
-pub use island::{IslandSearch, IslandStats, Migration};
 
 use queue::simulate_jobs;
 
@@ -384,9 +380,6 @@ pub struct SearchOutcome {
     /// Simulation-kernel statistics (events replayed, throughput, arena
     /// reuse) accumulated over every batch of the search.
     pub sim_stats: SimStats,
-    /// Per-island convergence and migration statistics, in island-id
-    /// order. Empty for every strategy except [`IslandSearch`].
-    pub islands: Vec<IslandStats>,
     /// What the multi-fidelity layer did, when the context carried a
     /// [`FidelityPlan`]. `None` for full-fidelity searches.
     pub fidelity: Option<FidelityStats>,
@@ -531,9 +524,8 @@ enum Settled {
 }
 
 /// Why a strategy's parameters cannot run, as reported by
-/// [`GeneticSearch::validate`], [`HillClimbSearch::validate`] and
-/// [`IslandSearch::validate`]. Callers that take parameters from users
-/// (the CLI) validate first; a strategy's `search` panics on the same
+/// [`GeneticSearch::validate`]. Callers that take parameters from users
+/// (the CLI) validate first; the strategy's `search` panics on the same
 /// conditions.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StrategyError {
@@ -541,12 +533,6 @@ pub enum StrategyError {
     PopulationTooSmall(usize),
     /// A mutation probability outside `[0, 1]`.
     MutationOutOfRange(f64),
-    /// A hill climb with zero restarts.
-    NoRestarts,
-    /// An island search with zero islands.
-    NoIslands,
-    /// A migration interval of zero generations.
-    NoMigrationInterval,
 }
 
 impl fmt::Display for StrategyError {
@@ -558,11 +544,6 @@ impl fmt::Display for StrategyError {
             StrategyError::MutationOutOfRange(p) => {
                 write!(f, "mutation probability must be in [0, 1], got {p}")
             }
-            StrategyError::NoRestarts => write!(f, "hill climbing needs at least one restart"),
-            StrategyError::NoIslands => write!(f, "island search needs at least one island"),
-            StrategyError::NoMigrationInterval => {
-                write!(f, "migration interval must be at least 1 generation")
-            }
         }
     }
 }
@@ -573,9 +554,8 @@ impl std::error::Error for StrategyError {}
 ///
 /// Implementations decide *which* configurations to simulate;
 /// [`Evaluator`] decides *how* (parallel, memoized, robust-folded). All
-/// four built-in strategies — [`ExhaustiveSearch`], [`SubsampleSearch`],
-/// [`GeneticSearch`], [`HillClimbSearch`] — are deterministic in their
-/// seed.
+/// three built-in strategies — [`ExhaustiveSearch`], [`SubsampleSearch`]
+/// and [`GeneticSearch`] — are deterministic in their seed.
 ///
 /// # Example
 ///
@@ -1004,7 +984,6 @@ impl<'a> Evaluator<'a> {
             front,
             scenario_explorations,
             sim_stats: self.sim_stats,
-            islands: Vec::new(),
             fidelity,
             pruned,
         }
@@ -1541,20 +1520,20 @@ mod tests {
         assert_eq!(ga(0).validate(), Err(StrategyError::PopulationTooSmall(0)));
         assert_eq!(ga(1).validate(), Err(StrategyError::PopulationTooSmall(1)));
         assert_eq!(ga(2).validate(), Ok(()));
-        let hc = HillClimbSearch {
-            restarts: 0,
-            ..HillClimbSearch::default()
+        let wild = GeneticSearch {
+            mutation: 1.5,
+            ..GeneticSearch::default()
         };
-        assert_eq!(hc.validate(), Err(StrategyError::NoRestarts));
-        let island = |population| IslandSearch {
-            population,
-            ..IslandSearch::default()
-        };
-        assert_eq!(
-            island(1).validate(),
-            Err(StrategyError::PopulationTooSmall(1))
-        );
-        assert_eq!(island(2).validate(), Ok(()));
+        assert_eq!(wild.validate(), Err(StrategyError::MutationOutOfRange(1.5)));
+
+        // `search` refuses the same parameters at its input barrier.
+        let hier = presets::sp64k_dram4m();
+        let space = easyport_space(&hier, StudyScale::Quick);
+        let trace = easyport_trace(StudyScale::Quick, 42);
+        let explorer = Explorer::new(&hier);
+        let result =
+            std::panic::catch_unwind(|| explorer.search(&wild, &space, &trace, &Objective::FIG1));
+        assert!(result.is_err(), "the mutation rate must be validated");
     }
 
     #[test]

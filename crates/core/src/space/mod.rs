@@ -2,7 +2,7 @@
 //!
 //! A [`GenomeSpace`] turns a [`Genome`] — a plain vector of axis
 //! coordinates — into an [`AllocatorConfig`] and back. The search
-//! strategies (genetic, hill-climb, island, subsample, exhaustive) only
+//! strategies (genetic, subsample, exhaustive) only
 //! ever manipulate genomes through this trait, so the same machinery
 //! explores:
 //!
@@ -86,32 +86,6 @@ pub trait GenomeSpace: fmt::Debug + Send + Sync {
 
     /// Materializes one genome into its [`AllocatorConfig`].
     fn config_at(&self, hierarchy: &MemoryHierarchy, genome: &[usize]) -> AllocatorConfig;
-
-    /// All genomes one ±1 axis step away from `genome` (canonical,
-    /// deduplicated, excluding `genome` itself) — the hill-climbing
-    /// neighborhood. The default ±1 odometer hop is meaningful for any
-    /// space whose adjacent coordinate values decode to related
-    /// configurations; spaces with a better notion of locality override
-    /// it.
-    fn neighbors(&self, genome: &[usize]) -> Vec<Genome> {
-        let lens = self.axis_lens();
-        let mut out = Vec::with_capacity(2 * lens.len());
-        for d in 0..lens.len() {
-            for delta in [-1isize, 1] {
-                let v = genome[d] as isize + delta;
-                if v < 0 || v as usize >= lens[d] {
-                    continue;
-                }
-                let mut n = genome.to_vec();
-                n[d] = v as usize;
-                let n = self.canonicalize(n);
-                if n != genome && !out.contains(&n) {
-                    out.push(n);
-                }
-            }
-        }
-        out
-    }
 }
 
 impl GenomeSpace for ParamSpace {
@@ -175,22 +149,5 @@ mod tests {
         );
         // Same space, same id — the key must be stable across calls.
         assert_eq!(GenomeSpace::space_id(&quick), GenomeSpace::space_id(&quick));
-    }
-
-    #[test]
-    fn default_neighbors_are_canonical_one_step_hops() {
-        let space = quick_space();
-        let dy: &dyn GenomeSpace = &space;
-        let g = dy.genome_at(dy.len() / 2);
-        let hood = dy.neighbors(&g);
-        assert!(!hood.is_empty());
-        for n in &hood {
-            assert_ne!(n, &g);
-            assert_eq!(n, &dy.canonicalize(n.clone()), "neighbors are canonical");
-        }
-        let mut dedup = hood.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), hood.len(), "neighbors are deduplicated");
     }
 }

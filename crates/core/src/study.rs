@@ -79,7 +79,7 @@ pub fn easyport_space(hierarchy: &MemoryHierarchy, scale: StudyScale) -> ParamSp
 /// space widened along the general-pool axes (two placement levels × four
 /// growth chunks) — the paper's "tens of thousands" regime, scaled to
 /// keep an exhaustive reference affordable. One definition shared by the
-/// `search_convergence` and `island_scaling` benches and the
+/// `search_convergence` and `eval_scaling` benches and the
 /// differential-test oracle (`tests/diff_search.rs`), so the space those
 /// three compare against can never silently drift apart.
 pub fn convergence_space(hierarchy: &MemoryHierarchy) -> ParamSpace {

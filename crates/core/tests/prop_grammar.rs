@@ -100,9 +100,9 @@ proptest! {
         );
     }
 
-    /// The search operators are closed over the space: neighbors are
-    /// canonical, distinct, in-bounds; crossover + mutation products
-    /// canonicalize back into the space.
+    /// The search operators are closed over the space: canonical genomes
+    /// are in-bounds; crossover + mutation products canonicalize back
+    /// into the space.
     #[test]
     fn search_operators_stay_in_space(
         a in any_codons(),
@@ -120,17 +120,6 @@ proptest! {
             for (d, &codon) in g.iter().enumerate() {
                 prop_assert!(codon < lens[d], "canonical codon {d} out of axis bounds");
             }
-        }
-
-        // ±1 neighborhood: canonical, deduplicated, never the origin.
-        let hood = grammar.neighbors(&a);
-        let mut dedup = hood.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        prop_assert_eq!(dedup.len(), hood.len());
-        for n in &hood {
-            prop_assert_ne!(n, &a);
-            prop_assert_eq!(n.clone(), grammar.canonicalize(n.clone()));
         }
 
         // Uniform crossover of two in-space parents, then a one-axis

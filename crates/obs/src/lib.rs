@@ -70,10 +70,6 @@ pub mod names {
     pub const EVAL_JOB: &str = "eval.job";
     /// One genetic-search generation (arg: generation index).
     pub const GA_GENERATION: &str = "search.generation";
-    /// One island lockstep step (arg: generation index).
-    pub const ISLAND_STEP: &str = "island.step";
-    /// One migration barrier (arg: migrants installed).
-    pub const MIGRATION: &str = "island.migration";
     /// One kernel replay pass (arg: trace events).
     pub const KERNEL_REPLAY: &str = "kernel.replay";
     /// Cache hit marker (instant).
@@ -102,10 +98,6 @@ metrics! {
         pub eval_fresh: Counter = "eval.fresh",
         /// Simulation jobs executed by workers.
         pub eval_jobs: Counter = "eval.jobs",
-        /// Island migration barriers crossed.
-        pub migrations: Counter = "island.migrations",
-        /// Migrants installed into destination islands.
-        pub migrants_installed: Counter = "island.migrants",
         /// Kernel replay passes.
         pub kernel_replays: Counter = "kernel.replays",
         /// Logical trace events of kernel replays run to the end.
@@ -165,7 +157,7 @@ mod tests {
     #[test]
     fn catalog_snapshot_has_every_metric() {
         let snap = metrics().snapshot();
-        assert_eq!(snap.len(), 19);
+        assert_eq!(snap.len(), 17);
         assert_eq!(snap[0].name, "search.generations");
         assert!(snap.iter().any(|s| s.name == "kernel.replays"));
         assert!(snap.iter().any(|s| s.name == "fidelity.prefix.events"));
@@ -175,8 +167,8 @@ mod tests {
     fn catalog_counters_accumulate() {
         // Other tests share the static catalog, so assert on deltas of
         // a metric nothing else in this crate touches.
-        let before = metrics().migrants_installed.value();
-        metrics().migrants_installed.add(5);
-        assert_eq!(metrics().migrants_installed.value() - before, 5);
+        let before = metrics().fidelity_surrogate_hits.value();
+        metrics().fidelity_surrogate_hits.add(5);
+        assert_eq!(metrics().fidelity_surrogate_hits.value() - before, 5);
     }
 }

@@ -1,6 +1,6 @@
 //! Guided search: recover the Easyport Pareto front with a genetic
-//! algorithm and hill climbing, at a fraction of the exhaustive sweep's
-//! simulations.
+//! algorithm, at a fraction of the exhaustive sweep's simulations, and
+//! compare it with a random subsample of the same size.
 //!
 //! ```sh
 //! cargo run --release --example guided_search [-- --paper]
@@ -12,7 +12,7 @@
 //! Every strategy is deterministic in its seed — re-running reproduces
 //! the numbers exactly.
 
-use dmx_core::search::{GeneticSearch, HillClimbSearch, SubsampleSearch};
+use dmx_core::search::{GeneticSearch, SubsampleSearch};
 use dmx_core::study::{easyport_space, easyport_trace, StudyScale};
 use dmx_core::{front_coverage_pct, Explorer, Objective, SearchOutcome};
 use dmx_memhier::presets;
@@ -68,14 +68,6 @@ fn main() {
     };
     let ga_outcome = explorer.search(&ga, &space, &trace, &Objective::FIG1);
     describe(&ga_outcome, &full, space.len());
-
-    let hc = HillClimbSearch {
-        restarts: 8,
-        seed: 42,
-        ..HillClimbSearch::default()
-    };
-    let hc_outcome = explorer.search(&hc, &space, &trace, &Objective::FIG1);
-    describe(&hc_outcome, &full, space.len());
 
     let sample = SubsampleSearch {
         n: ga_outcome.evaluations,

@@ -12,7 +12,7 @@
 //! * [`trace`] — allocation traces and workload generators;
 //! * [`profile`] — profiling-record format and its fast parser;
 //! * [`core`] — parameter-space enumeration, exhaustive and guided
-//!   exploration (genetic / hill-climbing search with a memoized
+//!   exploration (genetic search and subsampling with a memoized
 //!   evaluation cache), Pareto filtering and reporting.
 //!
 //! For the end-to-end picture — how a trace flows through profiling,

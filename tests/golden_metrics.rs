@@ -730,113 +730,6 @@ fn golden_suite_covers_every_pool_kind() {
     }
 }
 
-/// Golden island-model run: a pinned-seed 2-island ring search must keep
-/// reproducing this exact merged front — labels, points, order and
-/// accounting. The island scheduler is free to change *how* it spreads
-/// work (worker counts, how the evaluation fan-out hands out jobs), but
-/// any change that reorders results, perturbs an RNG stream or
-/// double-counts a shared cache entry lands here. Captured from the initial island-model
-/// implementation (2 islands, ring topology, migrate every generation,
-/// population 10, 3 generations, seed 2006, quick Easyport fixture).
-#[test]
-fn island_run_reproduces_the_pinned_merged_front() {
-    use dmx_core::search::{IslandSearch, Migration};
-    use dmx_core::study::{easyport_space, easyport_trace, StudyScale};
-    use dmx_core::{Explorer, Objective};
-
-    const EXPECTED_FRONT: &[(&str, [u64; 2])] = &[
-        (
-            "fix28@L1+fix74@L1+gen(bf,lifo,co-im,sp-16,a8,c8192)@L1",
-            [80384, 269215],
-        ),
-        (
-            "fix28@L0+fix74@L0+gen(bf,lifo,co-im,sp-16,a8,c8192)@L1",
-            [80384, 269215],
-        ),
-        (
-            "fix28@L0+fix74@L0+gen(ff,lifo,co-im,sp-16,a8,c8192)@L1",
-            [88576, 241645],
-        ),
-        (
-            "fix28@L1+fix74@L1+fix1500@L1+gen(bf,lifo,co-no,sp-no,a8,c8192)@L1",
-            [603520, 236891],
-        ),
-        (
-            "fix28@L0+fix74@L0+fix1500@L1+gen(bf,lifo,co-no,sp-no,a8,c8192)@L1",
-            [603520, 236891],
-        ),
-        (
-            "fix28@L1+fix74@L1+fix1500@L1+gen(ff,addr,co-no,sp-no,a8,c8192)@L1",
-            [611712, 235223],
-        ),
-        (
-            "fix28@L0+fix74@L0+fix1500@L1+gen(ff,lifo,co-no,sp-no,a8,c8192)@L1",
-            [628096, 225291],
-        ),
-    ];
-
-    let hierarchy = dmx_memhier::presets::sp64k_dram4m();
-    let space = easyport_space(&hierarchy, StudyScale::Quick);
-    let trace = easyport_trace(StudyScale::Quick, 42);
-    let island = IslandSearch {
-        islands: 2,
-        migration: Migration::Ring,
-        migrate_every: 1,
-        migrants: 2,
-        population: 10,
-        generations: 3,
-        mutation: 0.2,
-        seed: 2006,
-    };
-    // Both extreme worker counts must reproduce the pinned run exactly.
-    for threads in [1usize, 8] {
-        let outcome = Explorer::new(&hierarchy).with_threads(threads).search(
-            &island,
-            &space,
-            &trace,
-            &Objective::FIG1,
-        );
-        let front: Vec<(&str, [u64; 2])> = outcome
-            .front
-            .indices
-            .iter()
-            .zip(&outcome.front.points)
-            .map(|(&i, p)| (outcome.exploration.results[i].label.as_str(), [p[0], p[1]]))
-            .collect();
-        assert_eq!(
-            front, EXPECTED_FRONT,
-            "threads={threads}: merged front drifted"
-        );
-        assert_eq!(outcome.evaluations, 33, "threads={threads}: evaluated set");
-        assert_eq!(
-            outcome.simulations, 33,
-            "threads={threads}: shared-cache sims"
-        );
-        assert_eq!(
-            outcome.cache_hits, 47,
-            "threads={threads}: planner accounting"
-        );
-        let stats: Vec<(usize, usize, usize, usize, usize)> = outcome
-            .islands
-            .iter()
-            .map(|s| {
-                (
-                    s.genomes,
-                    s.front.len(),
-                    s.migrants_sent,
-                    s.migrants_received,
-                    s.last_improved_generation,
-                )
-            })
-            .collect();
-        assert_eq!(
-            stats,
-            vec![(19, 4, 6, 1, 0), (22, 5, 6, 3, 1)],
-            "threads={threads}: per-island statistics drifted"
-        );
-    }
-}
-
 /// The pinned digest of one pre-refactor guided-search run.
 struct SearchGolden {
     strategy: &'static str,
@@ -889,64 +782,6 @@ const SEARCH_GOLDENS: &[SearchGolden] = &[
         ],
     },
     SearchGolden {
-        strategy: "hillclimb",
-        counts: (57, 57, 41),
-        genomes_debug_fnv: 0x8e9a079b57d958ee,
-        records_fnv: 0xc91569904c7dfa37,
-        front: &[
-            (
-                "fix28@L1+fix74@L1+gen(ff,addr,co-im,sp-16,a8,c8192)@L1",
-                72192,
-                285637,
-            ),
-            (
-                "fix28@L1+fix74@L1+gen(bf,lifo,co-im,sp-16,a8,c8192)@L1",
-                80384,
-                269215,
-            ),
-            (
-                "fix28@L0+fix74@L0+gen(bf,lifo,co-im,sp-16,a8,c8192)@L1",
-                80384,
-                269215,
-            ),
-            (
-                "fix28@L1+fix74@L1+gen(ff,lifo,co-im,sp-16,a8,c8192)@L1",
-                88576,
-                241645,
-            ),
-            (
-                "fix28@L0+fix74@L0+gen(ff,lifo,co-im,sp-16,a8,c8192)@L1",
-                88576,
-                241645,
-            ),
-            (
-                "fix28@L1+fix74@L1+fix1500@L1+gen(ff,lifo,co-im,sp-16,a8,c8192)@L1",
-                103808,
-                236472,
-            ),
-            (
-                "fix28@L0+fix74@L0+fix1500@L1+gen(ff,lifo,co-im,sp-16,a8,c8192)@L1",
-                103808,
-                236472,
-            ),
-            (
-                "fix28@L0+fix74@L0+fix1500@L1+gen(ff,addr,co-no,sp-no,a8,c8192)@L1",
-                611712,
-                235223,
-            ),
-            (
-                "fix28@L1+fix74@L1+fix1500@L1+gen(ff,lifo,co-no,sp-no,a8,c8192)@L1",
-                628096,
-                225291,
-            ),
-            (
-                "fix28@L0+fix74@L0+fix1500@L1+gen(ff,lifo,co-no,sp-no,a8,c8192)@L1",
-                628096,
-                225291,
-            ),
-        ],
-    },
-    SearchGolden {
         strategy: "sample",
         counts: (11, 11, 0),
         genomes_debug_fnv: 0x03743059cb4f97e3,
@@ -962,49 +797,6 @@ const SEARCH_GOLDENS: &[SearchGolden] = &[
                 "fix28@L1+fix74@L1+gen(ff,lifo,co-no,sp-no,a8,c8192)@L1",
                 645632,
                 226162,
-            ),
-        ],
-    },
-    SearchGolden {
-        strategy: "island",
-        counts: (33, 33, 47),
-        genomes_debug_fnv: 0xef7ac9522406e7f4,
-        records_fnv: 0x083f5e64eb9977d8,
-        front: &[
-            (
-                "fix28@L1+fix74@L1+gen(bf,lifo,co-im,sp-16,a8,c8192)@L1",
-                80384,
-                269215,
-            ),
-            (
-                "fix28@L0+fix74@L0+gen(bf,lifo,co-im,sp-16,a8,c8192)@L1",
-                80384,
-                269215,
-            ),
-            (
-                "fix28@L0+fix74@L0+gen(ff,lifo,co-im,sp-16,a8,c8192)@L1",
-                88576,
-                241645,
-            ),
-            (
-                "fix28@L1+fix74@L1+fix1500@L1+gen(bf,lifo,co-no,sp-no,a8,c8192)@L1",
-                603520,
-                236891,
-            ),
-            (
-                "fix28@L0+fix74@L0+fix1500@L1+gen(bf,lifo,co-no,sp-no,a8,c8192)@L1",
-                603520,
-                236891,
-            ),
-            (
-                "fix28@L1+fix74@L1+fix1500@L1+gen(ff,addr,co-no,sp-no,a8,c8192)@L1",
-                611712,
-                235223,
-            ),
-            (
-                "fix28@L0+fix74@L0+fix1500@L1+gen(ff,lifo,co-no,sp-no,a8,c8192)@L1",
-                628096,
-                225291,
             ),
         ],
     },
@@ -1050,9 +842,7 @@ fn front_json(front: &[(&str, u64, u64)]) -> String {
 #[test]
 fn search_strategies_reproduce_pre_refactor_outcomes() {
     use dmx_core::export::{pareto_to_json, search_to_json};
-    use dmx_core::search::{
-        GeneticSearch, HillClimbSearch, IslandSearch, Migration, SearchStrategy, SubsampleSearch,
-    };
+    use dmx_core::search::{GeneticSearch, SearchStrategy, SubsampleSearch};
     use dmx_core::study::{easyport_space, easyport_trace, StudyScale};
     use dmx_core::{Explorer, Objective};
     use dmx_profile::records_to_string;
@@ -1069,22 +859,7 @@ fn search_strategies_reproduce_pre_refactor_outcomes() {
                 mutation: 0.2,
                 seed: 2006,
             }),
-            "hillclimb" => Box::new(HillClimbSearch {
-                restarts: 3,
-                max_steps: 16,
-                seed: 2006,
-            }),
             "sample" => Box::new(SubsampleSearch { n: 11, seed: 2006 }),
-            "island" => Box::new(IslandSearch {
-                islands: 2,
-                migration: Migration::Ring,
-                migrate_every: 1,
-                migrants: 2,
-                population: 10,
-                generations: 3,
-                mutation: 0.2,
-                seed: 2006,
-            }),
             other => panic!("unknown golden strategy `{other}`"),
         };
         for threads in [1usize, 8] {

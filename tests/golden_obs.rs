@@ -16,9 +16,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use dmx_core::export::{robust_to_json, search_to_json};
 use dmx_core::scenario::{Aggregate, MultiScenarioEvaluator, ScenarioSuite};
-use dmx_core::search::{
-    GeneticSearch, HillClimbSearch, IslandSearch, Migration, SearchStrategy, SubsampleSearch,
-};
+use dmx_core::search::{GeneticSearch, SearchStrategy, SubsampleSearch};
 use dmx_core::study::{easyport_space, easyport_trace, StudyScale};
 use dmx_core::{Explorer, Objective};
 
@@ -38,28 +36,7 @@ fn strategies() -> Vec<(&'static str, Box<dyn SearchStrategy>)> {
                 seed: 2006,
             }) as Box<dyn SearchStrategy>,
         ),
-        (
-            "hillclimb",
-            Box::new(HillClimbSearch {
-                restarts: 3,
-                max_steps: 16,
-                seed: 2006,
-            }),
-        ),
         ("sample", Box::new(SubsampleSearch { n: 11, seed: 2006 })),
-        (
-            "island",
-            Box::new(IslandSearch {
-                islands: 2,
-                migration: Migration::Ring,
-                migrate_every: 1,
-                migrants: 2,
-                population: 10,
-                generations: 3,
-                mutation: 0.2,
-                seed: 2006,
-            }),
-        ),
     ]
 }
 
@@ -105,7 +82,7 @@ fn search_export_is_byte_identical_with_recording_on_vs_off() {
                 .iter()
                 .find(|s| s.name == "search.generations")
                 .expect("catalog metric");
-            if name != "sample" && name != "hillclimb" {
+            if name != "sample" {
                 assert!(
                     matches!(generations.value, dmx_obs::MetricValue::Counter(n) if n > 0),
                     "{name} (threads={threads}): generation counter never moved"
@@ -121,8 +98,8 @@ fn search_export_is_byte_identical_with_recording_on_vs_off() {
 }
 
 /// Same guarantee over the scenario layer: a robust exploration's
-/// export (robust front, per-scenario fronts, commonality report,
-/// per-island stats) is untouched by recording.
+/// export (robust front, per-scenario fronts, commonality report) is
+/// untouched by recording.
 #[test]
 fn robust_export_is_byte_identical_with_recording_on_vs_off() {
     let _gate = gate();

@@ -8,8 +8,7 @@ use std::collections::HashSet;
 use proptest::prelude::*;
 
 use dmx_core::search::{
-    EvalInstance, Evaluator, GeneticSearch, HillClimbSearch, IslandSearch, SearchContext,
-    SearchStrategy, SubsampleSearch,
+    EvalInstance, Evaluator, GeneticSearch, SearchContext, SearchStrategy, SubsampleSearch,
 };
 use dmx_core::study::{easyport_space, easyport_trace, StudyScale};
 use dmx_core::{Explorer, GenomeSpace, GrammarSpace, Objective, ParamSpace, SearchOutcome};
@@ -39,20 +38,7 @@ fn strategies(seed: u64) -> Vec<Box<dyn SearchStrategy>> {
             seed,
             ..GeneticSearch::default()
         }),
-        Box::new(HillClimbSearch {
-            restarts: 3,
-            max_steps: 16,
-            seed,
-        }),
         Box::new(SubsampleSearch { n: 11, seed }),
-        Box::new(IslandSearch {
-            islands: 2,
-            population: 6,
-            generations: 3,
-            migrate_every: 1,
-            seed,
-            ..IslandSearch::default()
-        }),
     ]
 }
 
@@ -76,7 +62,7 @@ fn genetic_with_threads(seed: u64, threads: usize) -> SearchOutcome {
 
 proptest! {
     // 4 cases keeps this suite from dominating the tier-1 wall clock; the
-    // only thing the cases vary is the seed, and 4 seeds × 3 strategies
+    // only thing the cases vary is the seed, and 4 seeds × 2 strategies
     // already exercise every code path.
     #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
 
@@ -241,6 +227,21 @@ proptest! {
         prop_assert_eq!(a.sim_stats.events, b.sim_stats.events);
         prop_assert_eq!(a.sim_stats.runs, b.sim_stats.runs);
         prop_assert_eq!(a.sim_stats.runs, a.simulations as u64, "one run per simulation");
+    }
+
+    /// One evaluator never simulates a genome twice: however often the
+    /// GA's populations revisit a genome (carried elites, repeated
+    /// offspring), simulations equal distinct genomes evaluated, and the
+    /// kernel ran once per distinct genome.
+    #[test]
+    fn genetic_search_simulates_each_distinct_genome_once(seed in 0u64..1000) {
+        let outcome = genetic_with_threads(seed, 4);
+        prop_assert!(outcome.cache_hits > 0, "the GA revisits genomes");
+        prop_assert_eq!(outcome.simulations, outcome.evaluations);
+        prop_assert_eq!(outcome.exploration.results.len(), outcome.evaluations);
+        let distinct: HashSet<&Vec<usize>> = outcome.genomes.iter().collect();
+        prop_assert_eq!(distinct.len(), outcome.evaluations);
+        prop_assert_eq!(outcome.sim_stats.runs as usize, outcome.evaluations);
     }
 }
 
