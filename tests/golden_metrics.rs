@@ -975,8 +975,8 @@ fn multi_fidelity_and_robust_exports_reproduce_pinned_digests() {
     use dmx_core::study::{easyport_space, easyport_trace, StudyScale};
     use dmx_core::{Explorer, FidelityPlan, Objective};
 
-    const FIDELITY_JSON_FNV: u64 = 0xd976_82a1_346c_3f7c;
-    const ROBUST_JSON_FNV: u64 = 0x3241_37f5_57b4_05d5;
+    const FIDELITY_JSON_FNV: u64 = 0x111d_0bd9_2dc8_7c44;
+    const ROBUST_JSON_FNV: u64 = 0xa10e_d250_3d62_fabd;
 
     let strategy = GeneticSearch {
         population: 10,
