@@ -1520,13 +1520,18 @@ mod tests {
         assert_eq!(ga(0).validate(), Err(StrategyError::PopulationTooSmall(0)));
         assert_eq!(ga(1).validate(), Err(StrategyError::PopulationTooSmall(1)));
         assert_eq!(ga(2).validate(), Ok(()));
+    }
+
+    /// Out-of-range genetic parameters are refused twice: by `validate`,
+    /// which the CLI calls first, and by `search` itself at its input
+    /// barrier.
+    #[test]
+    fn out_of_range_genetic_parameters_fail_at_the_input_barrier() {
         let wild = GeneticSearch {
             mutation: 1.5,
             ..GeneticSearch::default()
         };
         assert_eq!(wild.validate(), Err(StrategyError::MutationOutOfRange(1.5)));
-
-        // `search` refuses the same parameters at its input barrier.
         let hier = presets::sp64k_dram4m();
         let space = easyport_space(&hier, StudyScale::Quick);
         let trace = easyport_trace(StudyScale::Quick, 42);
