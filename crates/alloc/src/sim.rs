@@ -25,7 +25,7 @@
 
 use std::collections::HashMap;
 
-use dmx_memhier::{CostModel, CostParams, CounterSet, MemoryHierarchy, MemoryLevel};
+use dmx_memhier::{CostModel, CounterSet, MemoryHierarchy, MemoryLevel, CPU_CYCLES_PER_OP};
 use dmx_trace::{BlockId, CompiledTrace, OpSizeIndex, Trace, TraceEvent};
 
 use crate::block::BlockInfo;
@@ -70,7 +70,7 @@ pub struct SimMetrics {
     /// the pool-op stream.
     pub contention_stalls: u64,
     /// Tail-latency proxy: the p99 of per-op charged cycles
-    /// (`cpu_cycles_per_op + stall`). 0 for single-threaded traces,
+    /// (`CPU_CYCLES_PER_OP + stall`). 0 for single-threaded traces,
     /// where no per-op stalls are observed.
     pub tail_latency: u64,
 }
@@ -226,7 +226,7 @@ impl ContentionState {
     /// distinct-count histogram: the charge is monotone in `d`, so the
     /// p99 op is the one at the `ceil(0.99 n)`-th position when ops are
     /// ordered by `d`.
-    fn tail_latency(&self, cpu_cycles_per_op: u64) -> u64 {
+    fn tail_latency(&self) -> u64 {
         let n: u64 = self.dist.iter().sum();
         if n == 0 {
             return 0;
@@ -241,7 +241,7 @@ impl ContentionState {
                 break;
             }
         }
-        cpu_cycles_per_op + u64::from(self.params.stall_cycles) * d99 as u64
+        CPU_CYCLES_PER_OP + u64::from(self.params.stall_cycles) * d99 as u64
     }
 }
 
@@ -463,7 +463,7 @@ impl ReplayState<'_> {
     /// So accesses get `+ R + W + M`, booked on the fastest level's
     /// counters (a bound's per-level split is not a placement); cycles
     /// get `+ R·min read latency + W·min write latency + M·min access
-    /// latency + N·cpu_cycles_per_op`; and dynamic energy gets `+ R·min
+    /// latency + N·CPU_CYCLES_PER_OP`; and dynamic energy gets `+ R·min
     /// read energy + W·min write energy + M·min access energy`, with
     /// static energy recomputed over the bounded cycles. Every minimum is
     /// taken per figure over all levels, since a hierarchy's first level
@@ -514,7 +514,7 @@ impl ReplayState<'_> {
         let cycles = reads * read_latency
             + writes * write_latency
             + meta * read_latency.min(write_latency)
-            + ops * cost.params().cpu_cycles_per_op;
+            + ops * CPU_CYCLES_PER_OP;
         let energy_pj = reads * read_pj + writes * write_pj + meta * read_pj.min(write_pj);
 
         let mut bound = self.snapshot();
@@ -812,10 +812,9 @@ impl<'h> Simulator<'h> {
         tallies: &OpTallies,
         contention: Option<&ContentionState>,
     ) -> SimMetrics {
-        let params = CostParams::default();
-        let cost = CostModel::with_params(self.hierarchy, params);
+        let cost = CostModel::new(self.hierarchy);
         let (contention_stalls, tail_latency) = match contention {
-            Some(c) => (c.stalls(), c.tail_latency(params.cpu_cycles_per_op)),
+            Some(c) => (c.stalls(), c.tail_latency()),
             None => (0, 0),
         };
         let cycles =
@@ -1202,7 +1201,7 @@ mod tests {
             m.contention_stalls > 0,
             "two threads sharing one pool must stall"
         );
-        assert!(m.tail_latency > CostParams::default().cpu_cycles_per_op);
+        assert!(m.tail_latency > CPU_CYCLES_PER_OP);
         assert_eq!(quiet.contention_stalls, 0, "window 0 disables the model");
         assert_eq!(
             m.cycles,
@@ -1398,11 +1397,19 @@ mod tests {
         };
         let mut c = ContentionState::new(params, 1, 2);
         c.dist = vec![99, 1];
-        assert_eq!(c.tail_latency(12), 12, "p99 op saw 0 others at 99/100");
+        assert_eq!(
+            c.tail_latency(),
+            CPU_CYCLES_PER_OP,
+            "p99 op saw 0 others at 99/100"
+        );
         c.dist = vec![98, 2];
-        assert_eq!(c.tail_latency(12), 12 + 40, "p99 op saw 1 other");
+        assert_eq!(
+            c.tail_latency(),
+            CPU_CYCLES_PER_OP + 40,
+            "p99 op saw 1 other"
+        );
         c.dist = vec![];
-        assert_eq!(c.tail_latency(12), 0, "no ops observed");
+        assert_eq!(c.tail_latency(), 0, "no ops observed");
     }
 
     /// Every metric a snapshot bounds: all but the p99 tail latency.

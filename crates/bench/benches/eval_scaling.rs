@@ -54,7 +54,6 @@ fn bench_eval_scaling(c: &mut Criterion) {
         population: 64,
         generations: 20,
         seed: 42,
-        ..GeneticSearch::default()
     };
     let run = |threads: usize| {
         Explorer::new(&hierarchy).with_threads(threads).search(
@@ -163,7 +162,6 @@ fn bench_eval_scaling(c: &mut Criterion) {
         population: 16,
         generations: 4,
         seed: 42,
-        ..GeneticSearch::default()
     };
     let explorer = Explorer::new(&hierarchy);
     c.bench_function("eval_scaling/quick_ga_run", |b| {

@@ -31,7 +31,6 @@ fn bench_scenario_robustness(c: &mut Criterion) {
         population: 24,
         generations: 8,
         seed: 42,
-        ..GeneticSearch::default()
     };
     let evaluator = MultiScenarioEvaluator::new(&suite)
         .with_aggregate(Aggregate::WorstCase)
@@ -105,7 +104,6 @@ fn bench_scenario_robustness(c: &mut Criterion) {
         population: 16,
         generations: 4,
         seed: 42,
-        ..GeneticSearch::default()
     };
     let server_robust = server_eval.run(&server_ga);
     println!(
@@ -180,7 +178,6 @@ fn bench_scenario_robustness(c: &mut Criterion) {
         population: 12,
         generations: 4,
         seed: 42,
-        ..GeneticSearch::default()
     };
     c.bench_function("scenario_robustness/quick_robust_ga_run", |b| {
         b.iter(|| quick_eval.run(std::hint::black_box(&quick_ga)))

@@ -249,7 +249,6 @@ fn bench_search_convergence(c: &mut Criterion) {
         population: 64,
         generations: 20,
         seed: 42,
-        ..GeneticSearch::default()
     };
     let ga_outcome = explorer.search(&ga, &space, &trace, &Objective::FIG1);
     let ga_hv = report_row("genetic", &ga_outcome, space.len(), &full);
@@ -326,7 +325,6 @@ fn bench_search_convergence(c: &mut Criterion) {
         population: 16,
         generations: 6,
         seed: 42,
-        ..GeneticSearch::default()
     };
     c.bench_function("search_convergence/quick_genetic_run", |b| {
         b.iter(|| {

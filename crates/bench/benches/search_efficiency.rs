@@ -45,7 +45,6 @@ fn bench_search_efficiency(c: &mut Criterion) {
         population: 64,
         generations: 20,
         seed: 42,
-        ..GeneticSearch::default()
     };
 
     // All-full-fidelity baseline: every fresh genome pays a full replay.
@@ -55,7 +54,7 @@ fn bench_search_efficiency(c: &mut Criterion) {
     // The same GA behind the successive-halving screen + k-NN surrogate.
     let plan = FidelityPlan::halving();
     let mf = explorer
-        .with_fidelity(&plan)
+        .with_fidelity(plan)
         .search(&ga, &space, &trace, &Objective::FIG1);
     let stats = mf.fidelity.clone().expect("fidelity plan was active");
     let mf_front = front_2d(&mf.front.points);
@@ -93,7 +92,7 @@ fn bench_search_efficiency(c: &mut Criterion) {
     let at = |threads: usize| {
         Explorer::new(&hierarchy)
             .with_threads(threads)
-            .with_fidelity(&plan)
+            .with_fidelity(plan)
             .search(&ga, &space, &trace, &Objective::FIG1)
     };
     let one = at(1);
@@ -152,11 +151,10 @@ fn bench_search_efficiency(c: &mut Criterion) {
         population: 16,
         generations: 6,
         seed: 42,
-        ..GeneticSearch::default()
     };
     c.bench_function("search_efficiency/quick_screened_run", |b| {
         b.iter(|| {
-            explorer.with_fidelity(&plan).search(
+            explorer.with_fidelity(plan).search(
                 std::hint::black_box(&quick_ga),
                 std::hint::black_box(&quick),
                 std::hint::black_box(&trace),

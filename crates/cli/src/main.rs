@@ -1,7 +1,8 @@
 //! `dmx` — command-line front-end for the exploration tool.
 //!
 //! Subcommands mirror the paper's tool flow (Figure 1); [`USAGE`] lists
-//! each one with every flag it accepts. A flag a subcommand does not read,
+//! each one with every flag it accepts. A flag a subcommand does not read
+//! (or that the chosen `--strategy` or `--fidelity` mode does not read),
 //! or a value flag without its value, is an error (exit 1), never skipped.
 //!
 //! `explore` defaults to the exhaustive sweep; `--strategy
@@ -37,7 +38,7 @@ use dmx_core::export::{gnuplot_script, robust_to_json, search_to_json, to_csv};
 use dmx_core::{
     range_factor, Aggregate, ExhaustiveSearch, Explorer, FidelityPlan, GeneticSearch, GenomeSpace,
     GrammarSpace, MultiScenarioEvaluator, Objective, ParamSpace, ScenarioSuite, SearchOutcome,
-    SearchStrategy, StudySummary, SubsampleSearch, SurrogateKind,
+    SearchStrategy, StudySummary, SubsampleSearch,
 };
 use dmx_memhier::presets;
 use dmx_profile::{parse_records, records_to_string, ProfileRecord};
@@ -90,15 +91,14 @@ const USAGE: &str = "usage:
 where
   STRATEGY = [--strategy exhaustive|sample|genetic]
              [--sample-n N] [--generations N] [--population N]
-  FIDELITY = [--fidelity off|halving] [--rungs 0.2,0.5,1.0] [--keep 0.4]
-             [--surrogate knn|off] [--knn-k K]
+  FIDELITY = [--fidelity off|halving] [--surrogate knn|off]
   OBS      = [--obs-trace FILE] [--obs-metrics FILE] [--progress]";
 
 /// The flags `build_strategy` reads.
 const STRATEGY_FLAGS: &[&str] = &["--strategy", "--sample-n", "--generations", "--population"];
 
 /// The flags `build_fidelity` reads.
-const FIDELITY_FLAGS: &[&str] = &["--fidelity", "--rungs", "--keep", "--surrogate", "--knn-k"];
+const FIDELITY_FLAGS: &[&str] = &["--fidelity", "--surrogate"];
 
 /// The value flags both explore modes read besides their input.
 const EXPLORE_FLAGS: &[&str] = &[
@@ -216,6 +216,15 @@ impl<'a> Args<'a> {
         self.switches.contains(&switch)
     }
 
+    /// Fails naming the first of `flags` that was given: flags that
+    /// `mode`, the mode the command line chose, does not read.
+    fn reject(&self, flags: &[&str], mode: &str) -> Result<(), String> {
+        match flags.iter().find(|&&flag| self.opt(flag).is_some()) {
+            Some(flag) => Err(format!("flag `{flag}` is not read by `{mode}`")),
+            None => Ok(()),
+        }
+    }
+
     /// Parses `flag`'s value, or returns `default` when it is absent.
     fn parse_or<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, String> {
         self.opt(flag).map_or(Ok(default), |v| {
@@ -331,19 +340,25 @@ fn build_strategy(
     seed: u64,
     space_len: usize,
 ) -> Result<Box<dyn SearchStrategy>, String> {
-    let strategy_name = args.opt("--strategy").unwrap_or("exhaustive");
-    Ok(match strategy_name {
-        "exhaustive" => Box::new(ExhaustiveSearch),
-        "sample" => Box::new(SubsampleSearch {
-            n: args.parse_or("--sample-n", space_len.div_ceil(4))?,
-            seed,
-        }),
+    Ok(match args.opt("--strategy").unwrap_or("exhaustive") {
+        "exhaustive" => {
+            let unread = ["--sample-n", "--generations", "--population"];
+            args.reject(&unread, "--strategy exhaustive")?;
+            Box::new(ExhaustiveSearch)
+        }
+        "sample" => {
+            args.reject(&["--generations", "--population"], "--strategy sample")?;
+            Box::new(SubsampleSearch {
+                n: args.parse_or("--sample-n", space_len.div_ceil(4))?,
+                seed,
+            })
+        }
         "genetic" => {
+            args.reject(&["--sample-n"], "--strategy genetic")?;
             let ga = GeneticSearch {
                 population: args.parse_or("--population", 32)?,
                 generations: args.parse_or("--generations", 16)?,
                 seed,
-                ..GeneticSearch::default()
             };
             ga.validate().map_err(|e| e.to_string())?;
             Box::new(ga)
@@ -509,39 +524,27 @@ fn build_space(args: &Args, odometer: ParamSpace) -> Result<Arc<dyn GenomeSpace>
     }
 }
 
-/// Builds the multi-fidelity plan from `--fidelity off|halving` plus the
-/// optional `--rungs`/`--keep`/`--surrogate`/`--knn-k` overrides.
-/// `None` (the default) means full-fidelity evaluation.
+/// Builds the multi-fidelity plan from `--fidelity off|halving` and,
+/// under `halving`, `--surrogate knn|off`. `None` (the default) means
+/// full-fidelity evaluation.
 fn build_fidelity(args: &Args) -> Result<Option<FidelityPlan>, String> {
-    let mut plan = match args.opt("--fidelity").unwrap_or("off") {
-        "off" => return Ok(None),
-        "halving" => FidelityPlan::halving(),
-        other => {
-            return Err(format!(
-                "unknown fidelity mode `{other}` (expected off or halving)"
-            ))
+    match args.opt("--fidelity").unwrap_or("off") {
+        "off" => {
+            args.reject(&["--surrogate"], "--fidelity off")?;
+            Ok(None)
         }
-    };
-    if let Some(list) = args.opt("--rungs") {
-        plan.rungs = list
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse::<f64>()
-                    .map_err(|_| format!("bad rung `{s}`"))
-            })
-            .collect::<Result<_, _>>()?;
+        "halving" => {
+            let surrogate = match args.opt("--surrogate").unwrap_or("knn") {
+                "knn" => true,
+                "off" => false,
+                other => return Err(format!("unknown surrogate `{other}` (expected knn or off)")),
+            };
+            Ok(Some(FidelityPlan { surrogate }))
+        }
+        other => Err(format!(
+            "unknown fidelity mode `{other}` (expected off or halving)"
+        )),
     }
-    plan.keep = args.parse_or("--keep", plan.keep)?;
-    plan.surrogate = match args.opt("--surrogate").unwrap_or("knn") {
-        "off" => SurrogateKind::Off,
-        "knn" => SurrogateKind::Knn {
-            k: args.parse_or("--knn-k", 8)?,
-        },
-        other => return Err(format!("unknown surrogate `{other}` (expected knn or off)")),
-    };
-    plan.validate()?;
-    Ok(Some(plan))
 }
 
 /// Prints what a search did, the same way for every explore mode. On
@@ -619,7 +622,7 @@ fn explore(args: &Args) -> Result<(), String> {
     );
     let obs = ObsSession::start(args, 1);
     let mut explorer = Explorer::new(&hier);
-    if let Some(plan) = &fidelity {
+    if let Some(plan) = fidelity {
         explorer = explorer.with_fidelity(plan);
     }
     // The default sweep lists every configuration with exact metrics: the

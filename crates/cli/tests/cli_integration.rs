@@ -743,6 +743,9 @@ fn unknown_flags_exit_1_naming_the_flag() {
         "--migration",
         "--migrate-every",
         "--migrants",
+        "--rungs",
+        "--keep",
+        "--knn-k",
     ] {
         gone.push((
             vec!["--strategy", "genetic", flag, "2"],
@@ -765,6 +768,66 @@ fn unknown_flags_exit_1_naming_the_flag() {
         "explored despite a bad command line"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs `dmx explore` on a 300-event trace with `flags` appended and
+/// checks that it exits 1 naming `flag`, without exploring.
+fn assert_explore_rejects_flag(name: &str, flags: &[&str], flag: &str) {
+    use dmx_trace::gen::{SyntheticConfig, TraceGenerator};
+    use dmx_trace::textfmt;
+
+    let dir = tmpdir(name);
+    let trace_text = textfmt::to_string(&SyntheticConfig::uniform_churn(300).generate(3));
+    std::fs::write(dir.join("t.trace"), trace_text).unwrap();
+    let explore = ["explore", "--trace", "t.trace", "--out-records", "t.prof"];
+    assert_rejects_flag(&dir, &[&explore[..], flags].concat(), flag);
+    assert!(
+        !dir.join("t.prof").exists(),
+        "explored despite {flag} under {flags:?}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn surrogate_without_halving_exits_1_naming_the_flag() {
+    let sample = ["--strategy", "sample", "--sample-n", "8"];
+    assert_explore_rejects_flag(
+        "surrogate-off",
+        &[&sample[..], &["--surrogate", "off"]].concat(),
+        "--surrogate",
+    );
+    assert_explore_rejects_flag(
+        "surrogate-fidelity-off",
+        &[&sample[..], &["--fidelity", "off", "--surrogate", "knn"]].concat(),
+        "--surrogate",
+    );
+}
+
+#[test]
+fn genetic_flags_under_another_strategy_exit_1_naming_the_flag() {
+    for strategy in ["sample", "exhaustive"] {
+        for flag in ["--population", "--generations"] {
+            assert_explore_rejects_flag(
+                &format!("ga-flag-{strategy}{flag}"),
+                &["--strategy", strategy, flag, "4"],
+                flag,
+            );
+        }
+    }
+    // Without `--strategy` the sweep is exhaustive, and reads neither.
+    assert_explore_rejects_flag("ga-flag-default", &["--generations", "x"], "--generations");
+}
+
+#[test]
+fn sample_n_under_another_strategy_exits_1_naming_the_flag() {
+    for strategy in ["genetic", "exhaustive"] {
+        assert_explore_rejects_flag(
+            &format!("sample-n-{strategy}"),
+            &["--strategy", strategy, "--sample-n", "8"],
+            "--sample-n",
+        );
+    }
+    assert_explore_rejects_flag("sample-n-default", &["--sample-n", "8"], "--sample-n");
 }
 
 #[test]
@@ -918,20 +981,12 @@ fn edge_case_flags_exit_0_or_1_never_panic() {
     let trace_text = textfmt::to_string(&SyntheticConfig::uniform_churn(300).generate(3));
     std::fs::write(&trace, trace_text).unwrap();
     let sample = ["--strategy", "sample", "--sample-n", "4"];
-    let halving = [
-        "--strategy",
-        "sample",
-        "--sample-n",
-        "4",
-        "--fidelity",
-        "halving",
-    ];
     for flags in [
-        [&halving[..], &["--keep", "NaN"]].concat(),
-        [&halving[..], &["--rungs", ""]].concat(),
-        [&halving[..], &["--rungs", "0.5,nan,1"]].concat(),
-        [&halving[..], &["--rungs", "1e-300,1"]].concat(),
-        [&halving[..], &["--knn-k", "0"]].concat(),
+        [
+            &sample[..],
+            &["--fidelity", "halving", "--surrogate", "nan"],
+        ]
+        .concat(),
         vec!["--strategy", "sample", "--sample-n", "0"],
         vec!["--strategy", "sample", "--sample-n", "99999999999999999999"],
         [&sample[..], &["--objectives", ","]].concat(),
@@ -969,15 +1024,8 @@ fn edge_case_flags_exit_0_or_1_never_panic() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The numeric and list flags the generated edge test feeds.
-const EDGE_FLAGS: [&str; 6] = [
-    "--population",
-    "--generations",
-    "--sample-n",
-    "--keep",
-    "--knn-k",
-    "--rungs",
-];
+/// The numeric flags the generated edge test feeds.
+const EDGE_FLAGS: [&str; 3] = ["--population", "--generations", "--sample-n"];
 
 /// Values at and past the edge of every flag's type (the third is 2^64,
 /// one past `u64::MAX`).
@@ -998,7 +1046,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     /// Generated mixes of edge values on the numeric flags, under every
-    /// strategy that reads them, exit 0 or 1 and never panic.
+    /// strategy that reads them (and one that does not), exit 0 or 1 and
+    /// never panic.
     #[test]
     fn generated_edge_flags_exit_0_or_1_never_panic(
         strategy in 0usize..2,
@@ -1025,8 +1074,8 @@ proptest! {
             cmd.args(["--fidelity", "halving"]);
         }
         // A repeated flag is an error, so each flag is given once: the
-        // first pick of it, else the small default that keeps valid runs
-        // short.
+        // first pick of it, else (for the flags the strategy reads) the
+        // small default that keeps valid runs short.
         let mut picked: Vec<&str> = Vec::new();
         for &(flag, value) in &picks {
             if !picked.contains(&EDGE_FLAGS[flag]) {
@@ -1034,12 +1083,11 @@ proptest! {
                 cmd.args([EDGE_FLAGS[flag], EDGE_VALUES[value]]);
             }
         }
-        let defaults = [
-            ("--population", "4"),
-            ("--generations", "1"),
-            ("--sample-n", "4"),
-        ];
-        for (flag, value) in defaults {
+        let defaults: &[(&str, &str)] = [
+            &[("--population", "4"), ("--generations", "1")][..],
+            &[("--sample-n", "4")],
+        ][strategy];
+        for &(flag, value) in defaults {
             if !picked.contains(&flag) {
                 cmd.args([flag, value]);
             }

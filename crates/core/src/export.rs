@@ -560,10 +560,7 @@ mod tests {
             "off stays pre-PR shaped"
         );
 
-        let plan = crate::FidelityPlan {
-            surrogate: crate::SurrogateKind::Off,
-            ..crate::FidelityPlan::halving()
-        };
+        let plan = crate::FidelityPlan { surrogate: false };
         let on = crate::MultiScenarioEvaluator::new(&suite)
             .with_threads(4)
             .with_fidelity(plan)

@@ -82,6 +82,5 @@ pub use scenario::{
 pub use search::{
     thread_budget, ExhaustiveSearch, FidelityPlan, FidelityStats, GeneticSearch, PrunedConfig,
     RungStats, SearchOutcome, SearchStrategy, SimStats, StrategyError, SubsampleSearch,
-    SurrogateKind,
 };
 pub use space::{GenomeSpace, GrammarSpace};

@@ -110,7 +110,7 @@ pub struct Explorer<'h> {
     threads: usize,
     /// Multi-fidelity screening schedule for guided searches; `None`
     /// (the default) evaluates everything at full fidelity.
-    fidelity: Option<&'h FidelityPlan>,
+    fidelity: Option<FidelityPlan>,
 }
 
 impl<'h> Explorer<'h> {
@@ -139,15 +139,8 @@ impl<'h> Explorer<'h> {
     /// Switches guided [`Explorer::search`] runs to multi-fidelity
     /// screening under `plan` (see [`crate::search`]'s fidelity module):
     /// fresh genomes are ranked on cheap trace prefixes and only the
-    /// plan's keep-fraction reaches the full simulator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan fails [`FidelityPlan::validate`].
-    pub fn with_fidelity(mut self, plan: &'h FidelityPlan) -> Self {
-        if let Err(err) = plan.validate() {
-            panic!("invalid fidelity plan: {err}");
-        }
+    /// best of them reach the full simulator.
+    pub fn with_fidelity(mut self, plan: FidelityPlan) -> Self {
         self.fidelity = Some(plan);
         self
     }

@@ -90,22 +90,30 @@ pub fn hypervolume_2d(points: &[(u64, u64)], reference: (u64, u64)) -> u128 {
 
 /// How much of the reference front's dominated area a candidate front
 /// recovers, in percent: `hypervolume(front) / hypervolume(full) × 100`,
-/// both measured against the same reference point (component-wise max
-/// over both sets, plus one). This is the "front coverage" number the
+/// both measured against one reference point taken from `full` alone
+/// (its component-wise max, plus one). Front points outside that box
+/// dominate none of it and are dropped, so the reference is fixed per
+/// reference front and adding a point to `front` never lowers its
+/// coverage. This is the "front coverage" number the
 /// `search_convergence` bench and the guided-search example report.
 ///
-/// Returns 100.0 when the reference front has zero volume (e.g. a single
-/// point — nothing to recover).
+/// Returns 100.0 when the reference front has zero volume (it is empty:
+/// nothing to recover).
 pub fn front_coverage_pct(front: &[(u64, u64)], full: &[(u64, u64)]) -> f64 {
     let reference = (
-        full.iter().chain(front).map(|p| p.0).max().unwrap_or(0) + 1,
-        full.iter().chain(front).map(|p| p.1).max().unwrap_or(0) + 1,
+        full.iter().map(|p| p.0).max().unwrap_or(0) + 1,
+        full.iter().map(|p| p.1).max().unwrap_or(0) + 1,
     );
     let vf = hypervolume_2d(full, reference);
     if vf == 0 {
         return 100.0;
     }
-    hypervolume_2d(front, reference) as f64 / vf as f64 * 100.0
+    let inside: Vec<(u64, u64)> = front
+        .iter()
+        .copied()
+        .filter(|&(x, y)| x <= reference.0 && y <= reference.1)
+        .collect();
+    hypervolume_2d(&inside, reference) as f64 / vf as f64 * 100.0
 }
 
 #[cfg(test)]
@@ -124,6 +132,33 @@ mod tests {
         assert_eq!(front_coverage_pct(&[], &full), 0.0);
         // Degenerate reference front: nothing to recover.
         assert_eq!(front_coverage_pct(&[], &[]), 100.0);
+    }
+
+    #[test]
+    fn adding_a_point_never_lowers_coverage() {
+        // The reference box comes from `full` alone, so points beyond it
+        // cannot move it: (20, 9) took a box taken over both sets from
+        // (7, 9) to (21, 10), and coverage from 50 % to 45 %.
+        let full = vec![(2, 8), (4, 5), (6, 3)];
+        let candidates = [
+            (3, 7),
+            (20, 9),
+            (9, 1),
+            (1, 12),
+            (5, 4),
+            (7, 2),
+            (2, 8),
+            (0, 0),
+        ];
+        let mut front = Vec::new();
+        let mut last = front_coverage_pct(&front, &full);
+        for p in candidates {
+            front.push(p);
+            let now = front_coverage_pct(&front, &full);
+            assert!(now >= last, "adding {p:?} lowered {last} to {now}");
+            last = now;
+        }
+        assert!(last > 100.0, "(0, 0) dominates the whole box: {last}");
     }
 
     #[test]

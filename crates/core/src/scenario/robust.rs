@@ -108,18 +108,11 @@ impl<'a> MultiScenarioEvaluator<'a> {
 
     /// Switches the run to multi-fidelity screening under `plan`: fresh
     /// genomes are ranked on cheap prefix replays of every scenario
-    /// trace (robust-folded like the full evaluation) and only the
-    /// plan's keep-fraction is simulated in full. The robust front stays
+    /// trace (robust-folded like the full evaluation) and only the best
+    /// of them are simulated in full. The robust front stays
     /// full-fidelity-only by construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan fails [`FidelityPlan::validate`].
     #[must_use]
     pub fn with_fidelity(mut self, plan: FidelityPlan) -> Self {
-        if let Err(err) = plan.validate() {
-            panic!("invalid fidelity plan: {err}");
-        }
         self.fidelity = Some(plan);
         self
     }
@@ -175,7 +168,7 @@ impl<'a> MultiScenarioEvaluator<'a> {
             aggregate: Some(self.aggregate),
             objectives: &self.objectives,
             threads: self.threads,
-            fidelity: self.fidelity.as_ref(),
+            fidelity: self.fidelity,
         };
         let mut outcome = strategy.search(&ctx);
 
@@ -470,7 +463,6 @@ mod tests {
             population: 10,
             generations: 3,
             seed: 5,
-            ..GeneticSearch::default()
         };
         let a = MultiScenarioEvaluator::new(&suite).with_seed(5).run(&ga);
         let b = MultiScenarioEvaluator::new(&suite).with_seed(5).run(&ga);
@@ -495,7 +487,6 @@ mod tests {
             population: 10,
             generations: 3,
             seed: 5,
-            ..GeneticSearch::default()
         };
         let a = MultiScenarioEvaluator::new(&suite).with_seed(5).run(&ga);
         let b = MultiScenarioEvaluator::new(&suite).with_seed(5).run(&ga);

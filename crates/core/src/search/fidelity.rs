@@ -9,8 +9,7 @@
 //! ([`dmx_trace::CompiledTrace::prefix`]) on the cheapest rung of a
 //! [`FidelityPlan`], the candidates are ranked Pareto-aware on their
 //! prefix metrics (domination count first, a normalized scalarized score
-//! as the tie-break), and only the best `keep` fraction is promoted to
-//! the next rung
+//! as the tie-break), and only the best 40% are promoted to the next rung
 //! (and eventually to the full-trace simulation). Once enough
 //! full-fidelity results accumulate, an optional k-nearest-neighbor
 //! surrogate over normalized genome distance short-circuits the lowest
@@ -41,103 +40,40 @@ use crate::runner::RunResult;
 
 use super::{eval_rung, RunKind, RungTable, SearchContext, SimStats};
 
-/// Which surrogate model pre-ranks candidates on the lowest rung.
+/// The screening rungs' trace fractions, lowest first; the full-trace
+/// rung the [`super::Evaluator`] itself runs follows them.
+const SCREENING_FRACTIONS: [f64; 2] = [0.2, 0.5];
+
+/// Fraction of candidates promoted past each screening rung.
+const KEEP: f64 = 0.4;
+
+/// Neighbors the k-NN surrogate consults per prediction; it stays silent
+/// until it has observed this many full results.
+const KNN_K: usize = 8;
+
+/// The successive-halving schedule of a multi-fidelity search: every
+/// fresh genome first replays the 20% and then the 50% prefix of each
+/// workload, and after each screening rung only the best
+/// `ceil(0.4 × candidates)` genomes are promoted. Tuned on the
+/// 6912-config convergence space (the `search_efficiency` bench): ≥5x
+/// fewer full-trace simulations than the all-full GA at ≥99% of its
+/// front hypervolume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SurrogateKind {
-    /// No surrogate: the lowest rung always runs prefix replays.
-    Off,
-    /// k-nearest-neighbor regression over observed full-fidelity
-    /// metrics.
-    Knn {
-        /// Neighbors consulted per prediction (≥ 1); the model stays
-        /// silent until it has observed at least `k` full results.
-        k: usize,
-    },
-}
-
-/// The successive-halving schedule of a multi-fidelity search.
-///
-/// `rungs` are ascending trace fractions ending at `1.0` (the
-/// full-fidelity rung the [`super::Evaluator`] itself runs); every rung
-/// below `1.0` is a screening rung that replays only that prefix of each
-/// workload. After each screening rung only the best
-/// `ceil(keep × candidates)` genomes are promoted.
-#[derive(Debug, Clone, PartialEq)]
 pub struct FidelityPlan {
-    /// Ascending trace fractions in `(0, 1]`, last exactly `1.0`.
-    pub rungs: Vec<f64>,
-    /// Fraction of candidates promoted past each screening rung, in
-    /// `(0, 1]` (`1.0` promotes everyone — equivalent to no screening).
-    pub keep: f64,
-    /// Surrogate model allowed to short-circuit the lowest rung.
-    pub surrogate: SurrogateKind,
-}
-
-impl Default for FidelityPlan {
-    fn default() -> Self {
-        FidelityPlan::halving()
-    }
+    /// Whether an 8-neighbor k-NN surrogate over observed full results
+    /// may short-circuit the lowest rung once it has seen 8 of them.
+    pub surrogate: bool,
 }
 
 impl FidelityPlan {
-    /// The default schedule: screen on 20% and 50% prefixes keeping the
-    /// best 40% per rung, with an 8-neighbor k-NN surrogate. Tuned on
-    /// the 6912-config convergence space (the `search_efficiency`
-    /// bench): ≥5x fewer full-trace simulations than the all-full GA at
-    /// ≥99% of its front hypervolume.
+    /// The schedule with the k-NN surrogate on.
     pub fn halving() -> Self {
-        FidelityPlan {
-            rungs: vec![0.2, 0.5, 1.0],
-            keep: 0.4,
-            surrogate: SurrogateKind::Knn { k: 8 },
-        }
-    }
-
-    /// Checks the schedule invariants, returning a human-readable
-    /// complaint for CLI-facing validation.
-    ///
-    /// # Errors
-    ///
-    /// Fails unless the rungs are strictly ascending fractions in
-    /// `(0, 1]` ending at exactly `1.0`, `keep` is in `(0, 1]`, and a
-    /// k-NN surrogate has `k >= 1`.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.rungs.is_empty() {
-            return Err("fidelity plan needs at least one rung".to_owned());
-        }
-        for pair in self.rungs.windows(2) {
-            if pair[1] <= pair[0] {
-                return Err(format!(
-                    "fidelity rungs must be strictly ascending, got {:?}",
-                    self.rungs
-                ));
-            }
-        }
-        for &f in &self.rungs {
-            if !(f > 0.0 && f <= 1.0) {
-                return Err(format!("fidelity rung {f} is outside (0, 1]"));
-            }
-        }
-        if *self.rungs.last().expect("non-empty") != 1.0 {
-            return Err(format!(
-                "the last fidelity rung must be 1.0 (full trace), got {:?}",
-                self.rungs
-            ));
-        }
-        if !(self.keep > 0.0 && self.keep <= 1.0) {
-            return Err(format!("keep fraction {} is outside (0, 1]", self.keep));
-        }
-        if let SurrogateKind::Knn { k } = self.surrogate {
-            if k == 0 {
-                return Err("k-NN surrogate needs k >= 1".to_owned());
-            }
-        }
-        Ok(())
+        FidelityPlan { surrogate: true }
     }
 
     /// The screening fractions: every rung below the full-fidelity 1.0.
-    pub fn screening_fractions(&self) -> &[f64] {
-        &self.rungs[..self.rungs.len() - 1]
+    pub fn screening_fractions(&self) -> &'static [f64] {
+        &SCREENING_FRACTIONS
     }
 }
 
@@ -187,8 +123,8 @@ impl FidelityStats {
 
 /// k-nearest-neighbor surrogate: a cheap stand-in model over observed
 /// full-fidelity results that ranks candidates before any simulation.
-/// It predicts each objective of a candidate as the mean over its `k`
-/// closest observed genomes, with per-axis distances normalized by the
+/// It predicts each objective of a candidate as the mean over its
+/// [`KNN_K`] closest observed genomes, with per-axis distances normalized by the
 /// space's axis lengths so wide axes do not dominate narrow ones.
 ///
 /// Predictions only order candidates; they never produce metrics that
@@ -196,7 +132,6 @@ impl FidelityStats {
 /// predictions, and ties in distance break on the genome ordering.
 #[derive(Debug)]
 pub(crate) struct KnnSurrogate {
-    k: usize,
     /// Per-axis domain sizes of the genome space (distance normalizer).
     axis_lens: Vec<f64>,
     /// Observations in arrival order (arrival order is deterministic:
@@ -205,12 +140,9 @@ pub(crate) struct KnnSurrogate {
 }
 
 impl KnnSurrogate {
-    /// A fresh model consulting `k` neighbors over a space with the
-    /// given per-axis domain sizes.
-    pub(crate) fn new(k: usize, axis_lens: &[usize]) -> Self {
-        assert!(k >= 1, "k-NN surrogate needs k >= 1");
+    /// A fresh model over a space with the given per-axis domain sizes.
+    pub(crate) fn new(axis_lens: &[usize]) -> Self {
         KnnSurrogate {
-            k,
             axis_lens: axis_lens.iter().map(|&n| (n as f64).max(1.0)).collect(),
             points: Vec::new(),
         }
@@ -229,7 +161,7 @@ impl KnnSurrogate {
             .sum()
     }
 
-    /// Indices of the `k` observations nearest to `genome`, closest
+    /// Indices of the [`KNN_K`] observations nearest to `genome`, closest
     /// first, ties broken on the observed genome.
     fn neighbors(&self, genome: &[usize]) -> Vec<usize> {
         let mut order: Vec<(f64, usize)> = self
@@ -242,7 +174,7 @@ impl KnnSurrogate {
             a.0.total_cmp(&b.0)
                 .then_with(|| self.points[a.1].0.cmp(&self.points[b.1].0))
         });
-        order.truncate(self.k);
+        order.truncate(KNN_K);
         order.into_iter().map(|(_, i)| i).collect()
     }
 
@@ -257,7 +189,7 @@ impl KnnSurrogate {
 
     /// `true` once the model has enough observations to rank a batch.
     pub(crate) fn ready(&self) -> bool {
-        self.points.len() >= self.k
+        self.points.len() >= KNN_K
     }
 
     /// Predicted objective values of `genome` (one per objective, lower
@@ -282,7 +214,7 @@ impl KnnSurrogate {
                 *t += o.extract(&r.metrics) as f64;
             }
         }
-        Some(totals.into_iter().map(|t| t / self.k as f64).collect())
+        Some(totals.into_iter().map(|t| t / KNN_K as f64).collect())
     }
 
     /// The observed result nearest to `genome` — the stand-in base for
@@ -312,8 +244,6 @@ struct PrefixRung {
 /// results and the outcome stats.
 #[derive(Debug)]
 pub(crate) struct MultiFidelityEvaluator {
-    /// Fraction of candidates promoted past each screening rung.
-    keep: f64,
     /// One rung per screening fraction, lowest first.
     rungs: Vec<PrefixRung>,
     surrogate: Option<KnnSurrogate>,
@@ -324,42 +254,30 @@ impl MultiFidelityEvaluator {
     /// Builds the screening engine for a context: cuts every instance
     /// trace once per screening rung (O(events) each, paid once per
     /// search) and instantiates the plan's surrogate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan fails [`FidelityPlan::validate`].
-    pub(crate) fn new(plan: &FidelityPlan, ctx: &SearchContext<'_>) -> Self {
-        if let Err(err) = plan.validate() {
-            panic!("invalid fidelity plan: {err}");
-        }
-        let rungs = plan
-            .screening_fractions()
+    pub(crate) fn new(plan: FidelityPlan, ctx: &SearchContext<'_>) -> Self {
+        let rungs = SCREENING_FRACTIONS
             .iter()
             .map(|&fraction| PrefixRung {
-                // The plan was validated above, so every screening
-                // fraction is in (0, 1].
                 traces: ctx
                     .instances
                     .iter()
                     .map(|inst| {
                         inst.trace
                             .prefix(fraction)
-                            .expect("validated plan has in-range fractions")
+                            .expect("screening fractions are in (0, 1]")
                     })
                     .collect(),
                 table: RungTable::new(),
             })
             .collect();
         MultiFidelityEvaluator {
-            keep: plan.keep,
             rungs,
-            surrogate: match plan.surrogate {
-                SurrogateKind::Off => None,
-                SurrogateKind::Knn { k } => Some(KnnSurrogate::new(k, &ctx.space.axis_lens())),
-            },
+            surrogate: plan
+                .surrogate
+                .then(|| KnnSurrogate::new(&ctx.space.axis_lens())),
             stats: FidelityStats {
-                fractions: plan.screening_fractions().to_vec(),
-                rungs: vec![RungStats::default(); plan.screening_fractions().len()],
+                fractions: SCREENING_FRACTIONS.to_vec(),
+                rungs: vec![RungStats::default(); SCREENING_FRACTIONS.len()],
                 surrogate_hits: 0,
                 full_simulations: 0,
                 instances: ctx.instances.len(),
@@ -400,7 +318,7 @@ impl MultiFidelityEvaluator {
         let mut stand_ins: HashMap<Genome, Arc<RunResult>> = HashMap::new();
         for r in 0..self.rungs.len() {
             let entered = candidates.len();
-            let keep_n = ((entered as f64 * self.keep).ceil() as usize).max(1);
+            let keep_n = ((entered as f64 * KEEP).ceil() as usize).max(1);
             if keep_n >= entered {
                 // Nothing would be cut — promote everyone without
                 // spending a single prefix replay.
@@ -624,7 +542,7 @@ mod tests {
     fn quick_ctx<'a>(
         space: &'a ParamSpace,
         inst: &'a EvalInstance<'a>,
-        plan: Option<&'a FidelityPlan>,
+        plan: Option<FidelityPlan>,
     ) -> SearchContext<'a> {
         SearchContext {
             space,
@@ -637,72 +555,37 @@ mod tests {
     }
 
     #[test]
-    fn plan_validation_rejects_bad_schedules() {
-        assert!(FidelityPlan::halving().validate().is_ok());
-        let bad = [
-            FidelityPlan {
-                rungs: vec![],
-                ..FidelityPlan::halving()
-            },
-            FidelityPlan {
-                rungs: vec![0.3, 0.1, 1.0],
-                ..FidelityPlan::halving()
-            },
-            FidelityPlan {
-                rungs: vec![0.1, 0.3],
-                ..FidelityPlan::halving()
-            },
-            FidelityPlan {
-                rungs: vec![0.0, 1.0],
-                ..FidelityPlan::halving()
-            },
-            FidelityPlan {
-                keep: 0.0,
-                ..FidelityPlan::halving()
-            },
-            FidelityPlan {
-                keep: 1.5,
-                ..FidelityPlan::halving()
-            },
-            FidelityPlan {
-                surrogate: SurrogateKind::Knn { k: 0 },
-                ..FidelityPlan::halving()
-            },
-        ];
-        for plan in bad {
-            assert!(plan.validate().is_err(), "{plan:?} should be rejected");
-        }
-    }
-
-    #[test]
-    fn keep_one_is_equivalent_to_full_fidelity() {
-        // A plan that promotes everyone never replays a prefix, so the
-        // strategy sees the exact same results as a fidelity-off run.
+    fn one_genome_batch_skips_screening() {
+        // ceil(0.4 × 1) keeps the only candidate, so neither rung cuts
+        // anything: no prefix replay runs and the batch returns the
+        // exact result of a fidelity-off evaluator.
         let hier = presets::sp64k_dram4m();
         let space = easyport_space(&hier, StudyScale::Quick);
         let trace = easyport_trace(StudyScale::Quick, 42);
         let inst = EvalInstance::single(&hier, &trace);
-        let plan = FidelityPlan {
-            rungs: vec![0.3, 1.0],
-            keep: 1.0,
-            surrogate: SurrogateKind::Off,
+        let batch = [space.genome_at(5)];
+        let off_ctx = quick_ctx(&space, &inst, None);
+        let mut off = Evaluator::new(&off_ctx);
+        let on_ctx = quick_ctx(&space, &inst, Some(FidelityPlan::halving()));
+        let mut on = Evaluator::new(&on_ctx);
+        let want = off.eval_batch(&batch);
+        let got = on.eval_batch(&batch);
+        assert_eq!(got[0].label, want[0].label);
+        assert_eq!(got[0].metrics, want[0].metrics);
+        let (on_sim, off_sim) = (on.sim_stats(), off.sim_stats());
+        assert_eq!(on_sim.screen_runs, 0, "no prefix replay");
+        assert_eq!(on_sim.screen_events, 0);
+        assert_eq!((on_sim.runs, on_sim.events), (off_sim.runs, off_sim.events));
+        let outcome = on.into_outcome("subsample");
+        let stats = outcome.fidelity.expect("plan was active");
+        let pass = RungStats {
+            screened: 1,
+            promoted: 1,
+            surrogate_hits: 0,
         };
-        let ga = GeneticSearch {
-            population: 12,
-            generations: 4,
-            ..GeneticSearch::default()
-        };
-        let off = ga.search(&quick_ctx(&space, &inst, None));
-        let on = ga.search(&quick_ctx(&space, &inst, Some(&plan)));
-        assert_eq!(off.genomes, on.genomes);
-        assert_eq!(off.front.points, on.front.points);
-        assert_eq!(off.simulations, on.simulations);
-        assert_eq!(off.cache_hits, on.cache_hits);
-        assert!(off.fidelity.is_none());
-        let stats = on.fidelity.expect("plan was active");
-        assert_eq!(stats.rungs.len(), 1);
-        assert_eq!(stats.rungs[0].screened, stats.rungs[0].promoted);
-        assert_eq!(stats.full_simulations, on.simulations);
+        assert_eq!(stats.rungs, vec![pass; 2]);
+        assert_eq!(stats.full_simulations, 1);
+        assert_eq!(stats.avoided(), 0);
     }
 
     #[test]
@@ -711,11 +594,7 @@ mod tests {
         let space = easyport_space(&hier, StudyScale::Quick);
         let trace = easyport_trace(StudyScale::Quick, 42);
         let inst = EvalInstance::single(&hier, &trace);
-        let plan = FidelityPlan {
-            surrogate: SurrogateKind::Off,
-            ..FidelityPlan::halving()
-        };
-        let ctx = quick_ctx(&space, &inst, Some(&plan));
+        let ctx = quick_ctx(&space, &inst, Some(FidelityPlan { surrogate: false }));
         let mut evaluator = Evaluator::new(&ctx);
         let genomes: Vec<Genome> = (0..40.min(space.len()))
             .map(|i| space.genome_at(i))
@@ -795,14 +674,13 @@ mod tests {
         let space = easyport_space(&hier, StudyScale::Quick);
         let trace = easyport_trace(StudyScale::Quick, 42);
         let inst = EvalInstance::single(&hier, &trace);
-        let plan = FidelityPlan::halving();
         let ga = GeneticSearch {
             population: 16,
             generations: 6,
             ..GeneticSearch::default()
         };
         let run = |threads: usize| {
-            let mut ctx = quick_ctx(&space, &inst, Some(&plan));
+            let mut ctx = quick_ctx(&space, &inst, Some(FidelityPlan::halving()));
             ctx.threads = threads;
             ga.search(&ctx)
         };
@@ -820,20 +698,16 @@ mod tests {
         let space = easyport_space(&hier, StudyScale::Quick);
         let trace = easyport_trace(StudyScale::Quick, 42);
         let inst = EvalInstance::single(&hier, &trace);
-        let plan = FidelityPlan {
-            surrogate: SurrogateKind::Knn { k: 3 },
-            ..FidelityPlan::halving()
-        };
         let ga = GeneticSearch {
             population: 16,
             generations: 6,
             ..GeneticSearch::default()
         };
-        let outcome = ga.search(&quick_ctx(&space, &inst, Some(&plan)));
+        let outcome = ga.search(&quick_ctx(&space, &inst, Some(FidelityPlan::halving())));
         let stats = outcome.fidelity.expect("plan was active");
         assert!(
             stats.surrogate_hits > 0,
-            "k=3 must warm up within 6 generations: {stats:?}"
+            "k={KNN_K} must warm up within 6 generations: {stats:?}"
         );
         assert_eq!(stats.rungs[0].surrogate_hits, stats.surrogate_hits);
         assert_eq!(stats.rungs[1].surrogate_hits, 0, "only the lowest rung");
@@ -847,19 +721,22 @@ mod tests {
         let inst = EvalInstance::single(&hier, &trace);
         let ctx = quick_ctx(&space, &inst, None);
         let mut evaluator = Evaluator::new(&ctx);
-        let genomes: Vec<Genome> = (0..6).map(|i| space.genome_at(i)).collect();
+        let genomes: Vec<Genome> = (0..KNN_K + 4).map(|i| space.genome_at(i)).collect();
         let results = evaluator.eval_batch(&genomes);
 
         let axis_lens = space.axis_lens();
-        let mut forward = KnnSurrogate::new(3, &axis_lens);
-        let mut backward = KnnSurrogate::new(3, &axis_lens);
-        for (g, r) in genomes.iter().zip(&results) {
+        let mut forward = KnnSurrogate::new(&axis_lens);
+        let mut backward = KnnSurrogate::new(&axis_lens);
+        let probe = space.genome_at(40.min(space.len() - 1));
+        for (seen, (g, r)) in genomes.iter().zip(&results).enumerate() {
+            // Silent until it has observed k results.
+            let ready = forward.predict(&probe, &Objective::FIG1).is_some();
+            assert_eq!(ready, seen >= KNN_K, "after {seen} observations");
             forward.observe(g, r);
         }
         for (g, r) in genomes.iter().zip(&results).rev() {
             backward.observe(g, r);
         }
-        let probe = space.genome_at(17.min(space.len() - 1));
         let a = forward.predict(&probe, &Objective::FIG1);
         let b = backward.predict(&probe, &Objective::FIG1);
         assert!(a.is_some());

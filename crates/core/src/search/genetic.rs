@@ -17,6 +17,9 @@ use crate::pareto::dominates;
 
 use super::{Evaluator, SearchContext, SearchOutcome, SearchStrategy, StrategyError};
 
+/// Per-axis mutation probability of every offspring.
+const MUTATION: f64 = 0.2;
+
 /// Genetic (evolutionary) exploration. Deterministic in `seed`.
 #[derive(Debug, Clone, Copy)]
 pub struct GeneticSearch {
@@ -24,8 +27,6 @@ pub struct GeneticSearch {
     pub population: usize,
     /// Breeding cycles; the search evaluates `generations + 1` batches.
     pub generations: usize,
-    /// Per-axis mutation probability in `[0, 1]`.
-    pub mutation: f64,
     /// RNG seed; the whole run is a pure function of it.
     pub seed: u64,
 }
@@ -35,25 +36,20 @@ impl Default for GeneticSearch {
         GeneticSearch {
             population: 32,
             generations: 16,
-            mutation: 0.2,
             seed: 42,
         }
     }
 }
 
 impl GeneticSearch {
-    /// Checks the parameters a run needs: `population >= 2` and a
-    /// mutation probability in `[0, 1]`.
+    /// Checks the parameter a run needs: `population >= 2`.
     ///
     /// # Errors
     ///
-    /// The first parameter out of range.
+    /// [`StrategyError::PopulationTooSmall`] for a smaller population.
     pub fn validate(&self) -> Result<(), StrategyError> {
         if self.population < 2 {
             return Err(StrategyError::PopulationTooSmall(self.population));
-        }
-        if !(0.0..=1.0).contains(&self.mutation) {
-            return Err(StrategyError::MutationOutOfRange(self.mutation));
         }
         Ok(())
     }
@@ -205,18 +201,18 @@ impl GeneticSearch {
             for d in 0..lens.len() {
                 child[d] = if rng.gen_bool(0.5) { pa[d] } else { pb[d] };
             }
-            self.mutate(rng, &mut child, lens);
+            Self::mutate(rng, &mut child, lens);
             next.push(ctx.space.canonicalize(child));
         }
         next
     }
 
     /// Mutates one genome in place: each axis independently, with
-    /// probability `self.mutation`, either steps ±1 (wrapping) along its
+    /// probability [`MUTATION`], either steps ±1 (wrapping) along its
     /// axis or redraws uniformly — index arithmetic only.
-    fn mutate(&self, rng: &mut StdRng, genome: &mut Genome, lens: &[usize]) {
+    fn mutate(rng: &mut StdRng, genome: &mut Genome, lens: &[usize]) {
         for (d, len) in lens.iter().enumerate() {
-            if *len <= 1 || !rng.gen_bool(self.mutation) {
+            if *len <= 1 || !rng.gen_bool(MUTATION) {
                 continue;
             }
             if rng.gen_bool(0.5) {

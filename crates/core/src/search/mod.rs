@@ -66,7 +66,7 @@ mod fidelity;
 mod genetic;
 mod queue;
 
-pub use fidelity::{FidelityPlan, FidelityStats, RungStats, SurrogateKind};
+pub use fidelity::{FidelityPlan, FidelityStats, RungStats};
 pub use genetic::GeneticSearch;
 
 use queue::simulate_jobs;
@@ -337,9 +337,9 @@ pub struct SearchContext<'a> {
     pub threads: usize,
     /// `Some` switches on multi-fidelity screening: fresh genomes are
     /// first ranked on cheap trace prefixes (and, once warm, a
-    /// surrogate), and only the plan's keep-fraction reaches the full
-    /// simulator. `None` evaluates everything at full fidelity.
-    pub fidelity: Option<&'a FidelityPlan>,
+    /// surrogate), and only the best 40% of each rung reach the next.
+    /// `None` evaluates everything at full fidelity.
+    pub fidelity: Option<FidelityPlan>,
 }
 
 /// What a search run produces.
@@ -527,12 +527,10 @@ enum Settled {
 /// [`GeneticSearch::validate`]. Callers that take parameters from users
 /// (the CLI) validate first; the strategy's `search` panics on the same
 /// conditions.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StrategyError {
     /// Fewer than two individuals per generation.
     PopulationTooSmall(usize),
-    /// A mutation probability outside `[0, 1]`.
-    MutationOutOfRange(f64),
 }
 
 impl fmt::Display for StrategyError {
@@ -540,9 +538,6 @@ impl fmt::Display for StrategyError {
         match self {
             StrategyError::PopulationTooSmall(n) => {
                 write!(f, "population must be at least 2, got {n}")
-            }
-            StrategyError::MutationOutOfRange(p) => {
-                write!(f, "mutation probability must be in [0, 1], got {p}")
             }
         }
     }
@@ -714,9 +709,8 @@ impl<'a> Evaluator<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the context has no instances, several instances were
-    /// given without an [`Aggregate`] to fold them, or the context's
-    /// [`FidelityPlan`] fails [`FidelityPlan::validate`].
+    /// Panics if the context has no instances, or several instances were
+    /// given without an [`Aggregate`] to fold them.
     pub fn new(ctx: &SearchContext<'a>) -> Self {
         assert!(!ctx.instances.is_empty(), "need at least one instance");
         assert!(
@@ -1528,17 +1522,17 @@ mod tests {
     #[test]
     fn out_of_range_genetic_parameters_fail_at_the_input_barrier() {
         let wild = GeneticSearch {
-            mutation: 1.5,
+            population: 1,
             ..GeneticSearch::default()
         };
-        assert_eq!(wild.validate(), Err(StrategyError::MutationOutOfRange(1.5)));
+        assert_eq!(wild.validate(), Err(StrategyError::PopulationTooSmall(1)));
         let hier = presets::sp64k_dram4m();
         let space = easyport_space(&hier, StudyScale::Quick);
         let trace = easyport_trace(StudyScale::Quick, 42);
         let explorer = Explorer::new(&hier);
         let result =
             std::panic::catch_unwind(|| explorer.search(&wild, &space, &trace, &Objective::FIG1));
-        assert!(result.is_err(), "the mutation rate must be validated");
+        assert!(result.is_err(), "the population must be validated");
     }
 
     #[test]

@@ -26,7 +26,6 @@ fn strategy(seed: u64) -> GeneticSearch {
         population: 16,
         generations: 4,
         seed,
-        ..GeneticSearch::default()
     }
 }
 

@@ -3,53 +3,26 @@
 use crate::counters::CounterSet;
 use crate::hierarchy::MemoryHierarchy;
 
-/// Fixed CPU-side cost parameters of the allocator, independent of the
-/// memory hierarchy.
+/// CPU cycles one allocator entry (`malloc` or `free`) consumes before
+/// any memory access is issued: call, dispatch, size classing in a
+/// trimmed embedded allocator.
 ///
 /// The paper reports *execution time* alongside memory metrics; time is
-/// modeled as memory-access stall cycles plus a fixed per-operation CPU cost
-/// (argument marshalling, branch logic) for each `malloc`/`free` call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CostParams {
-    /// CPU cycles consumed by one allocator entry (`malloc` or `free`)
-    /// before any memory access is issued.
-    pub cpu_cycles_per_op: u64,
-}
-
-impl Default for CostParams {
-    fn default() -> Self {
-        // A trimmed embedded allocator entry: call, dispatch, size classing.
-        CostParams {
-            cpu_cycles_per_op: 12,
-        }
-    }
-}
+/// modeled as memory-access stall cycles plus this fixed per-operation CPU
+/// cost for each allocator call.
+pub const CPU_CYCLES_PER_OP: u64 = 12;
 
 /// Maps per-level access counters to energy (picojoules) and time (cycles)
 /// using the per-access figures of a [`MemoryHierarchy`].
 #[derive(Debug, Clone, Copy)]
 pub struct CostModel<'h> {
     hierarchy: &'h MemoryHierarchy,
-    params: CostParams,
 }
 
 impl<'h> CostModel<'h> {
-    /// A cost model over `hierarchy` with default [`CostParams`].
+    /// A cost model over `hierarchy`.
     pub fn new(hierarchy: &'h MemoryHierarchy) -> Self {
-        CostModel {
-            hierarchy,
-            params: CostParams::default(),
-        }
-    }
-
-    /// A cost model with explicit CPU-side parameters.
-    pub fn with_params(hierarchy: &'h MemoryHierarchy, params: CostParams) -> Self {
-        CostModel { hierarchy, params }
-    }
-
-    /// The CPU-side parameters in use.
-    pub fn params(&self) -> CostParams {
-        self.params
+        CostModel { hierarchy }
     }
 
     /// Total access energy in picojoules.
@@ -86,9 +59,9 @@ impl<'h> CostModel<'h> {
     }
 
     /// Total execution time in cycles: access stalls plus the fixed CPU cost
-    /// of `ops` allocator operations.
+    /// ([`CPU_CYCLES_PER_OP`]) of `ops` allocator operations.
     pub fn total_cycles(&self, counters: &CounterSet, ops: u64) -> u64 {
-        self.access_cycles(counters) + ops * self.params.cpu_cycles_per_op
+        self.access_cycles(counters) + ops * CPU_CYCLES_PER_OP
     }
 
     /// Static (leakage/refresh) energy over `cycles` of execution, summed
@@ -166,14 +139,9 @@ mod tests {
     #[test]
     fn total_cycles_adds_cpu_cost() {
         let h = two_level();
-        let cost = CostModel::with_params(
-            &h,
-            CostParams {
-                cpu_cycles_per_op: 10,
-            },
-        );
+        let cost = CostModel::new(&h);
         let c = CounterSet::new(2);
-        assert_eq!(cost.total_cycles(&c, 5), 50);
+        assert_eq!(cost.total_cycles(&c, 5), 5 * CPU_CYCLES_PER_OP);
     }
 
     #[test]
@@ -192,11 +160,6 @@ mod tests {
         let cost = CostModel::new(&h);
         let c = CounterSet::new(3);
         let _ = cost.energy_pj(&c);
-    }
-
-    #[test]
-    fn default_params_nonzero() {
-        assert!(CostParams::default().cpu_cycles_per_op > 0);
     }
 
     #[test]

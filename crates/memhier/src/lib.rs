@@ -56,7 +56,7 @@ mod level;
 pub mod presets;
 mod region;
 
-pub use cost::{CostModel, CostParams};
+pub use cost::{CostModel, CPU_CYCLES_PER_OP};
 pub use counters::{AccessCounts, CounterSet};
 pub use error::{HierarchyError, RegionError};
 pub use hierarchy::{LevelChoice, LevelId, MemoryHierarchy};

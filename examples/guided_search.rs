@@ -64,7 +64,6 @@ fn main() {
         population: 24,
         generations: 8,
         seed: 42,
-        ..GeneticSearch::default()
     };
     let ga_outcome = explorer.search(&ga, &space, &trace, &Objective::FIG1);
     describe(&ga_outcome, &full, space.len());

@@ -29,7 +29,6 @@ fn main() {
         population: 24,
         generations: 8,
         seed: 42,
-        ..GeneticSearch::default()
     };
 
     // Worst-case aggregation: the front of "how bad does it ever get".

@@ -54,7 +54,6 @@ fn guided_fronts_are_consistent_with_the_exhaustive_oracle() {
                 population: 32,
                 generations: 10,
                 seed: 42,
-                ..GeneticSearch::default()
             }),
         ),
         ("sample", Box::new(SubsampleSearch { n: 400, seed: 42 })),

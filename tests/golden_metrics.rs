@@ -661,7 +661,6 @@ fn threaded_trace_search_is_deterministic_across_worker_counts() {
     let strategy = GeneticSearch {
         population: 8,
         generations: 2,
-        mutation: 0.2,
         seed: 2006,
     };
     let objectives = [Objective::TailLatency, Objective::ContentionStalls];
@@ -856,7 +855,6 @@ fn search_strategies_reproduce_pre_refactor_outcomes() {
             "genetic" => Box::new(GeneticSearch {
                 population: 10,
                 generations: 3,
-                mutation: 0.2,
                 seed: 2006,
             }),
             "sample" => Box::new(SubsampleSearch { n: 11, seed: 2006 }),
@@ -924,7 +922,6 @@ fn multi_fidelity_search_is_deterministic_across_worker_counts() {
     let strategy = GeneticSearch {
         population: 10,
         generations: 3,
-        mutation: 0.2,
         seed: 2006,
     };
     let plan = FidelityPlan::halving();
@@ -933,7 +930,7 @@ fn multi_fidelity_search_is_deterministic_across_worker_counts() {
     for threads in [1usize, 8] {
         let outcome = Explorer::new(&hier)
             .with_threads(threads)
-            .with_fidelity(&plan)
+            .with_fidelity(plan)
             .search(&strategy, &space, &trace, &Objective::FIG1);
         let stats = outcome
             .fidelity
@@ -981,7 +978,6 @@ fn multi_fidelity_and_robust_exports_reproduce_pinned_digests() {
     let strategy = GeneticSearch {
         population: 10,
         generations: 3,
-        mutation: 0.2,
         seed: 2006,
     };
     let hier = dmx_memhier::presets::sp64k_dram4m();
@@ -997,7 +993,7 @@ fn multi_fidelity_and_robust_exports_reproduce_pinned_digests() {
     for threads in [1usize, 8] {
         let outcome = Explorer::new(&hier)
             .with_threads(threads)
-            .with_fidelity(&FidelityPlan::halving())
+            .with_fidelity(FidelityPlan::halving())
             .search(&strategy, &space, &trace, &Objective::FIG1);
         let json = search_to_json(&outcome, &Objective::FIG1);
         assert!(json.contains("\"fidelity\""), "fidelity block missing");

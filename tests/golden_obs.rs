@@ -32,7 +32,6 @@ fn strategies() -> Vec<(&'static str, Box<dyn SearchStrategy>)> {
             Box::new(GeneticSearch {
                 population: 10,
                 generations: 3,
-                mutation: 0.2,
                 seed: 2006,
             }) as Box<dyn SearchStrategy>,
         ),
@@ -108,7 +107,6 @@ fn robust_export_is_byte_identical_with_recording_on_vs_off() {
         population: 8,
         generations: 2,
         seed: 2006,
-        ..GeneticSearch::default()
     };
     for threads in [1usize, 8] {
         let run = |recording: bool| {

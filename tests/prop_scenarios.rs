@@ -22,7 +22,6 @@ fn strategies(seed: u64) -> Vec<Box<dyn SearchStrategy>> {
             population: 8,
             generations: 2,
             seed,
-            ..GeneticSearch::default()
         }),
     ]
 }

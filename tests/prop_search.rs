@@ -36,7 +36,6 @@ fn strategies(seed: u64) -> Vec<Box<dyn SearchStrategy>> {
             population: 8,
             generations: 3,
             seed,
-            ..GeneticSearch::default()
         }),
         Box::new(SubsampleSearch { n: 11, seed }),
     ]
@@ -50,7 +49,6 @@ fn genetic_with_threads(seed: u64, threads: usize) -> SearchOutcome {
         population: 16,
         generations: 4,
         seed,
-        ..GeneticSearch::default()
     };
     Explorer::new(&hierarchy).with_threads(threads).search(
         &strategy,
